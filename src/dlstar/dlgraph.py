@@ -69,11 +69,13 @@ class DLVertex(NamedTuple):
 def make_vertex(params: DLParams, coords: Iterable) -> DLVertex:
     """Validate and assemble a vertex from per-tree coordinates.
 
-    Accepts TreeVertex values or raw (m, path) pairs; coordinates must
-    already be canonical so that accidental aliasing is caught rather
-    than silently rewritten (parse_vertex is the lenient entry point).
+    Accepts TreeVertex values or raw (m, path) pairs of ints; coordinates
+    must already be canonical so that accidental aliasing is caught
+    rather than silently rewritten (parse_vertex is the lenient entry
+    point).  Depths and labels that are not ints, bool included, are
+    rejected rather than coerced.
     """
-    cs = tuple(TreeVertex(int(c[0]), tuple(c[1])) for c in coords)
+    cs = tuple(TreeVertex(c[0], tuple(c[1])) for c in coords)
     if len(cs) != params.d:
         raise DimensionMismatch(f"expected {params.d} coordinates, got {len(cs)}")
     for c in cs:

@@ -9,7 +9,8 @@ set
 
 (the first line for i < d, the second replacing the i = d case).  The
 graph distance is min over s of max over i of f(s, i).  bfs_distance
-provides the independent breadth-first oracle for the same quantity.
+is the independent oracle for the same quantity: a meet-in-the-middle
+breadth-first search whose max_vertices cap counts both sides.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ from .errors import MemoryCapExceeded
 from .treecoord import pair_stats
 
 # configurations whose formula distances have been bulk-checked against
-# the breadth-first oracle; others get a verified=false advisory in the CLI
-VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2)})
+# the breadth-first oracle; others get a verified=false advisory in the CLI.
+# (3, 2): test_word_metric_matches_bfs_oracle in tests/test_acceptance.py;
+# (2, 2): test_formula_matches_bfs_other_configs, and (4, 2), (3, 3),
+# (2, 3): test_formula_matches_bfs_distance_config, in tests/test_metric.py
+VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3)})
 
 
 class PairProfile(NamedTuple):
@@ -137,32 +141,59 @@ def bfs_distance(
 ) -> int | None:
     """Breadth-first graph distance, independent of the formula.
 
-    Explores outward from x until y is reached; returns None when y is
-    not found within cap steps.  cap defaults to twice the formula
-    distance plus two, so a discrepancy in either direction is caught.
+    Meet-in-the-middle search (Pohl 1971): one ball grows around x and
+    one around y, each kept as a vertex -> depth map.  Every step
+    expands one whole layer of whichever frontier is smaller, so both
+    balls stay near radius distance / 2.  Before a step the balls hold
+    every vertex within depth_a of x and within depth_b of y and share
+    no vertex, so the distance exceeds depth_a + depth_b.  A new vertex
+    at depth_a + 1 that the other ball already holds closes a path of
+    length at most depth_a + 1 + depth_b, hence exactly that: the
+    first hit is the distance.
+
+    Returns None when the distance exceeds cap, i.e. once depth_a +
+    depth_b reaches cap without a meeting.  cap defaults to twice the
+    formula distance plus two, so a discrepancy in either direction is
+    caught; it is the only use of the formula here.  Raises
+    MemoryCapExceeded once the two balls together hold more than
+    max_vertices vertices, and ValueError for a negative cap or a
+    max_vertices below 1.
     """
     _check_same_graph(x, y)
     if cap is None:
         cap = 2 * distance(x, y) + 2
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
     if x == y:
         return 0
-    seen = {x}
-    frontier = [x]
-    for layer in range(cap):
+    near, far = {x: 0}, {y: 0}
+    near_front, far_front = [x], [y]
+    near_depth = far_depth = 0
+    while near_depth + far_depth < cap:
+        if len(far_front) < len(near_front):
+            near, far = far, near
+            near_front, far_front = far_front, near_front
+            near_depth, far_depth = far_depth, near_depth
+        layer = near_depth + 1
         nxt = []
-        for v in frontier:
+        for v in near_front:
             for w in neighbors(v):
-                if w in seen:
+                if w in near:
                     continue
-                if w == y:
-                    return layer + 1
-                seen.add(w)
+                met = far.get(w)
+                if met is not None:
+                    return layer + met
+                near[w] = layer
                 nxt.append(w)
-            if len(seen) > max_vertices:
-                raise MemoryCapExceeded("breadth-first search too large", len(seen))
+            if len(near) + len(far) > max_vertices:
+                raise MemoryCapExceeded(
+                    "breadth-first search too large", len(near) + len(far)
+                )
         if not nxt:
             return None
-        frontier = nxt
+        near_front, near_depth = nxt, layer
     return None
 
 

@@ -51,17 +51,26 @@ def is_canonical(v: TreeVertex) -> bool:
     return v.m == 0 or not v.path or v.path[0] != 0
 
 
+def _require_int(value, what: str) -> None:
+    # int() would truncate 1.5 and accept True, so check the type instead
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 def canonicalize(v: TreeVertex, q: int | None = None) -> TreeVertex:
     """Rewrite (m, path) to the canonical address of the same vertex.
 
-    Validates that m is nonnegative and labels are nonnegative ints,
-    below q when q is given.  Applies (m, (0,)+rest) -> (m-1, rest)
-    until the leading label no longer runs along the spine.
+    Validates that m and the labels are nonnegative ints (bool and
+    float are rejected, not coerced), labels below q when q is given.
+    Applies (m, (0,)+rest) -> (m-1, rest) until the leading label no
+    longer runs along the spine.
     """
-    m, path = int(v[0]), tuple(v[1])
+    m, path = v[0], tuple(v[1])
+    _require_int(m, "spine depth")
     if m < 0:
         raise ValueError(f"negative spine depth {m}")
     for a in path:
+        _require_int(a, "label")
         if a < 0 or (q is not None and a >= q):
             raise ValueError(f"label {a} out of range [0, {q})")
     while m > 0 and path and path[0] == 0:

@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: formats, exit codes, error mapping."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dlstar
 from dlstar.cli import main
 
 
@@ -96,6 +99,13 @@ def test_bfs_cap(capsys):
     assert doc["result"]["within_cap"] is False
 
 
+def test_bfs_negative_cap_exits_2(capsys):
+    code, out, err = run(capsys, "bfs", "0:|0:|0:", "0:1|1:|0:", "--cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert "cap must be nonnegative" in err
+
+
 def test_beta_match(capsys):
     code, out, _ = run(capsys, "--format", "json", "beta", "1:1|0:|0:")
     assert code == 0
@@ -179,10 +189,14 @@ def test_verify_suite(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same dlstar as this process, installed or not
+    src = str(Path(dlstar.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dlstar", "--format", "json", "distance",
          "0:|0:|0:", "0:0|2:1,0|2:1"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["distance"] == 5

@@ -86,6 +86,16 @@ def test_make_vertex_strictness(params):
         make_vertex(params, [(0, ()), (0, ())])
     with pytest.raises(HeightImbalance):
         make_vertex(params, [(0, (1,)), (0, ()), (0, ())])
+    # depths and labels must be ints: no float truncation, no bool
+    for bad in (
+        [(1.0, (1,)), (0, ()), (0, ())],
+        [(True, (1,)), (0, ()), (0, ())],
+        [(0, (True,)), (1, ()), (0, ())],
+        [(0, (1.0,)), (1, ()), (0, ())],
+        [(0, (1,)), (1, ()), (False, ())],
+    ):
+        with pytest.raises(ValueError, match="must be an int"):
+            make_vertex(params, bad)
 
 
 def test_parse_format_round_trip(params, ball3):
@@ -188,3 +198,11 @@ def test_custom_family_revalidates(params, origin):
     assert bad.at(0) == origin
     with pytest.raises(HeightImbalance):
         bad.at(1)
+    # re-validation rejects the same non-int values make_vertex does
+    floaty = custom_family(params, lambda n: [(0, (1,) * n), (float(n), ()), (0, ())])
+    with pytest.raises(ValueError, match="must be an int"):
+        floaty.at(0)
+    truthy = custom_family(params, lambda n: [(0, (True,) * n), (n, ()), (0, ())])
+    assert truthy.at(0) == origin
+    with pytest.raises(ValueError, match="must be an int"):
+        truthy.at(1)

@@ -8,11 +8,13 @@ import pytest
 from dlstar import (
     DLParams,
     DimensionMismatch,
+    MemoryCapExceeded,
     NotBalanced,
     PairProfile,
     all_permutations,
     balanced_compare,
     alpha_family,
+    ball_distances,
     beta_family,
     bfs_distance,
     check_coord_dominance,
@@ -64,8 +66,6 @@ def test_formula_matches_bfs_on_random_pairs(params, ball3):
 
 @pytest.mark.parametrize("d,q,radius", [(2, 2, 4), (4, 2, 2)])
 def test_formula_matches_bfs_other_configs(d, q, radius):
-    from dlstar import ball_distances
-
     params = DLParams(d, q)
     o = identity(params)
     for v, r in ball_distances(params, radius).items():
@@ -149,9 +149,80 @@ def test_bfs_distance(params, origin):
     assert bfs_distance(origin, beta_family(params).at(5), cap=3) is None
 
 
-def test_lower_bounds_hold_exhaustively(params):
-    from dlstar import ball_distances
+def _seeded_pairs(params, radius, count, seed):
+    pool = sorted(ball_distances(params, radius), key=lambda v: v.coords)
+    rng = random.Random(seed)
+    return [(rng.choice(pool), rng.choice(pool)) for _ in range(count)]
 
+
+@pytest.mark.parametrize(
+    "d,q,radius,count", [(3, 2, 3, 30), (2, 2, 4, 60), (2, 3, 3, 40), (4, 2, 2, 15)]
+)
+def test_bfs_distance_matches_one_way_oracle(d, q, radius, count):
+    # the meet-in-the-middle search against the plain one-way queue search
+    for x, y in _seeded_pairs(DLParams(d, q), radius, count, seed=d * 10 + q):
+        assert bfs_distance(x, y) == bfs_oracle(x, y)
+
+
+def test_bfs_distance_cap_edge(params, ball3):
+    rng = random.Random(19)
+    verts = sorted(ball3, key=lambda v: v.coords)
+    for _ in range(40):
+        x, y = rng.choice(verts), rng.choice(verts)
+        want = bfs_oracle(x, y)
+        assert bfs_distance(x, y, cap=want) == want
+        if want > 0:
+            assert bfs_distance(x, y, cap=want - 1) is None
+    assert bfs_distance(verts[0], verts[0], cap=0) == 0
+
+
+def test_bfs_distance_memory_cap(params, origin):
+    far = beta_family(params).at(5)
+    with pytest.raises(MemoryCapExceeded) as e:
+        bfs_distance(origin, far, max_vertices=50)
+    assert e.value.size > 50
+    # after the first layer the ball around origin holds 13 vertices and
+    # the one around far holds 1: the cap counts both
+    with pytest.raises(MemoryCapExceeded) as e:
+        bfs_distance(origin, far, max_vertices=13)
+    assert e.value.size == 14
+    assert bfs_distance(origin, far, max_vertices=100_000) == 10
+
+
+def test_bfs_distance_reads_formula_only_for_default_cap(params, origin, monkeypatch):
+    import dlstar.metric as metric_mod
+
+    def formula(*args):
+        raise AssertionError("the oracle read the formula")
+
+    monkeypatch.setattr(metric_mod, "distance", formula)
+    monkeypatch.setattr(metric_mod, "profile_distance", formula)
+    z = zeta_point(params, 3, 2)
+    assert bfs_distance(origin, z, cap=10) == 4
+    with pytest.raises(AssertionError, match="read the formula"):
+        bfs_distance(origin, z)
+
+
+def test_bfs_distance_rejects_bad_limits(params, origin):
+    z = zeta_point(params, 1, 1)
+    with pytest.raises(ValueError):
+        bfs_distance(origin, z, cap=-1)
+    with pytest.raises(ValueError):
+        bfs_distance(origin, origin, cap=-1)
+    with pytest.raises(ValueError):
+        bfs_distance(origin, z, max_vertices=0)
+
+
+# configurations beyond the acceptance gate's DL_3(2): these runs back the
+# (4, 2), (3, 3) and (2, 3) entries of VERIFIED_CONFIGS
+@pytest.mark.parametrize("d,q,radius", [(4, 2, 3), (3, 3, 3), (2, 3, 4)])
+def test_formula_matches_bfs_distance_config(d, q, radius):
+    pairs = _seeded_pairs(DLParams(d, q), radius, 200, seed=20260814 + 100 * d + q)
+    mismatches = [(x, y) for x, y in pairs if distance(x, y) != bfs_distance(x, y)]
+    assert mismatches == []
+
+
+def test_lower_bounds_hold_exhaustively(params):
     o = identity(params)
     for v in ball_distances(params, 2):
         tree, index = lower_bounds(o, v)

@@ -87,6 +87,10 @@ def test_canonicalize_validation():
         canonicalize(TreeVertex(0, (2,)), q=2)
     with pytest.raises(ValueError):
         canonicalize(TreeVertex(0, (-1,)))
+    for bad in (TreeVertex(1.0, ()), TreeVertex(True, ()), TreeVertex(0, (True,)),
+                TreeVertex(0, (1.0,)), TreeVertex("1", ())):
+        with pytest.raises(ValueError, match="must be an int"):
+            canonicalize(bad, q=2)
 
 
 def test_step_cases():
