@@ -207,7 +207,7 @@ def cmd_separation(args, params):
 
 
 def cmd_verify(args, params):
-    reports = run_suites([args.suite], params, seed=args.seed, workers=args.parallel)
+    reports = run_suites([args.suite], params, seed=args.seed)
     rows = [
         {
             "check": r.name,
@@ -275,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
-    parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="worker processes for verification sweeps",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distance", help="formula distance between two vertices")

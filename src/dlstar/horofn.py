@@ -34,7 +34,8 @@ from .errors import (
     TableMismatch,
     WrongDimension,
 )
-from .metric import all_permutations, distance, f_value, pair_profile
+from .metric import all_permutations, distance, f_rows, pair_profile
+from .treecoord import _require_int
 
 INFINITE = math.inf
 
@@ -63,13 +64,19 @@ def limit_value(
     Scans n upward from n_min (default: total parameter weight of z
     plus one) until the difference is constant across `window`
     consecutive indices; gives up past n_max (default n_min + 200).
+    Bounds that are not ints, or n_max < n_min, raise ValueError.
     """
+    _require_int(window, "window")
     if window < 1:
         raise ValueError("window must be positive")
     if n_min is None:
         n_min = _param_weight(z) + 1
+    _require_int(n_min, "n_min")
     if n_max is None:
         n_max = n_min + 200
+    _require_int(n_max, "n_max")
+    if n_max < n_min:
+        raise ValueError(f"n_max={n_max} is below n_min={n_min}")
     base = identity(z.params)
     run_value = None
     run_start = n_min
@@ -193,12 +200,10 @@ def betandist_table(z: DLVertex, n1: int, n2: int) -> BetaDistTable:
     profiles = {n: pair_profile(fam.at(n), z) for n in ns}
     rows: dict[tuple[int, ...], BetaDistRow] = {}
     for sigma in all_permutations(3):
-        sub: dict[int, AffineInN] = {}
-        for i in (2, 3):
-            sub[i] = _fit_affine({n: f_value(profiles[n], sigma, i) for n in ns})
-        total = _fit_affine(
-            {n: max(f_value(profiles[n], sigma, i) for i in (2, 3)) for n in ns}
-        )
+        s = [t - 1 for t in sigma]
+        f = {n: f_rows(p.m, p.l, s) for n, p in profiles.items()}
+        sub = {i: _fit_affine({n: f[n][i - 2] for n in ns}) for i in (2, 3)}
+        total = _fit_affine({n: max(f[n]) for n in ns})
         rows[sigma] = BetaDistRow(sub, total)
     shifts = {n: distance(fam.at(n), z) - 2 * n for n in (n1, n2)}
     if shifts[n1] != shifts[n2]:

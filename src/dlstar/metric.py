@@ -8,9 +8,12 @@ set
     f(s, d) = 2 m_{s(1)} + m_{s(2)} + ... + m_{s(d)} + l_{s(d)}
 
 (the first line for i < d, the second replacing the i = d case).  The
-graph distance is min over s of max over i of f(s, i).  bfs_distance
-is the independent oracle for the same quantity: a meet-in-the-middle
-breadth-first search whose max_vertices cap counts both sides.
+graph distance is min over s of max over i of f(s, i).  f_rows is the
+kernel every caller reads rows from (profile_distance keeps a faster
+hand-unrolled d = 3 branch); f_value and f_row_max write the formula out
+literally as its reference.  bfs_distance is the independent oracle for
+the same quantity: a meet-in-the-middle breadth-first search whose
+max_vertices cap counts both sides.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import NamedTuple, Sequence
 from .errors import DimensionMismatch, NotBalanced
 from .dlgraph import DLVertex, identity, neighbors, DEFAULT_MEMORY_CAP
 from .errors import MemoryCapExceeded
-from .treecoord import pair_stats
+from .treecoord import _require_int, pair_stats
 
 # configurations whose formula distances have been bulk-checked against
 # the breadth-first oracle; others get a verified=false advisory in the CLI.
@@ -73,10 +76,30 @@ def all_permutations(d: int) -> list[tuple[int, ...]]:
     return [tuple(t + 1 for t in s) for s in _perms0(d)]
 
 
+def f_rows(m, l, s: Sequence[int]) -> list:
+    """Rows [f(s, 2), ..., f(s, d)] for one 0-based ordering s.
+
+    O(d): a running prefix sum of m and a running suffix sum of l.  Only
+    + and - touch the entries of m and l, so they may be ints or numpy
+    arrays of one shape, and the rows come out elementwise.
+    """
+    up = m[s[0]]                 # m_{s(1)} + ... + m_{s(i)}
+    down = sum(l)                # l_{s(i)} + ... + l_{s(d)}
+    rows = []
+    for i in range(1, len(s) - 1):
+        up = up + m[s[i]]
+        down = down - l[s[i - 1]]
+        rows.append(up + down)
+    rows.append(up + m[s[-1]] + m[s[0]] + l[s[-1]])
+    return rows
+
+
 def f_value(profile: PairProfile, sigma: Sequence[int], i: int) -> int:
-    """One row value f(sigma, i); sigma uses 1-based tree indices."""
+    """One row value f(sigma, i), 1-based sigma; the reference for f_rows."""
     m, l = profile.m, profile.l
     d = len(m)
+    for v in (*sigma, i):
+        _require_int(v, "ordering entry and row index")
     if sorted(sigma) != list(range(1, d + 1)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of 1..{d}")
     if not 2 <= i <= d:
@@ -93,7 +116,7 @@ def f_row_max(profile: PairProfile, sigma: Sequence[int]) -> int:
 
 
 def profile_distance(profile: PairProfile) -> int:
-    """min over orderings of max over i of f, specialised for d = 3."""
+    """min over orderings of max over i of f, hand-unrolled for d = 3."""
     m, l = profile.m, profile.l
     d = len(m)
     if d == 3:
@@ -114,18 +137,7 @@ def profile_distance(profile: PairProfile) -> int:
             if best is None or fs < best:
                 best = fs
         return best
-    best = None
-    for s in _perms0(d):
-        fmax = 2 * m[s[0]] + sum(m[s[t]] for t in range(1, d)) + l[s[d - 1]]
-        acc = m[s[0]]
-        for i in range(2, d):
-            acc += m[s[i - 1]]
-            f = acc + sum(l[s[t]] for t in range(i - 1, d))
-            if f > fmax:
-                fmax = f
-        if best is None or fmax < best:
-            best = fmax
-    return best
+    return min(max(f_rows(m, l, s)) for s in _perms0(d))
 
 
 def distance(x: DLVertex, y: DLVertex) -> int:
@@ -233,13 +245,11 @@ def lower_bounds(x: DLVertex, y: DLVertex) -> tuple[BoundReport, BoundReport]:
     index serves every ordering at once, so the distance dominates it.
     """
     profile = pair_profile(x, y)
-    d = len(profile.m)
+    m, l = profile
     dist = profile_distance(profile)
-    r_tree = max(a + b for a, b in zip(profile.m, profile.l))
-    perms = all_permutations(d)
-    r_index = max(
-        min(f_value(profile, s, i) for s in perms) for i in range(2, d + 1)
-    )
+    r_tree = max(a + b for a, b in zip(m, l))
+    table = [f_rows(m, l, s) for s in _perms0(len(m))]
+    r_index = max(min(column) for column in zip(*table))
     return (
         BoundReport("TreeBound", True, r_tree, dist >= r_tree),
         BoundReport("BigIndex", True, r_index, dist >= r_index),
@@ -252,18 +262,15 @@ def check_f_dominance(
     """Row-wise domination check: if every f row of (x, z) exceeds the
     matching row of (x, y) by at least k (strictly, when strict), then
     distance(x, z) >= distance(x, y) + k."""
+    _require_int(k, "offset")
     pxy = pair_profile(x, y)
     pxz = pair_profile(x, z)
-    d = len(pxy.m)
-    hyp = True
-    for s in all_permutations(d):
-        for i in range(2, d + 1):
-            gap = f_value(pxz, s, i) - f_value(pxy, s, i)
-            if gap < k or (strict and gap == k):
-                hyp = False
-                break
-        if not hyp:
-            break
+    least = k + 1 if strict else k
+    hyp = all(
+        b - a >= least
+        for s in _perms0(len(pxy.m))
+        for a, b in zip(f_rows(pxy.m, pxy.l, s), f_rows(pxz.m, pxz.l, s))
+    )
     bound = profile_distance(pxy) + k
     verified = hyp and profile_distance(pxz) >= bound
     return BoundReport("FDominance", hyp, bound, verified)
@@ -276,7 +283,9 @@ def check_coord_dominance(
     for l_j, for all j, implies distance(x,z) >= distance(x,y) + sum(c)."""
     pxy = pair_profile(x, y)
     pxz = pair_profile(x, z)
-    offs = tuple(int(v) for v in c)
+    offs = tuple(c)
+    for v in offs:
+        _require_int(v, "offset")
     if len(offs) != len(pxy.m):
         raise ValueError(f"need {len(pxy.m)} offsets, got {len(offs)}")
     if any(v < 0 for v in offs):

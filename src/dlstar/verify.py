@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,6 +39,7 @@ from .metric import (
     check_coord_dominance,
     check_f_dominance,
     distance,
+    f_rows,
     f_value,
     lower_bounds,
     pair_profile,
@@ -67,17 +67,7 @@ def _sorted_ball(params: DLParams, radius: int) -> list[DLVertex]:
 
 # ── conformance ─────────────────────────────────────────────────────────────
 
-def _pair_batch_mismatches(batch: Sequence[tuple[DLVertex, DLVertex]]) -> list[str]:
-    out = []
-    for x, y in batch:
-        want = distance(x, y)
-        got = bfs_distance(x, y)
-        if got != want:
-            out.append(f"{x} vs {y}: formula {want}, bfs {got}")
-    return out
-
-
-def _check_word_metric(params: DLParams, seed: int, workers: int) -> VerificationReport:
+def _check_word_metric(params: DLParams, seed: int) -> VerificationReport:
     reached = ball_distances(params, 5)
     base = identity(params)
     cases = 0
@@ -91,18 +81,12 @@ def _check_word_metric(params: DLParams, seed: int, workers: int) -> Verificatio
     pool = _sorted_ball(params, 4)
     rng = random.Random(seed)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
-    if workers > 1:
-        chunk = (len(pairs) + workers - 1) // workers
-        batches = [pairs[i : i + chunk] for i in range(0, len(pairs), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            mismatch_lists = list(pool_exec.map(_pair_batch_mismatches, batches))
-        mismatches = [m for batch in mismatch_lists for m in batch]
-    else:
-        mismatches = _pair_batch_mismatches(pairs)
-    cases += len(pairs)
-    failures += len(mismatches)
-    if mismatches and first is None:
-        first = mismatches[0]
+    for x, y in pairs:
+        cases += 1
+        want, got = distance(x, y), bfs_distance(x, y)
+        if got != want:
+            failures += 1
+            first = first or f"{x} vs {y}: formula {want}, bfs {got}"
     return VerificationReport(
         "word-metric-conformance", cases, failures, failures == 0, first,
         {"ball_radius": 5, "ball_size": len(reached), "random_pairs": len(pairs)},
@@ -167,11 +151,11 @@ def _check_metric_axioms(params: DLParams, seed: int) -> VerificationReport:
 
 
 def conformance_suite(
-    params: DLParams | None = None, seed: int = DEFAULT_SEED, workers: int = 1
+    params: DLParams | None = None, seed: int = DEFAULT_SEED
 ) -> list[VerificationReport]:
     params = params or DLParams()
     return [
-        _timed(lambda: _check_word_metric(params, seed, workers)),
+        _timed(lambda: _check_word_metric(params, seed)),
         _timed(lambda: _check_beta_ray(params)),
         _timed(lambda: _check_metric_axioms(params, seed)),
     ]
@@ -218,20 +202,11 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             ltab[a, b] = prof.l
             dtab[a, b] = profile_distance(prof)
 
-    ftab = np.empty((n, n, width), dtype=np.int64)
-    for col, (s, i) in enumerate(row_keys):
-        s0 = [t - 1 for t in s]
-        if i == d:
-            acc = 2 * mtab[:, :, s0[0]] + ltab[:, :, s0[d - 1]]
-            for t in range(1, d):
-                acc = acc + mtab[:, :, s0[t]]
-        else:
-            acc = mtab[:, :, s0[0]]
-            for t in range(1, i):
-                acc = acc + mtab[:, :, s0[t]]
-            for t in range(i - 1, d):
-                acc = acc + ltab[:, :, s0[t]]
-        ftab[:, :, col] = acc
+    # columns in row_keys order: f_rows over the per-tree (n, n) slices
+    mcols, lcols = np.moveaxis(mtab, 2, 0), np.moveaxis(ltab, 2, 0)
+    ftab = np.stack(
+        [f for s in perms for f in f_rows(mcols, lcols, [t - 1 for t in s])], axis=2
+    )
 
     cases = 0
     failures = 0
@@ -330,7 +305,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
 
 
 def lemma_suite(
-    params: DLParams | None = None, seed: int = DEFAULT_SEED, workers: int = 1
+    params: DLParams | None = None, seed: int = DEFAULT_SEED
 ) -> list[VerificationReport]:
     params = params or DLParams()
     return [_timed(lambda: _check_comparison_lemmas(params, seed))]
@@ -430,7 +405,7 @@ def _check_growth_table(params: DLParams, seed: int) -> VerificationReport:
 
 
 def horofn_suite(
-    params: DLParams | None = None, seed: int = DEFAULT_SEED, workers: int = 1
+    params: DLParams | None = None, seed: int = DEFAULT_SEED
 ) -> list[VerificationReport]:
     params = params or DLParams()
     return [
@@ -503,7 +478,7 @@ def _check_asymmetry(params: DLParams) -> VerificationReport:
 
 
 def stars_suite(
-    params: DLParams | None = None, seed: int = DEFAULT_SEED, workers: int = 1
+    params: DLParams | None = None, seed: int = DEFAULT_SEED
 ) -> list[VerificationReport]:
     params = params or DLParams()
     return [
@@ -526,6 +501,10 @@ def run_suites(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> list[VerificationReport]:
+    # workers stays only because the benchmark harness passes workers=1;
+    # a later change to the harness drops the keyword
+    if workers != 1:
+        raise ValueError(f"suites run in one process; workers must be 1, got {workers!r}")
     chosen = list(names)
     if "all" in chosen:
         chosen = list(SUITES)
@@ -533,5 +512,5 @@ def run_suites(
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        reports.extend(SUITES[name](params, seed, workers))
+        reports.extend(SUITES[name](params, seed))
     return reports

@@ -33,7 +33,7 @@ def _run(capsys, builder, budget=None):
 
 def test_word_metric_matches_bfs_oracle(params, capsys):
     rep = _run(
-        capsys, lambda: _check_word_metric(params, DEFAULT_SEED, workers=1), budget=60
+        capsys, lambda: _check_word_metric(params, DEFAULT_SEED), budget=60
     )
     assert rep.details["ball_radius"] == 5
     assert rep.details["random_pairs"] == 200

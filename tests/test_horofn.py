@@ -76,6 +76,17 @@ def test_limit_value_respects_bounds(params):
     assert got.value == 2 and got.window == 4
     with pytest.raises(ValueError):
         limit_value(fam, z, window=0)
+    # bad bounds are rejected, not coerced or reported as a failed scan
+    for kwargs in (
+        {"window": True},
+        {"window": 4.0},
+        {"n_min": 10, "n_max": 5},
+        {"n_min": 5.0},
+        {"n_min": True},
+        {"n_max": 40.0},
+    ):
+        with pytest.raises(ValueError):
+            limit_value(fam, z, **kwargs)
 
 
 def test_limit_value_gives_up_on_oscillation(params):

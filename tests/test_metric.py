@@ -3,7 +3,9 @@
 import random
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlstar import (
     DLParams,
@@ -21,6 +23,7 @@ from dlstar import (
     check_f_dominance,
     distance,
     f_row_max,
+    f_rows,
     f_value,
     identity,
     lower_bounds,
@@ -109,6 +112,10 @@ def test_pair_profile_and_f_values(params, origin):
         f_value(prof, (1, 2, 3), 1)
     with pytest.raises(ValueError):
         f_value(prof, (1, 2, 3), 4)
+    # non-int ordering entries and row indices are rejected, not coerced
+    for sigma, i in (((True, 2, 3), 2), ((1.0, 2, 3), 2), ((1, 2, 3), 3.0), ((1, 2, 3), True)):
+        with pytest.raises(ValueError):
+            f_value(prof, sigma, i)
 
 
 def test_distance_minimizes_over_orderings(params, ball3):
@@ -131,6 +138,52 @@ def test_generic_path_agrees_with_specialized(params, ball3):
         brute = min(
             max(f_value(prof, s, i) for i in (2, 3)) for s in all_permutations(3)
         )
+        assert profile_distance(prof) == brute
+
+
+def _profiles_and_ordering(d):
+    entries = st.lists(st.integers(0, 40), min_size=d, max_size=d)
+    return st.tuples(
+        st.lists(st.tuples(entries, entries), min_size=1, max_size=4),
+        st.permutations(range(d)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8).flatmap(_profiles_and_ordering))
+def test_f_rows_matches_reference(case):
+    # the kernel against the literal formula, on ints and elementwise on
+    # numpy arrays holding several profiles at once
+    profiles, s = case
+    d = len(s)
+    sigma = tuple(t + 1 for t in s)
+    want = [
+        [f_value(PairProfile(tuple(m), tuple(l)), sigma, i) for i in range(2, d + 1)]
+        for m, l in profiles
+    ]
+    assert [f_rows(m, l, s) for m, l in profiles] == want
+    mcols = np.array([m for m, _ in profiles]).T
+    lcols = np.array([l for _, l in profiles]).T
+    got = f_rows(mcols, lcols, s)
+    assert np.array_equal(np.array(got).T, np.array(want))
+
+
+@pytest.mark.parametrize("d,count", [(5, 6), (6, 4), (7, 2)])
+def test_generic_profile_distance_matches_brute_force(d, count):
+    # the kernel branch of profile_distance (d != 3) against the minimum
+    # of the reference row maxima over every ordering, on random walks
+    params = DLParams(d, 2)
+    rng = random.Random(20260814 + d)
+
+    def walk(v, steps=8):
+        for _ in range(steps):
+            v = rng.choice(neighbors(v))
+        return v
+
+    for _ in range(count):
+        x = walk(identity(params))
+        prof = pair_profile(x, walk(x))
+        brute = min(f_row_max(prof, s) for s in all_permutations(d))
         assert profile_distance(prof) == brute
 
 
@@ -252,6 +305,9 @@ def test_f_dominance(params, origin):
     assert not rep2.falsified
     strict = check_f_dominance(b10, origin, z11, 1, strict=True)
     assert not strict.hypothesis_holds
+    for k in (1.0, True):
+        with pytest.raises(ValueError):
+            check_f_dominance(b10, origin, z11, k)
 
 
 def test_coord_dominance(params, origin):
@@ -266,6 +322,10 @@ def test_coord_dominance(params, origin):
         check_coord_dominance(a3, origin, z32, (0, 0))
     with pytest.raises(ValueError):
         check_coord_dominance(a3, origin, z32, (0, 0, -1))
+    # non-int offsets are rejected, not truncated or read as 1
+    for offs in ((0.9, 0, 0), (True, 0, 0), (0, 0, 2.0)):
+        with pytest.raises(ValueError):
+            check_coord_dominance(a3, origin, z32, offs)
 
 
 def test_balanced_compare(params):

@@ -1,9 +1,9 @@
-"""Suite plumbing: selection, expansion, and the parallel sweep path."""
+"""Suite plumbing: selection, expansion, and the single-process guard."""
 
 import pytest
 
 from dlstar import run_suites
-from dlstar.verify import DEFAULT_SEED, SUITES, _check_word_metric
+from dlstar.verify import SUITES
 import dlstar.verify as verify_mod
 
 
@@ -17,17 +17,17 @@ def test_all_expands_to_every_suite(params, monkeypatch):
     ran = []
 
     def stub(name):
-        def suite(p, seed, workers):
-            ran.append((name, seed, workers))
+        def suite(p, seed):
+            ran.append((name, seed))
             return []
         return suite
 
     monkeypatch.setattr(
         verify_mod, "SUITES", {k: stub(k) for k in SUITES}
     )
-    out = run_suites(["all"], params, seed=3, workers=2)
+    out = run_suites(["all"], params, seed=3)
     assert out == []
-    assert ran == [(k, 3, 2) for k in SUITES]
+    assert ran == [(k, 3) for k in SUITES]
 
 
 def test_single_suite_runs(params):
@@ -37,7 +37,9 @@ def test_single_suite_runs(params):
     assert all(r.elapsed is not None for r in reports)
 
 
-def test_parallel_pair_sweep_agrees(params):
-    report = _check_word_metric(params, DEFAULT_SEED, workers=2)
-    assert report.passed and report.failures == 0
-    assert report.details["random_pairs"] == 200
+def test_run_suites_rejects_workers(params):
+    # the benchmark harness still passes workers=1; nothing else is accepted
+    assert run_suites([], params, workers=1) == []
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers"):
+            run_suites(["horofn"], params, workers=workers)
