@@ -26,7 +26,6 @@ import sys
 
 from .dlgraph import (
     DLParams,
-    DLVertex,
     PointFamily,
     alpha_family,
     ball_distances,
@@ -39,7 +38,14 @@ from .dlgraph import (
     vertex_sort_key,
     zeta_family,
 )
-from .horofn import beta_value, betandist_table, limit_value, printed_probe_set, symmetric_probe_set
+from .horofn import (
+    beta_value,
+    betandist_table,
+    limit_value,
+    printed_probe_set,
+    probe_disagreement,
+    symmetric_probe_set,
+)
 from .metric import VERIFIED_CONFIGS, bfs_distance, distance
 from .stars import separation_evidence, star_witness
 from .verify import DEFAULT_SEED, run_suites
@@ -153,13 +159,6 @@ def cmd_probes(args, params):
         symmetric_probe_set(params) if args.set == "symmetric"
         else printed_probe_set(params)
     )
-    report = probe_disagreement_rows(z, probes)
-    return report, None
-
-
-def probe_disagreement_rows(z: DLVertex, probes) -> dict:
-    from .horofn import probe_disagreement
-
     report = probe_disagreement(z, probes)
     rows = [
         {
@@ -174,7 +173,7 @@ def probe_disagreement_rows(z: DLVertex, probes) -> dict:
         "disagrees": report.disagrees,
         "witness": format_vertex(report.witness) if report.witness else None,
         "rows": rows,
-    }
+    }, None
 
 
 def cmd_star_witness(args, params):

@@ -23,6 +23,7 @@ from .errors import (
 from .treecoord import (
     ORIGIN,
     TreeVertex,
+    _require_int,
     canonicalize,
     format_tree,
     is_canonical,
@@ -41,6 +42,8 @@ class DLParams:
     q: int = 2
 
     def __post_init__(self):
+        _require_int(self.d, "d")
+        _require_int(self.q, "q")
         if not 2 <= self.d <= MAX_DIMENSION:
             raise ValueError(f"d must be in [2, {MAX_DIMENSION}], got {self.d}")
         if self.q < 1:
@@ -135,6 +138,7 @@ def ball_distances(
     Returns vertices in discovery order mapped to their graph distance.
     Raises MemoryCapExceeded once more than max_vertices are visited.
     """
+    _require_int(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     start = identity(params)
@@ -210,15 +214,12 @@ class PointFamily:
     name: str
     params: DLParams
     generator: Callable[[int], DLVertex] = field(repr=False)
-    validated: bool = field(default=True, repr=False)
 
     def at(self, n: int) -> DLVertex:
+        _require_int(n, "family index")
         if n < 0:
             raise ValueError("family index must be nonnegative")
         v = self.generator(n)
-        if not self.validated:
-            coords = v.coords if isinstance(v, DLVertex) else v
-            return make_vertex(self.params, coords)
         if v.q != self.params.q or len(v.coords) != self.params.d:
             raise DimensionMismatch(f"family {self.name} produced a foreign vertex")
         return v
@@ -264,7 +265,10 @@ def beta_family(params: DLParams) -> PointFamily:
 def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:
     """gamma_n over a tree subset containing 3: each listed tree gets the
     balanced down-then-up excursion of depth n."""
-    chosen = sorted(set(int(t) for t in trees))
+    trees = list(trees)
+    for t in trees:
+        _require_int(t, "tree index")
+    chosen = sorted(set(trees))
     if any(t < 1 or t > params.d for t in chosen):
         raise ValueError(f"tree indices {chosen} out of range 1..{params.d}")
     if 3 not in chosen:
@@ -283,6 +287,8 @@ def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:
 
 def zeta_point(params: DLParams, tree: int, k: int) -> DLVertex:
     """Balanced excursion of depth k in one tree, trivial elsewhere."""
+    _require_int(tree, "tree index")
+    _require_int(k, "k")
     if not 1 <= tree <= params.d:
         raise ValueError(f"tree index {tree} out of range 1..{params.d}")
     if k < 0:
@@ -298,6 +304,9 @@ def nu_point(params: DLParams, tree: int, eps: int, k: int) -> DLVertex:
     """Climb k label-eps edges in tree 1 or 2, descend k in tree 3."""
     if params.d != 3:
         raise WrongDimension("nu points are only defined for d = 3")
+    _require_int(tree, "tree index")
+    _require_int(eps, "label")
+    _require_int(k, "k")
     if tree not in (1, 2):
         raise ValueError("nu tree index must be 1 or 2")
     if not 0 <= eps < params.q:
@@ -325,4 +334,9 @@ def custom_family(
     params: DLParams, generator: Callable[[int], DLVertex], name: str = "custom"
 ) -> PointFamily:
     """Wrap an arbitrary generator; every produced vertex is re-validated."""
-    return PointFamily(name, params, generator, validated=False)
+
+    def gen(n: int) -> DLVertex:
+        v = generator(n)
+        return make_vertex(params, v.coords if isinstance(v, DLVertex) else v)
+
+    return PointFamily(name, params, gen)

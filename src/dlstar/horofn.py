@@ -121,10 +121,13 @@ def m_profile(
     Finite; a nondecreasing tail ending above threshold (default
     n_max // 2) counts as Infinite; anything else is inconclusive.
     """
+    _require_int(n_max, "n_max")
+    _require_int(window, "window")
     if window < 2 or n_max < window:
         raise ValueError("need n_max >= window >= 2")
     if threshold is None:
         threshold = n_max // 2
+    _require_int(threshold, "threshold")
     tail = [family.at(n) for n in range(n_max - window + 1, n_max + 1)]
     out: list[float] = []
     for i in range(family.params.d):

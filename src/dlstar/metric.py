@@ -168,12 +168,14 @@ def bfs_distance(
     formula distance plus two, so a discrepancy in either direction is
     caught; it is the only use of the formula here.  Raises
     MemoryCapExceeded once the two balls together hold more than
-    max_vertices vertices, and ValueError for a negative cap or a
-    max_vertices below 1.
+    max_vertices vertices, and ValueError for a cap or max_vertices
+    that is not an int, a negative cap or a max_vertices below 1.
     """
     _check_same_graph(x, y)
     if cap is None:
         cap = 2 * distance(x, y) + 2
+    _require_int(cap, "cap")
+    _require_int(max_vertices, "max_vertices")
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if max_vertices < 1:

@@ -12,12 +12,13 @@ ray (exclusion evidence).  Both report margins, never membership.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .dlgraph import DLParams, DLVertex, PointFamily, identity, vertex_sort_key
 from .errors import ProfileMismatch, WrongDimension
 from .horofn import m_profile
 from .metric import distance
-from .treecoord import ORIGIN, TreeVertex, canonical_paths
+from .treecoord import ORIGIN, TreeVertex, _require_int, canonical_paths
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ def star_witness(
     Success is evidence that the limit of a lies in the star of the
     limit of b; a negative margin pinpoints the first failing index.
     """
+    _require_int(n_max, "n_max")
+    _require_int(offset, "offset")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     base = identity(a.params)
@@ -85,6 +88,8 @@ def nk_beta_truncation(params: DLParams, k: int, depth: int) -> tuple[DLVertex, 
     """
     if params.d != 3:
         raise WrongDimension("the truncated neighborhood is defined for d = 3")
+    _require_int(k, "k")
+    _require_int(depth, "depth")
     if k < 0 or depth < 0:
         raise ValueError("k and depth must be nonnegative")
     out = []
@@ -103,10 +108,13 @@ class VerificationReport:
     name: str
     cases: int
     failures: int
-    passed: bool
     first_failure: str | None = None
     details: dict = field(default_factory=dict)
     elapsed: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -116,6 +124,45 @@ class VerificationReport:
         fails = f", {self.failures} failures" if self.failures else ""
         first = f", first: {self.first_failure}" if self.first_failure else ""
         return f"{verdict} {self.name}: {self.cases} cases{fails}{first}{tail}{timing}"
+
+
+class Tally:
+    """Cases, failures and the first failure message of one check.
+
+    Messages are zero-argument callables, called only for the first
+    failure, so a passing case formats nothing.
+    """
+
+    def __init__(self) -> None:
+        self.cases = 0
+        self.failures = 0
+        self.first_failure: str | None = None
+
+    def check(self, ok: bool, message: Callable[[], str | None], cases: int = 1) -> None:
+        """Count cases, and one failure unless ok."""
+        self.cases += cases
+        if not ok:
+            self.fail(message)
+
+    def fail(self, message: Callable[[], str | None], count: int = 1) -> None:
+        """Count failures without counting cases."""
+        self.failures += count
+        if self.first_failure is None:
+            self.first_failure = message()
+
+    def screen(self, bad, message: Callable[..., str]) -> None:
+        """Bulk numpy screen: every element of the boolean array bad is a
+        case and every true one a failure; message is called with the
+        index of the first failure."""
+        self.cases += bad.size
+        count = int(bad.sum())
+        if count:
+            self.fail(lambda: message(*(int(ix[0]) for ix in bad.nonzero())), count)
+
+    def report(self, name: str, details: dict) -> VerificationReport:
+        return VerificationReport(
+            name, self.cases, self.failures, self.first_failure, details
+        )
 
 
 def separation_evidence(
@@ -128,6 +175,9 @@ def separation_evidence(
     for all 1 <= n <= n_max and every w in the depth-truncated
     neighborhood at scale k; reports the minimum slack observed.
     """
+    _require_int(k, "k")
+    _require_int(n_max, "n_max")
+    _require_int(depth, "depth")
     if k < 1:
         raise ValueError("k must be at least 1")
     profile = m_profile(a)
@@ -137,27 +187,15 @@ def separation_evidence(
         )
     witnesses = nk_beta_truncation(a.params, k, depth)
     base = identity(a.params)
-    cases = 0
-    failures = 0
-    first_failure = None
-    min_slack = None
+    tally = Tally()
+    slacks = []
     for n in range(1, n_max + 1):
         an = a.at(n)
         target = distance(an, base) + k
         for w in witnesses:
-            slack = distance(an, w) - target
-            cases += 1
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-            if slack < 0:
-                failures += 1
-                if first_failure is None:
-                    first_failure = f"n={n}, w={w}"
-    return VerificationReport(
-        name=f"separation:{a.name},k={k}",
-        cases=cases,
-        failures=failures,
-        passed=failures == 0,
-        first_failure=first_failure,
-        details={"min_slack": min_slack, "k": k, "n_max": n_max, "depth": depth},
+            slacks.append(distance(an, w) - target)
+            tally.check(slacks[-1] >= 0, lambda: f"n={n}, w={w}")
+    return tally.report(
+        f"separation:{a.name},k={k}",
+        {"min_slack": min(slacks, default=None), "k": k, "n_max": n_max, "depth": depth},
     )

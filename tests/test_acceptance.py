@@ -2,8 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 are produced.  Each test drives the corresponding check in
-dlstar.verify at its full advertised domain and asserts both the
-verdict and, where one applies, the runtime budget.
+dlstar.verify at its full advertised domain and asserts the verdict,
+the number of cases checked and, where one applies, the runtime budget.
 """
 
 from dlstar.verify import (
@@ -16,12 +16,12 @@ from dlstar.verify import (
     _check_metric_axioms,
     _check_probe_exclusion,
     _check_word_metric,
-    _timed,
+    run_check,
 )
 
 
-def _run(capsys, builder, budget=None):
-    report = _timed(builder)
+def _run(capsys, check, params, budget=None):
+    report = run_check(check, params, DEFAULT_SEED)
     with capsys.disabled():
         print(report.line())
     assert report.passed, report.line()
@@ -32,51 +32,56 @@ def _run(capsys, builder, budget=None):
 
 
 def test_word_metric_matches_bfs_oracle(params, capsys):
-    rep = _run(
-        capsys, lambda: _check_word_metric(params, DEFAULT_SEED), budget=60
-    )
+    rep = _run(capsys, _check_word_metric, params, budget=60)
     assert rep.details["ball_radius"] == 5
     assert rep.details["random_pairs"] == 200
+    assert rep.cases == 3790  # 3590 ball vertices + 200 pairs
 
 
 def test_beta_ray_identities(params, capsys):
-    rep = _run(capsys, lambda: _check_beta_ray(params), budget=5)
+    rep = _run(capsys, _check_beta_ray, params, budget=5)
     assert rep.cases == 60  # two identities for each n up to 30
 
 
 def test_metric_axioms(params, capsys):
-    rep = _run(capsys, lambda: _check_metric_axioms(params, DEFAULT_SEED))
+    rep = _run(capsys, _check_metric_axioms, params)
     assert rep.details["triples"] == 1000
     assert rep.details["identity_ball_radius"] == 3
+    assert rep.cases == 52040  # 1000 triples + 319 self + 319 * 318 / 2 pairs
 
 
 def test_beta_closed_form_matches_limits(params, capsys):
-    rep = _run(capsys, lambda: _check_beta_closed_form(params), budget=120)
+    rep = _run(capsys, _check_beta_closed_form, params, budget=120)
     assert rep.details["ball_radius"] == 5
     assert rep.details["probes"] == 3590
+    assert rep.cases == 3595  # every probe + 5 spot values
 
 
 def test_growth_table_reproduction(params, capsys):
-    rep = _run(capsys, lambda: _check_growth_table(params, DEFAULT_SEED))
+    rep = _run(capsys, _check_growth_table, params)
     assert rep.details["samples"] == 50
+    assert rep.cases == 950  # 50 samples * (6 orderings * 3 fits + shift)
 
 
 def test_comparison_lemma_screens(params, capsys):
-    rep = _run(capsys, lambda: _check_comparison_lemmas(params, DEFAULT_SEED))
+    rep = _run(capsys, _check_comparison_lemmas, params)
     assert rep.details["ball_radius"] == 3
     assert rep.details["vertices"] == 319
+    assert rep.cases == 65_374_896  # 2 * 319**3 screened triples + 451,378 checked calls
 
 
 def test_probe_set_exclusion(params, capsys):
-    rep = _run(capsys, lambda: _check_probe_exclusion(params), budget=120)
+    rep = _run(capsys, _check_probe_exclusion, params, budget=120)
     assert rep.details["ball_radius"] == 6
     assert rep.details["nontrivial_vertices"] == 10584
     # the narrower published listing is reported, not asserted, because
     # it demonstrably lets some vertices through
     assert rep.details["printed_set_misses"] == 42
+    assert rep.cases == 10585  # every nontrivial vertex + beta_5
 
 
 def test_asymmetry_certificates(params, capsys):
-    rep = _run(capsys, lambda: _check_asymmetry(params))
+    rep = _run(capsys, _check_asymmetry, params)
     assert rep.details["witness_n_max"] == 30
     assert rep.details["min_slacks"] == [0, 0, 0, 0, 0]
+    assert rep.cases == 4680  # 30 witness indices + 10 * 465 separation pairs

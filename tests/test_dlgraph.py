@@ -37,6 +37,10 @@ def test_params_validation():
         DLParams(9, 2)
     with pytest.raises(ValueError):
         DLParams(3, 0)
+    # non-int parameters are rejected, not coerced
+    for d, q in ((3, 2.5), (3, True), (3.0, 2), (False, 2)):
+        with pytest.raises(ValueError, match="must be an int"):
+            DLParams(d, q)
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (3, 2), (3, 3), (4, 2)])
@@ -75,6 +79,9 @@ def test_ball_memory_cap(params):
     with pytest.raises(MemoryCapExceeded) as e:
         ball_distances(params, 3, max_vertices=100)
     assert e.value.size > 100
+    for radius in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="must be an int"):
+            ball_distances(params, radius)
 
 
 def test_make_vertex_strictness(params):
@@ -152,6 +159,13 @@ def test_gamma_family(params, origin):
         gamma_family(params, [1, 2])  # tree 3 required
     with pytest.raises(ValueError):
         gamma_family(params, [3, 4])  # out of range for d = 3
+    # tree indices must be ints: 1.7 is not truncated to 1, True is not 1
+    for trees in ([1.7, 3], [True, 3], [3.0]):
+        with pytest.raises(ValueError, match="must be an int"):
+            gamma_family(params, trees)
+    for n in (True, 1.0):
+        with pytest.raises(ValueError, match="must be an int"):
+            g.at(n)
 
 
 def test_zeta_nu_points(params):
@@ -167,6 +181,12 @@ def test_zeta_nu_points(params):
         nu_point(params, 1, 2, 1)
     with pytest.raises(WrongDimension):
         nu_point(DLParams(4, 2), 1, 0, 1)
+    for bad in ((True, 1), (2, 1.0), (2.0, 1), (2, False)):
+        with pytest.raises(ValueError, match="must be an int"):
+            zeta_point(params, *bad)
+    for bad in ((1, True, 1), (True, 0, 1), (1, 0, 1.0), (1, 0.0, 1)):
+        with pytest.raises(ValueError, match="must be an int"):
+            nu_point(params, *bad)
 
 
 def test_constant_families(params):

@@ -105,6 +105,10 @@ def test_m_profiles(params):
     assert m_profile(beta_family(params), n_max=16, window=4) == (0, 0, INFINITE)
     with pytest.raises(ValueError):
         m_profile(alpha_family(params), n_max=4, window=8)
+    for bad in ({"threshold": 3.5}, {"threshold": True}, {"n_max": 64.0},
+                {"window": 8.0}, {"window": True}):
+        with pytest.raises(ValueError, match="must be an int"):
+            m_profile(alpha_family(params), **bad)
 
 
 def test_m_profile_inconclusive(params):

@@ -264,6 +264,12 @@ def test_bfs_distance_rejects_bad_limits(params, origin):
         bfs_distance(origin, origin, cap=-1)
     with pytest.raises(ValueError):
         bfs_distance(origin, z, max_vertices=0)
+    # a bool or float cap is rejected, not run as cap 1
+    for bad in (True, 3.0, 2.5):
+        with pytest.raises(ValueError, match="must be an int"):
+            bfs_distance(origin, z, cap=bad)
+        with pytest.raises(ValueError, match="must be an int"):
+            bfs_distance(origin, z, max_vertices=bad)
 
 
 # configurations beyond the acceptance gate's DL_3(2): these runs back the

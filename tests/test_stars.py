@@ -49,6 +49,9 @@ def test_star_witness_offset_shifts_margins(params):
     assert rep.first_failure == 3
     with pytest.raises(ValueError):
         star_witness(alpha_family(params), beta_family(params), 0)
+    for n_max, offset in ((True, 0), (4.0, 0), (4, 1.5), (4, False)):
+        with pytest.raises(ValueError, match="must be an int"):
+            star_witness(alpha_family(params), beta_family(params), n_max, offset)
 
 
 def test_nk_truncation_shape(params):
@@ -65,6 +68,9 @@ def test_nk_truncation_shape(params):
         nk_beta_truncation(DLParams(4, 2), 1, 1)
     with pytest.raises(ValueError):
         nk_beta_truncation(params, -1, 1)
+    for k, depth in ((True, 1), (1.0, 1), (1, 1.5)):
+        with pytest.raises(ValueError, match="must be an int"):
+            nk_beta_truncation(params, k, depth)
 
 
 def test_nk_truncation_includes_identity_at_zero(params, origin):
@@ -96,6 +102,9 @@ def test_separation_rejects_wrong_profile(params):
         separation_evidence(gamma_family(params, [1, 3]), 1, 5, 2)
     with pytest.raises(ValueError):
         separation_evidence(alpha_family(params), 0, 5, 2)
+    for k, n_max, depth in ((True, 3, 1), (1, 3.0, 1), (1, 3, 1.0), (1.5, 3, 1)):
+        with pytest.raises(ValueError, match="must be an int"):
+            separation_evidence(alpha_family(params), k, n_max, depth)
 
 
 def test_verification_report_line_shape(params):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dlstar import run_suites
+from dlstar import VerificationReport, run_suites
 from dlstar.verify import SUITES
 import dlstar.verify as verify_mod
 
@@ -17,16 +17,17 @@ def test_all_expands_to_every_suite(params, monkeypatch):
     ran = []
 
     def stub(name):
-        def suite(p, seed):
+        def check(p, seed):
             ran.append((name, seed))
-            return []
-        return suite
+            return VerificationReport(name, 1, 0)
+        return (check,)
 
     monkeypatch.setattr(
         verify_mod, "SUITES", {k: stub(k) for k in SUITES}
     )
     out = run_suites(["all"], params, seed=3)
-    assert out == []
+    assert [r.name for r in out] == list(SUITES)
+    assert all(r.elapsed is not None for r in out)
     assert ran == [(k, 3) for k in SUITES]
 
 
