@@ -6,7 +6,7 @@ Examples:
     dlstar ball --radius 2
     dlstar beta "1:1|0:|1:1"
     dlstar horolimit --family gamma:1,3 "0:|1:1|1:1"
-    dlstar table-betandist "1:1|0:|1:1" --n1 10 --n2 17
+    dlstar table-betandist "1:1|0:|1:1"
     dlstar probes "0:1|1:|0:" --set symmetric
     dlstar star-witness --a beta --b alpha --nmax 30
     dlstar separation --family alpha --k 2 --nmax 10 --depth 3
@@ -39,6 +39,7 @@ from .dlgraph import (
     zeta_family,
 )
 from .horofn import (
+    LIMIT_WINDOW,
     beta_value,
     betandist_table,
     limit_value,
@@ -113,7 +114,7 @@ def cmd_beta(args, params):
         "closed_form": closed,
         "limit": limit.value,
         "stabilized_at": limit.stabilized_at,
-        "window": limit.window,
+        "window": LIMIT_WINDOW,
         "match": closed == limit.value,
     }, closed == limit.value
 
@@ -126,13 +127,13 @@ def cmd_horolimit(args, params):
         "family": fam.name,
         "value": limit.value,
         "stabilized_at": limit.stabilized_at,
-        "window": limit.window,
+        "window": LIMIT_WINDOW,
     }, None
 
 
 def cmd_table_betandist(args, params):
     z = parse_vertex(args.vertex, params)
-    table = betandist_table(z, args.n1, args.n2)
+    table = betandist_table(z)
     rows = []
     for sigma, row in sorted(table.rows.items()):
         rows.append({
@@ -308,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "table-betandist", help="affine growth of distance rows toward beta"
     )
     p.add_argument("vertex")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
     p.set_defaults(handler=cmd_table_betandist)
 
     p = sub.add_parser("probes", help="compare a vertex against a probe set")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .dlgraph import (
@@ -35,48 +36,39 @@ from .errors import (
     WrongDimension,
 )
 from .metric import all_permutations, distance, f_rows, pair_profile
-from .treecoord import _require_int
 
 INFINITE = math.inf
 
 
+# Where the routines below sample a family; limit_value and
+# betandist_table start one past the parameter weight of z.
+LIMIT_WINDOW = 10  # equal consecutive differences that count as stable
+LIMIT_SPAN = 200  # indices past the first before limit_value gives up
+PROFILE_TAIL = range(57, 65)  # indices whose spine depths m_profile reads
+PROFILE_THRESHOLD = 32  # a growing tail must end above this to be infinite
+TABLE_GAP = 7  # betandist_table's third index lies this far past its first
+
+
 class HorofunctionValue(NamedTuple):
-    """Stabilized limit value with the index window certifying it."""
+    """Stabilized limit value and the first index of its window."""
 
     value: int
     stabilized_at: int
-    window: int
 
 
 def _param_weight(z: DLVertex) -> int:
     return sum(c.m + c.l for c in z.coords)
 
 
-def limit_value(
-    family: PointFamily,
-    z: DLVertex,
-    n_min: int | None = None,
-    window: int = 10,
-    n_max: int | None = None,
-) -> HorofunctionValue:
+def limit_value(family: PointFamily, z: DLVertex) -> HorofunctionValue:
     """First stabilized value of distance(x_n, z) - distance(x_n, id).
 
-    Scans n upward from n_min (default: total parameter weight of z
-    plus one) until the difference is constant across `window`
-    consecutive indices; gives up past n_max (default n_min + 200).
-    Bounds that are not ints, or n_max < n_min, raise ValueError.
+    Scans n upward from the total parameter weight of z plus one until
+    the difference is constant across LIMIT_WINDOW consecutive indices;
+    raises NotStabilized after LIMIT_SPAN further indices.
     """
-    _require_int(window, "window")
-    if window < 1:
-        raise ValueError("window must be positive")
-    if n_min is None:
-        n_min = _param_weight(z) + 1
-    _require_int(n_min, "n_min")
-    if n_max is None:
-        n_max = n_min + 200
-    _require_int(n_max, "n_max")
-    if n_max < n_min:
-        raise ValueError(f"n_max={n_max} is below n_min={n_min}")
+    n_min = _param_weight(z) + 1
+    n_max = n_min + LIMIT_SPAN
     base = identity(z.params)
     run_value = None
     run_start = n_min
@@ -90,10 +82,11 @@ def limit_value(
             run_value = g
             run_start = n
             run_len = 1
-        if run_len == window:
-            return HorofunctionValue(run_value, run_start, window)
+        if run_len == LIMIT_WINDOW:
+            return HorofunctionValue(run_value, run_start)
     raise NotStabilized(
-        f"{family.name} at {z}: no constant window of length {window} up to n={n_max}"
+        f"{family.name} at {z}: no constant window of length {LIMIT_WINDOW} "
+        f"up to n={n_max}"
     )
 
 
@@ -109,37 +102,28 @@ def beta_value(z: DLVertex) -> int:
     return m1 + m2 + min(m1 + h3, h1 + h3, l1, m2 + h3, h2 + h3, l2)
 
 
-def m_profile(
-    family: PointFamily,
-    n_max: int = 64,
-    window: int = 8,
-    threshold: int | None = None,
-) -> tuple[float, ...]:
+def m_profile(family: PointFamily) -> tuple[float, ...]:
     """Limiting spine depth per tree: an exact integer or INFINITE.
 
-    Samples the last `window` indices up to n_max.  A constant tail is
-    Finite; a nondecreasing tail ending above threshold (default
-    n_max // 2) counts as Infinite; anything else is inconclusive.
+    Samples the indices in PROFILE_TAIL.  A constant tail is Finite; a
+    nondecreasing tail ending above PROFILE_THRESHOLD counts as
+    Infinite; anything else is inconclusive.
     """
-    _require_int(n_max, "n_max")
-    _require_int(window, "window")
-    if window < 2 or n_max < window:
-        raise ValueError("need n_max >= window >= 2")
-    if threshold is None:
-        threshold = n_max // 2
-    _require_int(threshold, "threshold")
-    tail = [family.at(n) for n in range(n_max - window + 1, n_max + 1)]
+    tail = [family.at(n) for n in PROFILE_TAIL]
     out: list[float] = []
     for i in range(family.params.d):
         vals = [v.coords[i].m for v in tail]
         if all(v == vals[0] for v in vals):
             out.append(vals[0])
-        elif all(a <= b for a, b in zip(vals, vals[1:])) and vals[-1] > threshold:
+        elif (
+            all(a <= b for a, b in zip(vals, vals[1:]))
+            and vals[-1] > PROFILE_THRESHOLD
+        ):
             out.append(INFINITE)
         else:
             raise InconclusiveProfile(
                 f"{family.name} tree {i + 1}: tail {vals} is neither constant "
-                f"nor increasing past {threshold}"
+                f"nor increasing past {PROFILE_THRESHOLD}"
             )
     return tuple(out)
 
@@ -166,7 +150,7 @@ class BetaDistTable:
     """Measured affine growth of every distance row toward beta_n."""
 
     z: DLVertex
-    n1: int
+    n1: int  # first and last sampled index, as chosen by betandist_table
     n2: int
     rows: dict[tuple[int, ...], BetaDistRow]
     shift: int  # distance(beta_n, z) - 2n, constant across both probes
@@ -182,22 +166,18 @@ def _fit_affine(samples: dict[int, int]) -> AffineInN:
     return fit
 
 
-def betandist_table(z: DLVertex, n1: int, n2: int) -> BetaDistTable:
+def betandist_table(z: DLVertex) -> BetaDistTable:
     """Fit every f row of (beta_n, z) as an affine function of n.
 
-    Requires n2 > n1 > total parameter weight of z, which places all
-    rows in their affine regime.  Also measures distance(beta_n, z) - 2n
-    at both probes and checks it against the closed form, raising
-    TableMismatch on disagreement.
+    Samples n1 = total parameter weight of z plus one, n1 + 1 and
+    n2 = n1 + TABLE_GAP, where every row is in its affine regime.  Also
+    measures distance(beta_n, z) - 2n at n1 and n2 and checks it against
+    the closed form, raising TableMismatch on disagreement.
     """
     if len(z.coords) != 3:
         raise WrongDimension("growth table needs exactly 3 tree coordinates")
-    weight = _param_weight(z)
-    if not (n2 > n1 > weight):
-        raise ValueError(
-            f"need n2 > n1 > {weight} (total parameter weight of z), "
-            f"got n1={n1}, n2={n2}"
-        )
+    n1 = _param_weight(z) + 1
+    n2 = n1 + TABLE_GAP
     fam = beta_family(z.params)
     ns = (n1, n1 + 1, n2)
     profiles = {n: pair_profile(fam.at(n), z) for n in ns}
@@ -262,17 +242,18 @@ class ProbeReport(NamedTuple):
     rows: tuple[tuple[DLVertex, int, int], ...]
 
 
+@lru_cache(maxsize=8)
+def _closed_forms(probes: tuple[DLVertex, ...]) -> tuple[int, ...]:
+    # a check sweeps a ball against the same few probe sets, so each
+    # probe's closed form is evaluated once per set, not once per vertex
+    return tuple(beta_value(f) for f in probes)
+
+
 def probe_disagreement(z: DLVertex, probes: tuple[DLVertex, ...]) -> ProbeReport:
     """Does distance(z, f) - distance(z, id) differ from beta_value(f)
     for some probe f?  True means z visibly does not approach beta."""
-    base = identity(z.params)
-    dzid = distance(z, base)
-    rows = []
-    witness = None
-    for f in probes:
-        measured = distance(z, f) - dzid
-        expected = beta_value(f)
-        rows.append((f, measured, expected))
-        if measured != expected and witness is None:
-            witness = f
-    return ProbeReport(witness is not None, witness, tuple(rows))
+    dzid = distance(z, identity(z.params))
+    measured = [distance(z, f) - dzid for f in probes]
+    rows = tuple(zip(probes, measured, _closed_forms(tuple(probes))))
+    witness = next((f for f, got, want in rows if got != want), None)
+    return ProbeReport(witness is not None, witness, rows)

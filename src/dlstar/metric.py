@@ -137,6 +137,9 @@ def profile_distance(profile: PairProfile) -> int:
             if best is None or fs < best:
                 best = fs
         return best
+    # d = 3 is checked by the unpacking above
+    if len(l) != d or d < 2:
+        raise ValueError(f"malformed profile: {d} spine depths, {len(l)} climbs")
     return min(max(f_rows(m, l, s)) for s in _perms0(d))
 
 

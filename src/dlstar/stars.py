@@ -31,6 +31,7 @@ class HalfspaceQuery:
     def __post_init__(self):
         if not self.witnesses:
             raise ValueError("halfspace needs at least one witness vertex")
+        _require_int(self.offset, "offset")
 
 
 def in_halfspace(z: DLVertex, query: HalfspaceQuery) -> bool:
@@ -180,6 +181,8 @@ def separation_evidence(
     _require_int(depth, "depth")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     profile = m_profile(a)
     if profile[2] != 0:
         raise ProfileMismatch(

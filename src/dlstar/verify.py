@@ -295,8 +295,7 @@ def _check_growth_table(params: DLParams, seed: int) -> VerificationReport:
             (2, 3, 1): l1 + m2 + h3,
             (3, 1, 2): m1 + m2 + l2,
         }
-        weight = sum(c.m + c.l for c in z.coords)
-        table = betandist_table(z, weight + 12, weight + 19)
+        table = betandist_table(z)
         for sigma, row in table.rows.items():
             for i, fit in row.sub.items():
                 tally.check(

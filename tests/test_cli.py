@@ -132,16 +132,19 @@ def test_horolimit_families(capsys):
 
 def test_table_betandist(capsys):
     code, out, _ = run(
-        capsys, "--format", "json", "table-betandist", "1:1|0:|0:",
-        "--n1", "10", "--n2", "17",
+        capsys, "--format", "json", "table-betandist", "1:1|0:|0:"
     )
     assert code == 0
     doc = json.loads(out)
+    assert (doc["result"]["n1"], doc["result"]["n2"]) == (3, 10)
     assert doc["result"]["shift"] == 1
     assert len(doc["result"]["rows"]) == 6
     assert all(r["max_slope"] == 2 for r in doc["result"]["rows"])
-    code, _, err = run(capsys, "table-betandist", "1:1|0:|0:", "--n1", "1", "--n2", "9")
-    assert code == 2
+    code, _, err = run(capsys, "--d", "4", "table-betandist", "1:1|0:|0:|0:")
+    assert code == 2 and "3 tree coordinates" in err
+    with pytest.raises(SystemExit) as e:  # the sample indices are not options
+        main(["table-betandist", "1:1|0:|0:", "--n1", "10", "--n2", "17"])
+    assert e.value.code == 2
 
 
 def test_probes_sets(capsys):
@@ -177,6 +180,11 @@ def test_separation_exit_codes(capsys):
         "--depth", "2",
     )
     assert code == 2  # wrong limiting profile is a usage error
+    code, out, err = run(
+        capsys, "--format", "json", "separation", "--family", "alpha", "--k", "1",
+        "--nmax", "0", "--depth", "1",
+    )
+    assert code == 2 and out == "" and "n_max" in err
 
 
 def test_verify_suite(capsys):

@@ -1,6 +1,7 @@
 """Graph structure, balls, literals, and point families."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlstar import (
     DLParams,
@@ -108,6 +109,17 @@ def test_make_vertex_strictness(params):
 def test_parse_format_round_trip(params, ball3):
     for v in ball3:
         assert parse_vertex(format_vertex(v), params) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 3), st.lists(st.integers(0, 10**6), max_size=20))
+def test_parse_format_round_trip_on_walks(d, q, steps):
+    params = DLParams(d, q)
+    v = identity(params)
+    for i in steps:
+        adj = neighbors(v)
+        v = adj[i % len(adj)]
+    assert parse_vertex(format_vertex(v), params) == v
 
 
 def test_parse_vertex_warns_then_canonicalizes(params, origin):

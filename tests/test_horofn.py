@@ -30,7 +30,7 @@ from dlstar import (
     symmetric_probe_set,
     zeta_point,
 )
-from dlstar.horofn import _fit_affine
+from dlstar.horofn import LIMIT_SPAN, LIMIT_WINDOW, _fit_affine
 
 
 def test_beta_value_frozen(params, origin):
@@ -65,28 +65,30 @@ def test_limits_tell_alpha_from_beta(params):
     la = limit_value(alpha_family(params), z)
     lb = limit_value(beta_family(params), z)
     assert la.value == 0 and lb.value == 1
-    assert la.window == lb.window == 10
-    assert la.stabilized_at >= 1 and lb.stabilized_at >= 1
+    # both settle at the first index scanned, the parameter weight of z plus one
+    assert la.stabilized_at == lb.stabilized_at == 3
 
 
 def test_limit_value_respects_bounds(params):
-    fam = beta_family(params)
-    z = zeta_point(params, 1, 2)
-    got = limit_value(fam, z, n_min=5, window=4, n_max=40)
-    assert got.value == 2 and got.window == 4
-    with pytest.raises(ValueError):
-        limit_value(fam, z, window=0)
-    # bad bounds are rejected, not coerced or reported as a failed scan
-    for kwargs in (
-        {"window": True},
-        {"window": 4.0},
-        {"n_min": 10, "n_max": 5},
-        {"n_min": 5.0},
-        {"n_min": True},
-        {"n_max": 40.0},
-    ):
-        with pytest.raises(ValueError):
-            limit_value(fam, z, **kwargs)
+    # alternating beta and alpha (differences 1, 0, 1, ...) up to alpha at
+    # switch - 1, beta from switch on: the limit at z is beta's once a full
+    # window of beta indices fits before the scan gives up
+    a, b = alpha_family(params), beta_family(params)
+    z = zeta_point(params, 2, 1)
+    first = 3  # parameter weight of z plus one
+    last_start = first + LIMIT_SPAN - LIMIT_WINDOW + 1
+
+    def late(switch):
+        return custom_family(
+            params,
+            lambda n: (b if n >= switch or (switch - n) % 2 == 0 else a).at(n).coords,
+            name="late",
+        )
+
+    assert limit_value(late(30), z) == (1, 30)
+    assert limit_value(late(last_start), z) == (1, last_start)
+    with pytest.raises(NotStabilized):
+        limit_value(late(last_start + 1), z)
 
 
 def test_limit_value_gives_up_on_oscillation(params):
@@ -95,20 +97,13 @@ def test_limit_value_gives_up_on_oscillation(params):
         params, lambda n: (b if n % 2 else a).at(n).coords, name="flip"
     )
     with pytest.raises(NotStabilized):
-        limit_value(flip, zeta_point(params, 2, 1), n_min=2, window=6, n_max=40)
+        limit_value(flip, zeta_point(params, 2, 1))
 
 
 def test_m_profiles(params):
     assert m_profile(alpha_family(params)) == (0, INFINITE, 0)
     assert m_profile(beta_family(params)) == (0, 0, INFINITE)
     assert m_profile(gamma_family(params, [1, 3])) == (INFINITE, 0, INFINITE)
-    assert m_profile(beta_family(params), n_max=16, window=4) == (0, 0, INFINITE)
-    with pytest.raises(ValueError):
-        m_profile(alpha_family(params), n_max=4, window=8)
-    for bad in ({"threshold": 3.5}, {"threshold": True}, {"n_max": 64.0},
-                {"window": 8.0}, {"window": True}):
-        with pytest.raises(ValueError, match="must be an int"):
-            m_profile(alpha_family(params), **bad)
 
 
 def test_m_profile_inconclusive(params):
@@ -116,7 +111,7 @@ def test_m_profile_inconclusive(params):
         params, lambda n: zeta_point(params, 3, n % 2).coords, name="wobble"
     )
     with pytest.raises(InconclusiveProfile):
-        m_profile(wobble, n_max=16, window=4)
+        m_profile(wobble)
 
 
 def test_fit_affine():
@@ -130,9 +125,10 @@ def test_fit_affine():
 
 def test_growth_table_frozen(params):
     z = zeta_point(params, 1, 1)
-    table = betandist_table(z, 10, 17)
+    table = betandist_table(z)
     assert table.shift == 1 == beta_value(z)
-    assert table.n1 == 10 and table.n2 == 17
+    # sampled from the parameter weight of z (2) plus one, 7 apart
+    assert (table.n1, table.n2) == (3, 10)
     fits = {
         s: (tuple(r.sub[2]), tuple(r.sub[3]), tuple(r.total))
         for s, r in table.rows.items()
@@ -154,21 +150,17 @@ def test_growth_table_frozen(params):
 def test_growth_table_matches_distance(params):
     z = parse_vertex("0:0|2:1,0|2:1", params)
     fam = beta_family(params)
-    table = betandist_table(z, 12, 20)
-    for n in (12, 15, 20):
+    table = betandist_table(z)
+    assert (table.n1, table.n2) == (9, 16)
+    for n in (9, 12, 16, 20):
         xn = fam.at(n)
         want = distance(xn, z)
         assert min(r.total.at(n) for r in table.rows.values()) == want
 
 
 def test_growth_table_preconditions(params):
-    z = zeta_point(params, 1, 1)
-    with pytest.raises(ValueError):
-        betandist_table(z, 2, 9)  # n1 must exceed the parameter weight
-    with pytest.raises(ValueError):
-        betandist_table(z, 10, 10)
     with pytest.raises(WrongDimension):
-        betandist_table(identity(DLParams(4, 2)), 5, 9)
+        betandist_table(identity(DLParams(4, 2)))
 
 
 def test_probe_sets(params):

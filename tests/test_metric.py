@@ -116,6 +116,11 @@ def test_pair_profile_and_f_values(params, origin):
     for sigma, i in (((True, 2, 3), 2), ((1.0, 2, 3), 2), ((1, 2, 3), 3.0), ((1, 2, 3), True)):
         with pytest.raises(ValueError):
             f_value(prof, sigma, i)
+    # one tree, mismatched lengths or no trees at all: not a pair profile
+    for bad in (PairProfile((3,), (1,)), PairProfile((1, 2), (1, 2, 3)),
+                PairProfile((), ()), PairProfile((1, 2, 3), (1, 2))):
+        with pytest.raises(ValueError):
+            profile_distance(bad)
 
 
 def test_distance_minimizes_over_orderings(params, ball3):

@@ -27,6 +27,9 @@ def test_halfspace_membership(params):
     assert in_halfspace(b5, tight)
     with pytest.raises(ValueError):
         HalfspaceQuery(witnesses=())
+    for offset in (1.5, True):
+        with pytest.raises(ValueError, match="must be an int"):
+            HalfspaceQuery((b5,), offset=offset)
 
 
 def test_star_witness_beta_into_alpha(params):
@@ -102,6 +105,9 @@ def test_separation_rejects_wrong_profile(params):
         separation_evidence(gamma_family(params, [1, 3]), 1, 5, 2)
     with pytest.raises(ValueError):
         separation_evidence(alpha_family(params), 0, 5, 2)
+    # no index checked is no evidence, not a pass
+    with pytest.raises(ValueError, match="n_max"):
+        separation_evidence(alpha_family(params), 1, 0, 1)
     for k, n_max, depth in ((True, 3, 1), (1, 3.0, 1), (1, 3, 1.0), (1.5, 3, 1)):
         with pytest.raises(ValueError, match="must be an int"):
             separation_evidence(alpha_family(params), k, n_max, depth)

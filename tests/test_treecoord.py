@@ -11,6 +11,7 @@ This exercises exactly the same tree without sharing any code with the
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlstar import (
     ORIGIN,
@@ -137,6 +138,29 @@ def test_canonical_paths_counts():
     assert len(threes) == 4 and all(p[0] == 1 for p in threes)
     assert len(list(canonical_paths(2, 3))) == 6
     assert len(set(canonical_paths(4, 3))) == 2 * 27
+
+
+def _raw_vertices(q):
+    return st.builds(
+        TreeVertex, st.integers(0, 6), st.lists(st.integers(0, q - 1), max_size=8).map(tuple)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda q: st.tuples(st.just(q), _raw_vertices(q))))
+def test_canonicalize_is_idempotent(case):
+    q, v = case
+    c = canonicalize(v, q)
+    assert is_canonical(c)
+    assert canonicalize(c, q) == c
+    assert parse_tree(format_tree(c)) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda q: st.lists(_raw_vertices(q), min_size=2, max_size=2)))
+def test_pair_stats_swaps_with_arguments(pair):
+    x, y = (canonicalize(v) for v in pair)
+    assert pair_stats(x, y) == pair_stats(y, x)[::-1]
 
 
 def test_format_parse_round_trip():
