@@ -30,9 +30,8 @@ from .treecoord import _require_int, pair_stats
 
 # configurations whose formula distances have been bulk-checked against
 # the breadth-first oracle; others get a verified=false advisory in the CLI.
-# (3, 2): test_word_metric_matches_bfs_oracle in tests/test_acceptance.py;
-# (2, 2): test_formula_matches_bfs_other_configs, and (4, 2), (3, 3),
-# (2, 3): test_formula_matches_bfs_distance_config, in tests/test_metric.py
+# test_formula_matches_bfs_distance_config (tests/test_metric.py) runs
+# over this set, so every entry has seeded pairs checked against BFS.
 VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3)})
 
 

@@ -2,9 +2,11 @@
 
 Each suite is a tuple of checks, one per headline property; a check
 takes (params, seed) and returns a VerificationReport.  Exhaustive
-triple screens run on vectorized copies of the library's own pair
-tables; sampled calls bind the screens to the checker functions they
-certify.
+triple screens run on a table of the distinct pair profiles, built from
+the library's own pair_stats, profile_distance and f_rows: each base
+vertex screens the pairs of distinct profiles it sees, every case
+weighted by how many triples share it.  Sampled calls bind the table
+and the screens to the checker functions they certify.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,6 +38,7 @@ from .horofn import (
     symmetric_probe_set,
 )
 from .metric import (
+    PairProfile,
     all_permutations,
     balanced_compare,
     bfs_distance,
@@ -49,7 +52,7 @@ from .metric import (
     profile_distance,
 )
 from .stars import Tally, VerificationReport, separation_evidence, star_witness
-from .treecoord import ORIGIN, TreeVertex, canonical_paths
+from .treecoord import ORIGIN, TreeVertex, canonical_paths, pair_stats
 
 DEFAULT_SEED = 20260814
 
@@ -130,75 +133,126 @@ def _balanced_probes(params: DLParams, caps: Sequence[int]) -> list[DLVertex]:
     return [DLVertex(coords, params.q) for coords in itertools.product(*per_tree)]
 
 
+@dataclass(frozen=True)
+class PairTable:
+    """The distinct pair profiles of a vertex list, one row each.
+
+    m, l: (U, d) per-tree meet statistics; dist: (U,) the distance;
+    f: (U, width) the f rows, orderings in all_permutations order and
+    rows 2..d within each; inv: (n, n) the row of every ordered pair.
+    """
+
+    m: np.ndarray
+    l: np.ndarray
+    dist: np.ndarray
+    f: np.ndarray
+    inv: np.ndarray
+
+
+def pair_table(verts: Sequence[DLVertex]) -> PairTable:
+    """PairTable of verts, from pair_stats on each tree's distinct
+    coordinates and profile_distance on each distinct profile."""
+    n, d = len(verts), len(verts[0].coords)
+    codes, stats = [], []
+    for t in range(d):
+        coords = sorted({v.coords[t] for v in verts})
+        pos = {c: i for i, c in enumerate(coords)}
+        idx = np.array([pos[v.coords[t]] for v in verts])
+        pairs = np.array([pair_stats(a, b) for a in coords for b in coords])
+        # this tree's distinct (m, l), and which one each vertex pair has
+        tree_stats, code = np.unique(pairs, axis=0, return_inverse=True)
+        codes.append(code.reshape(len(coords), len(coords))[idx[:, None], idx[None, :]])
+        stats.append(tree_stats)
+    # one integer per combination of tree codes, so one 1-d unique finds
+    # the distinct profiles
+    dims = [len(tree_stats) for tree_stats in stats]
+    keys, inv = np.unique(np.ravel_multi_index(codes, dims), return_inverse=True)
+    per_tree = [tree_stats[c] for tree_stats, c in zip(stats, np.unravel_index(keys, dims))]
+    m = np.stack([ml[:, 0] for ml in per_tree], axis=1)
+    l = np.stack([ml[:, 1] for ml in per_tree], axis=1)
+    dist = np.array(
+        [
+            profile_distance(PairProfile(tuple(a), tuple(b)))
+            for a, b in zip(m.tolist(), l.tolist())
+        ],
+        dtype=np.int64,
+    )
+    f = np.stack(
+        [row for s in all_permutations(d) for row in f_rows(m.T, l.T, [t - 1 for t in s])],
+        axis=1,
+    )
+    return PairTable(m, l, dist, f, inv.reshape(n, n))
+
+
+def screen_dominance(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) -> int:
+    """Row-wise and coordinatewise domination on every triple (x, y, z).
+
+    For each x, the strongest applicable k (row-wise and coordinatewise)
+    must satisfy its concluded bound.  Both depend on (x, y) and (x, z)
+    only through their profiles, so each x screens the pairs of distinct
+    profiles it sees, each weighted by how many (y, z) share it: one case
+    per triple and screen.  Returns the most profiles one x sees.
+    """
+    widest = 0
+    for a, row in enumerate(table.inv):
+        u, first, count = np.unique(row, return_index=True, return_counts=True)
+        widest = max(widest, len(u))
+        weights = count[:, None] * count[None, :]
+        f, dist, m, l = table.f[u], table.dist[u], table.m[u], table.l[u]
+        kmax = (f[None, :, :] - f[:, None, :]).min(axis=2)
+        gap = dist[None, :] - dist[:, None]
+        tally.screen(
+            (kmax >= 0) & (gap < kmax),
+            lambda yb, zb: f"row domination fails at x={verts[a]}, "
+            f"y={verts[first[yb]]}, z={verts[first[zb]]}, k={kmax[yb, zb]}",
+            weights,
+        )
+        coff = np.minimum(m[None, :, :] - m[:, None, :], l[None, :, :] - l[:, None, :])
+        applicable = (coff >= 0).all(axis=2)
+        tally.screen(
+            applicable & (gap < coff.sum(axis=2)),
+            lambda yb, zb: f"coordinate domination fails at x={verts[a]}, "
+            f"y={verts[first[yb]]}, z={verts[first[zb]]}",
+            weights,
+        )
+    return widest
+
+
 def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     verts = _sorted_ball(params, 3)
     n = len(verts)
     d = params.d
-    perms = all_permutations(d)
-    row_keys = [(s, i) for s in perms for i in range(2, d + 1)]
+    row_keys = [(s, i) for s in all_permutations(d) for i in range(2, d + 1)]
     width = len(row_keys)
-
-    mtab = np.empty((n, n, d), dtype=np.int64)
-    ltab = np.empty((n, n, d), dtype=np.int64)
-    dtab = np.empty((n, n), dtype=np.int64)
-    for a, x in enumerate(verts):
-        for b, y in enumerate(verts):
-            prof = pair_profile(x, y)
-            mtab[a, b] = prof.m
-            ltab[a, b] = prof.l
-            dtab[a, b] = profile_distance(prof)
-
-    # columns in row_keys order: f_rows over the per-tree (n, n) slices
-    mcols, lcols = np.moveaxis(mtab, 2, 0), np.moveaxis(ltab, 2, 0)
-    ftab = np.stack(
-        [f for s in perms for f in f_rows(mcols, lcols, [t - 1 for t in s])], axis=2
-    )
+    table = pair_table(verts)
+    inv = table.inv
 
     tally = Tally()
 
-    # bind the vectorized tables to the library row values on a sample
+    # bind the profile table to the library row values on a sample
     rng = random.Random(seed + 2)
     for _ in range(500):
         a, b = rng.randrange(n), rng.randrange(n)
         col = rng.randrange(width)
         s, i = row_keys[col]
         tally.check(
-            ftab[a, b, col] == f_value(pair_profile(verts[a], verts[b]), s, i),
+            table.f[inv[a, b], col] == f_value(pair_profile(verts[a], verts[b]), s, i),
             lambda: f"f table disagrees with f_value at {verts[a]}, {verts[b]}, {s}, {i}",
         )
         tally.check(
-            dtab[a, b] == distance(verts[a], verts[b]),
+            table.dist[inv[a, b]] == distance(verts[a], verts[b]),
             lambda: f"distance table disagrees at {verts[a]}, {verts[b]}",
         )
 
-    # exhaustive screens: for each x, the strongest applicable k (row-wise
-    # and coordinatewise) must satisfy its concluded bound
-    for a in range(n):
-        frows = ftab[a]
-        kmax = (frows[None, :, :] - frows[:, None, :]).min(axis=2)
-        gap = dtab[a][None, :] - dtab[a][:, None]
-        tally.screen(
-            (kmax >= 0) & (gap < kmax),
-            lambda yb, zb: f"row domination fails at x={verts[a]}, y={verts[yb]}, "
-            f"z={verts[zb]}, k={kmax[yb, zb]}",
-        )
-        coff = np.minimum(
-            mtab[a][None, :, :] - mtab[a][:, None, :],
-            ltab[a][None, :, :] - ltab[a][:, None, :],
-        )
-        applicable = (coff >= 0).all(axis=2)
-        tally.screen(
-            applicable & (gap < coff.sum(axis=2)),
-            lambda yb, zb: f"coordinate domination fails at x={verts[a]}, "
-            f"y={verts[yb]}, z={verts[zb]}",
-        )
+    widest = screen_dominance(tally, table, verts)
 
     # the checker functions themselves, on seeded triples at the strongest
     # applicable k and just past it
     for _ in range(1500):
         a, b, c = (rng.randrange(n) for _ in range(3))
         x, y, z = verts[a], verts[b], verts[c]
-        k = int((ftab[a, c] - ftab[a, b]).min())
+        pb, pc = inv[a, b], inv[a, c]
+        k = int((table.f[pc] - table.f[pb]).min())
         if k >= 0:
             report = check_f_dominance(x, y, z, k)
             tally.check(
@@ -210,7 +264,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             not report.hypothesis_holds and not report.falsified,
             lambda: f"check_f_dominance hypothesis misfired at {x}, {y}, {z}",
         )
-        coff = np.minimum(mtab[a, c] - mtab[a, b], ltab[a, c] - ltab[a, b])
+        coff = np.minimum(table.m[pc] - table.m[pb], table.l[pc] - table.l[pb])
         if (coff >= 0).all():
             report = check_coord_dominance(x, y, z, tuple(int(v) for v in coff))
             tally.check(
@@ -237,7 +291,13 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
 
     return tally.report(
         "comparison-lemmas",
-        {"ball_radius": 3, "vertices": n, "balanced_probes": len(probes)},
+        {
+            "ball_radius": 3,
+            "vertices": n,
+            "balanced_probes": len(probes),
+            "distinct_profiles": len(table.dist),
+            "max_profiles_per_vertex": widest,
+        },
     )
 
 

@@ -67,6 +67,8 @@ def test_comparison_lemma_screens(params, capsys):
     rep = _run(capsys, _check_comparison_lemmas, params)
     assert rep.details["ball_radius"] == 3
     assert rep.details["vertices"] == 319
+    assert rep.details["distinct_profiles"] == 704
+    assert rep.details["max_profiles_per_vertex"] == 119
     assert rep.cases == 65_374_896  # 2 * 319**3 screened triples + 451,378 checked calls
 
 

@@ -13,6 +13,7 @@ from dlstar import (
     INFINITE,
     WrongDimension,
     alpha_family,
+    ball_distances,
     beta_family,
     beta_value,
     betandist_table,
@@ -23,6 +24,7 @@ from dlstar import (
     identity,
     limit_value,
     m_profile,
+    neighbors,
     nu_point,
     parse_vertex,
     printed_probe_set,
@@ -58,6 +60,18 @@ def test_beta_value_is_1_lipschitz(params, ball4):
     for _ in range(300):
         x, y = rng.choice(verts), rng.choice(verts)
         assert abs(beta_value(x) - beta_value(y)) <= distance(x, y)
+
+
+@pytest.mark.parametrize("q,radius,edges", [(2, 4, 13_548), (3, 3, 19_134)])
+def test_beta_value_moves_at_most_one_per_edge(q, radius, edges):
+    # 1-Lipschitz along every edge out of the ball, hence for the metric
+    seen = 0
+    for z in ball_distances(DLParams(3, q), radius):
+        hz = beta_value(z)
+        for w in neighbors(z):
+            assert abs(hz - beta_value(w)) <= 1, (format_vertex(z), format_vertex(w))
+            seen += 1
+    assert seen == edges
 
 
 def test_limits_tell_alpha_from_beta(params):

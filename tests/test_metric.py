@@ -13,6 +13,7 @@ from dlstar import (
     MemoryCapExceeded,
     NotBalanced,
     PairProfile,
+    VERIFIED_CONFIGS,
     all_permutations,
     balanced_compare,
     alpha_family,
@@ -277,9 +278,18 @@ def test_bfs_distance_rejects_bad_limits(params, origin):
             bfs_distance(origin, z, max_vertices=bad)
 
 
-# configurations beyond the acceptance gate's DL_3(2): these runs back the
-# (4, 2), (3, 3) and (2, 3) entries of VERIFIED_CONFIGS
-@pytest.mark.parametrize("d,q,radius", [(4, 2, 3), (3, 3, 3), (2, 3, 4)])
+# the ball radius each VERIFIED_CONFIGS entry draws its BFS pairs from
+BFS_CONFIG_RADIUS = {(3, 2): 3, (2, 2): 4, (4, 2): 3, (3, 3): 3, (2, 3): 4}
+
+
+def test_every_verified_config_has_a_bfs_run():
+    assert set(BFS_CONFIG_RADIUS) == VERIFIED_CONFIGS
+
+
+@pytest.mark.parametrize(
+    "d,q,radius",
+    [(d, q, BFS_CONFIG_RADIUS.get((d, q))) for d, q in sorted(VERIFIED_CONFIGS)],
+)
 def test_formula_matches_bfs_distance_config(d, q, radius):
     pairs = _seeded_pairs(DLParams(d, q), radius, 200, seed=20260814 + 100 * d + q)
     mismatches = [(x, y) for x, y in pairs if distance(x, y) != bfs_distance(x, y)]

@@ -1,5 +1,6 @@
 """Star inclusion and exclusion certificates at finite scale."""
 
+import numpy as np
 import pytest
 
 from dlstar import (
@@ -16,6 +17,7 @@ from dlstar import (
     star_witness,
     zeta_point,
 )
+from dlstar.stars import Tally
 
 
 def test_halfspace_membership(params):
@@ -117,3 +119,19 @@ def test_verification_report_line_shape(params):
     rep = separation_evidence(alpha_family(params), 1, 3, 1)
     line = rep.line()
     assert "PASS" in line and "cases" in line and "min_slack" in line
+
+
+def test_tally_screen_weights():
+    bad = np.array([[False, True], [True, False]])
+    weights = np.array([[3, 5], [7, 11]])
+    seen = []
+    tally = Tally()
+    tally.screen(bad, lambda i, j: seen.append((i, j)) or f"fails at {i},{j}", weights)
+    assert (tally.cases, tally.failures) == (26, 12)
+    assert seen == [(0, 1)] and tally.first_failure == "fails at 0,1"
+    with pytest.raises(ValueError, match="shape"):
+        Tally().screen(bad, lambda i, j: "", np.ones(4, dtype=int))
+    tally = Tally()
+    tally.screen(bad, lambda i, j: f"fails at {i},{j}")
+    assert (tally.cases, tally.failures) == (4, 2)
+    assert tally.first_failure == "fails at 0,1"
