@@ -30,8 +30,8 @@ from .treecoord import _require_int, pair_stats
 
 # configurations whose formula distances have been bulk-checked against
 # the breadth-first oracle; others get a verified=false advisory in the CLI.
-# test_formula_matches_bfs_distance_config (tests/test_metric.py) runs
-# over this set, so every entry has seeded pairs checked against BFS.
+# test_every_verified_config_has_a_bfs_run (tests/test_metric.py) ties
+# this set to the tests that check each entry's seeded pairs against BFS.
 VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3)})
 
 

@@ -151,20 +151,12 @@ class Tally:
         if self.first_failure is None:
             self.first_failure = message()
 
-    def screen(self, bad, message: Callable[..., str], weights=None) -> None:
-        """Bulk numpy screen: every element of the boolean array bad is a
-        case and every true one a failure, or, given an integer array
-        weights of bad's shape, weights[i] cases and as many failures
-        where bad[i].  message is called with the index of the first
-        failure."""
-        if weights is None:
-            self.cases += bad.size
-            count = int(bad.sum())
-        else:
-            if weights.shape != bad.shape:
-                raise ValueError(f"weights shape {weights.shape} is not bad's {bad.shape}")
-            self.cases += int(weights.sum())
-            count = int(weights[bad].sum())
+    def screen(self, bad, message: Callable[..., str], weights) -> None:
+        """Weighted numpy screen: element i of the boolean array bad stands
+        for weights[i] cases, all failures where bad[i].  message is called
+        with the index of the first failure."""
+        self.cases += int(weights.sum())
+        count = int(weights[bad].sum())
         if count:
             self.fail(lambda: message(*(int(ix[0]) for ix in bad.nonzero())), count)
 

@@ -129,9 +129,3 @@ def test_tally_screen_weights():
     tally.screen(bad, lambda i, j: seen.append((i, j)) or f"fails at {i},{j}", weights)
     assert (tally.cases, tally.failures) == (26, 12)
     assert seen == [(0, 1)] and tally.first_failure == "fails at 0,1"
-    with pytest.raises(ValueError, match="shape"):
-        Tally().screen(bad, lambda i, j: "", np.ones(4, dtype=int))
-    tally = Tally()
-    tally.screen(bad, lambda i, j: f"fails at {i},{j}")
-    assert (tally.cases, tally.failures) == (4, 2)
-    assert tally.first_failure == "fails at 0,1"
