@@ -49,7 +49,7 @@ from .horofn import (
 )
 from .metric import VERIFIED_CONFIGS, bfs_distance, distance
 from .stars import separation_evidence, star_witness
-from .verify import DEFAULT_SEED, run_suites
+from .verify import DEFAULT_SEED, SUITES, run_suites
 
 
 def parse_family(text: str, params: DLParams) -> PointFamily:
@@ -332,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property suites")
     p.add_argument(
-        "--suite", choices=("conformance", "lemmas", "horofn", "stars", "all"),
-        default="all",
+        "--suite", choices=(*SUITES, "all"), default="all",
     )
     p.set_defaults(handler=cmd_verify)
 

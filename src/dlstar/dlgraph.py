@@ -98,8 +98,11 @@ def neighbors(v: DLVertex) -> list[DLVertex]:
     """All d(d-1)q adjacent vertices, in deterministic (i, j, label) order.
 
     Neighbor i,j,a moves coordinate i up along label a and coordinate j
-    down.  Every move preserves the zero height sum and canonical form,
-    so results are assembled without re-validation.
+    down.  Up appends a, except that label 0 from a spine vertex (m, ())
+    with m > 0 lands on (m - 1, ()); down drops the last label, or from
+    (m, ()) steps to (m + 1, ()).  Every move preserves the zero height
+    sum and canonical form, so results are assembled without
+    re-validation.
     """
     coords = v.coords
     q = v.q
@@ -155,10 +158,6 @@ def ball_distances(
                 raise MemoryCapExceeded("ball enumeration too large", len(dist))
         frontier = nxt
     return dist
-
-
-def ball(params: DLParams, radius: int, max_vertices: int = DEFAULT_MEMORY_CAP) -> set[DLVertex]:
-    return set(ball_distances(params, radius, max_vertices))
 
 
 def vertex_sort_key(v: DLVertex):

@@ -9,11 +9,12 @@ set
 
 (the first line for i < d, the second replacing the i = d case).  The
 graph distance is min over s of max over i of f(s, i).  f_rows is the
-kernel every caller reads rows from (profile_distance keeps a faster
-hand-unrolled d = 3 branch); f_value and f_row_max write the formula out
-literally as its reference.  bfs_distance is the independent oracle for
-the same quantity: a meet-in-the-middle breadth-first search whose
-max_vertices cap counts both sides.
+kernel every caller reads rows from; at d = 3 profile_distance collapses
+the six orderings to a closed form over the choice of middle tree,
+derived in its docstring.  f_value and f_row_max write the formula out
+literally as the reference for both.  bfs_distance is the independent
+oracle for the same quantity: a meet-in-the-middle breadth-first search
+whose max_vertices cap counts both sides.
 """
 
 from __future__ import annotations
@@ -115,27 +116,38 @@ def f_row_max(profile: PairProfile, sigma: Sequence[int]) -> int:
 
 
 def profile_distance(profile: PairProfile) -> int:
-    """min over orderings of max over i of f, hand-unrolled for d = 3."""
+    """min over orderings s of max over i of f(s, i).
+
+    d = 3 in closed form.  With M = m_1 + m_2 + m_3, an ordering
+    s = (a, b, c) has rows
+
+        f(s, 2) = m_a + m_b + l_b + l_c
+        f(s, 3) = 2 m_a + m_b + m_c + l_c = m_a + M + l_c,
+
+    so its maximum is m_a + l_c + max(M, m_b + l_b).  The middle tree b
+    fixes the second term, and its two orderings (a, b, c), (c, b, a)
+    differ only in the first:
+
+        d = min over b of max(M, m_b + l_b) + min(m_a + l_c, m_c + l_a).
+
+    Every other d takes the minimum of the f_rows maxima over all
+    orderings.
+    """
     m, l = profile.m, profile.l
     d = len(m)
     if d == 3:
         m1, m2, m3 = m
         l1, l2, l3 = l
-        best = None
-        for a, b, c, la, lb, lc in (
-            (m1, m2, m3, l1, l2, l3),
-            (m1, m3, m2, l1, l3, l2),
-            (m2, m1, m3, l2, l1, l3),
-            (m2, m3, m1, l2, l3, l1),
-            (m3, m1, m2, l3, l1, l2),
-            (m3, m2, m1, l3, l2, l1),
-        ):
-            f2 = a + b + lb + lc
-            f3 = 2 * a + b + c + lc
-            fs = f2 if f2 > f3 else f3
-            if best is None or fs < best:
-                best = fs
-        return best
+        big = m1 + m2 + m3
+        mid, a, c = m1 + l1, m2 + l3, m3 + l2
+        best = (big if big > mid else mid) + (a if a < c else c)
+        mid, a, c = m2 + l2, m1 + l3, m3 + l1
+        dist = (big if big > mid else mid) + (a if a < c else c)
+        if dist < best:
+            best = dist
+        mid, a, c = m3 + l3, m1 + l2, m2 + l1
+        dist = (big if big > mid else mid) + (a if a < c else c)
+        return dist if dist < best else best
     # d = 3 is checked by the unpacking above
     if len(l) != d or d < 2:
         raise ValueError(f"malformed profile: {d} spine depths, {len(l)} climbs")
@@ -260,18 +272,15 @@ def lower_bounds(x: DLVertex, y: DLVertex) -> tuple[BoundReport, BoundReport]:
     )
 
 
-def check_f_dominance(
-    x: DLVertex, y: DLVertex, z: DLVertex, k: int, strict: bool = False
-) -> BoundReport:
+def check_f_dominance(x: DLVertex, y: DLVertex, z: DLVertex, k: int) -> BoundReport:
     """Row-wise domination check: if every f row of (x, z) exceeds the
-    matching row of (x, y) by at least k (strictly, when strict), then
+    matching row of (x, y) by at least k, then
     distance(x, z) >= distance(x, y) + k."""
     _require_int(k, "offset")
     pxy = pair_profile(x, y)
     pxz = pair_profile(x, z)
-    least = k + 1 if strict else k
     hyp = all(
-        b - a >= least
+        b - a >= k
         for s in _perms0(len(pxy.m))
         for a, b in zip(f_rows(pxy.m, pxy.l, s), f_rows(pxz.m, pxz.l, s))
     )

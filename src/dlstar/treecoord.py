@@ -79,22 +79,6 @@ def canonicalize(v: TreeVertex, q: int | None = None) -> TreeVertex:
     return TreeVertex(m, path)
 
 
-def step_up(v: TreeVertex, label: int, q: int | None = None) -> TreeVertex:
-    """Move to the successor of v carrying the given label."""
-    if label < 0 or (q is not None and label >= q):
-        raise ValueError(f"label {label} out of range [0, {q})")
-    if v.m > 0 and not v.path and label == 0:
-        return TreeVertex(v.m - 1, ())
-    return TreeVertex(v.m, v.path + (label,))
-
-
-def step_down(v: TreeVertex) -> TreeVertex:
-    """Move to the unique predecessor of v."""
-    if v.path:
-        return TreeVertex(v.m, v.path[:-1])
-    return TreeVertex(v.m + 1, ())
-
-
 def pair_stats(x: TreeVertex, y: TreeVertex) -> tuple[int, int]:
     """Distances (m, l) from x and from y to their meet x^y.
 

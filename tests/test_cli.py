@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,34 @@ def test_bfs_negative_cap_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "cap must be nonnegative" in err
+
+
+def _timed(capsys, *argv):
+    t0 = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    return result
+
+
+def test_huge_spine_depth_exits_2(capsys):
+    # 5,000 digits is past int()'s 4,300-digit limit for strings
+    deep = "9" * 5000 + ":"
+    code, out, err = _timed(capsys, "distance", f"{deep}|0:|0:", "0:|0:|0:")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_huge_dimension_exits_2(capsys):
+    code, out, err = _timed(capsys, "--d", "1" * 23, "distance", "0:|0:|0:", "0:|0:|0:")
+    assert code == 2 and out == "" and "d must be in" in err
+
+
+def test_bfs_huge_cap_on_adjacent_pair(capsys):
+    code, out, _ = _timed(
+        capsys, "--format", "json", "bfs", "0:|0:|0:", "0:1|1:|0:",
+        "--cap", "99999999999999999999",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["distance"] == 1
 
 
 def test_beta_match(capsys):

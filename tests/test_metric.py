@@ -1,5 +1,6 @@
 """Word metric: formula vs breadth-first search, axioms, bounds, lemmas."""
 
+import itertools
 import random
 from collections import deque
 
@@ -133,18 +134,15 @@ def test_distance_minimizes_over_orderings(params, ball3):
         assert distance(x, y) == min(f_row_max(prof, s) for s in all_permutations(3))
 
 
-def test_generic_path_agrees_with_specialized(params, ball3):
-    # d = 3 takes a hand-unrolled branch; feed its profiles through the
-    # generic code path by checking against the permutation definition
-    rng = random.Random(17)
-    verts = sorted(ball3, key=lambda v: v.coords)
-    for _ in range(100):
-        x, y = rng.choice(verts), rng.choice(verts)
-        prof = pair_profile(x, y)
-        brute = min(
-            max(f_value(prof, s, i) for i in (2, 3)) for s in all_permutations(3)
-        )
-        assert profile_distance(prof) == brute
+def test_d3_closed_form_matches_orderings_exhaustively():
+    # the closed three-pair form of profile_distance against the minimum
+    # of the reference row maxima, on all 5**6 = 15,625 d = 3 profiles
+    # with entries 0..4
+    orderings = all_permutations(3)
+    for m in itertools.product(range(5), repeat=3):
+        for l in itertools.product(range(5), repeat=3):
+            prof = PairProfile(m, l)
+            assert profile_distance(prof) == min(f_row_max(prof, s) for s in orderings)
 
 
 def _profiles_and_ordering(d):
@@ -327,8 +325,6 @@ def test_f_dominance(params, origin):
     rep2 = check_f_dominance(b10, origin, z11, 2)
     assert not rep2.hypothesis_holds and rep2.status == "not-applicable"
     assert not rep2.falsified
-    strict = check_f_dominance(b10, origin, z11, 1, strict=True)
-    assert not strict.hypothesis_holds
     for k in (1.0, True):
         with pytest.raises(ValueError):
             check_f_dominance(b10, origin, z11, k)

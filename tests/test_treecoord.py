@@ -3,9 +3,10 @@
 The model: pick an anchor on the spine M levels below o and address
 every vertex by its absolute climb string from the anchor (labels as
 characters).  Then o is '0'*M, the meet of two vertices is their
-longest common prefix, and distances are string-length differences.
-This exercises exactly the same tree without sharing any code with the
-(m, path) representation.
+longest common prefix, distances are string-length differences, and a
+tree move appends or drops one character.  This exercises exactly the
+same tree without sharing any code with the (m, path) representation;
+the moves are checked where the graph makes them, in neighbors.
 """
 
 import itertools
@@ -15,16 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 from dlstar import (
     ORIGIN,
+    DLVertex,
     TreeVertex,
     VertexSyntax,
     canonical_paths,
     canonicalize,
     format_tree,
     is_canonical,
+    neighbors,
     pair_stats,
     parse_tree,
-    step_down,
-    step_up,
     tree_distance,
 )
 
@@ -63,14 +64,31 @@ def test_pair_stats_matches_string_model(q, anchor, max_len):
     assert n == len(strings) ** 2
 
 
-@pytest.mark.parametrize("q,anchor,max_len", [(2, 3, 5)])
-def test_steps_match_string_model(q, anchor, max_len):
-    for s in all_strings(q, max_len):
-        v = string_to_vertex(s, anchor)
-        for a in range(q):
-            assert step_up(v, a, q) == string_to_vertex(s + str(a), anchor)
-        if s:
-            assert step_down(v) == string_to_vertex(s[:-1], anchor)
+@pytest.mark.parametrize("d,q,anchor,max_len", [(3, 2, 3, 4), (2, 3, 2, 3)])
+def test_neighbors_match_string_model(d, q, anchor, max_len):
+    # every vertex of DL_d(q) whose coordinate strings have length
+    # 1..max_len: nonempty strings keep each descent inside the model,
+    # and heights len(s) - anchor summing to zero keep the vertex in the
+    # graph.  Neighbor (i, j, a) appends a to string i and drops the
+    # last character of string j, in neighbors' (i, j, a) order.
+    strings = [s for s in all_strings(q, max_len) if s]
+    spine_climbs = origin_descents = 0
+    for tup in itertools.product(strings, repeat=d):
+        if sum(map(len, tup)) != d * anchor:
+            continue
+        v = DLVertex(tuple(string_to_vertex(s, anchor) for s in tup), q)
+        want = []
+        for i, j in itertools.permutations(range(d), 2):
+            for a in range(q):
+                moved = list(tup)
+                moved[i] += str(a)
+                moved[j] = moved[j][:-1]
+                want.append(DLVertex(tuple(string_to_vertex(s, anchor) for s in moved), q))
+        assert neighbors(v) == want
+        # a label-0 climb from (m, ()) with m > 0 collapses to (m - 1, ())
+        spine_climbs += sum(c.m > 0 and not c.path for c in v.coords)
+        origin_descents += v.coords.count(ORIGIN)
+    assert spine_climbs > 0 and origin_descents > 0
 
 
 def test_canonicalize_cases():
@@ -92,17 +110,6 @@ def test_canonicalize_validation():
                 TreeVertex(0, (1.0,)), TreeVertex("1", ())):
         with pytest.raises(ValueError, match="must be an int"):
             canonicalize(bad, q=2)
-
-
-def test_step_cases():
-    assert step_up(TreeVertex(2, ()), 0) == TreeVertex(1, ())
-    assert step_up(ORIGIN, 0) == TreeVertex(0, (0,))
-    assert step_up(TreeVertex(1, (1,)), 0) == TreeVertex(1, (1, 0))
-    with pytest.raises(ValueError):
-        step_up(ORIGIN, 2, q=2)
-    assert step_down(TreeVertex(0, (1, 0))) == TreeVertex(0, (1,))
-    assert step_down(ORIGIN) == TreeVertex(1, ())
-    assert step_down(TreeVertex(2, ())) == TreeVertex(3, ())
 
 
 def test_height_and_length():
