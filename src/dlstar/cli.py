@@ -146,8 +146,7 @@ def cmd_table_betandist(args, params):
             "max_intercept": row.total.intercept,
         })
     return {
-        "n1": table.n1,
-        "n2": table.n2,
+        "from_n": table.from_n,
         "shift": table.shift,
         "closed_form": beta_value(z),
         "rows": rows,

@@ -9,7 +9,7 @@ the per-tree literals with '|', e.g. "0:0|2:1,0|2:1" for d = 3.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
@@ -26,7 +26,6 @@ from .treecoord import (
     _require_int,
     canonicalize,
     format_tree,
-    is_canonical,
     parse_tree,
 )
 
@@ -248,17 +247,12 @@ def alpha_family(params: DLParams) -> PointFamily:
 
 
 def beta_family(params: DLParams) -> PointFamily:
-    """beta_n: tree 3 walks n down the spine then n up label-1 edges."""
+    """beta_n: tree 3 walks n down the spine then n up label-1 edges,
+    i.e. gamma_family over tree 3 alone."""
     if params.d < 3:
         raise WrongDimension("beta needs at least 3 tree coordinates")
     _require_label_one(params, "beta")
-
-    def gen(n: int) -> DLVertex:
-        coords = [ORIGIN] * params.d
-        coords[2] = _ray_coord(n)
-        return DLVertex(tuple(coords), params.q)
-
-    return PointFamily("beta", params, gen)
+    return replace(gamma_family(params, [3]), name="beta")
 
 
 def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:

@@ -54,9 +54,5 @@ class InconclusiveProfile(RuntimeError):
     """Tail samples fit neither a constant nor a divergent spine depth."""
 
 
-class NonAffine(RuntimeError):
-    """Two-point affine fit failed its third-point confirmation."""
-
-
 class TableMismatch(RuntimeError):
-    """Measured distance shift disagrees with the closed-form value."""
+    """Computed growth table disagrees with the closed form or the metric."""

@@ -8,8 +8,9 @@ down-then-up excursions in tree 3) the limit has the exact closed form
     m1 + m2 + min over j in {1, 2} of { m_j + h3, h_j + h3, l_j }
 
 in terms of the probe's own coordinate statistics.  betandist_table
-measures, for each tree ordering, how the distance rows to beta_n grow
-affinely in n, which is the finite-scale shadow of that closed form.
+computes, for each tree ordering, the distance rows to beta_n as affine
+functions of n by running the distance kernels over Z[n]; the distance
+it finds is 2n plus that closed form.
 """
 
 from __future__ import annotations
@@ -28,25 +29,18 @@ from .dlgraph import (
     nu_point,
     zeta_point,
 )
-from .errors import (
-    InconclusiveProfile,
-    NonAffine,
-    NotStabilized,
-    TableMismatch,
-    WrongDimension,
-)
-from .metric import all_permutations, distance, f_rows, pair_profile
+from .errors import InconclusiveProfile, NotStabilized, TableMismatch, WrongDimension
+from .metric import PairProfile, all_permutations, distance, f_rows, profile_distance
 
 INFINITE = math.inf
 
 
-# Where the routines below sample a family; limit_value and
-# betandist_table start one past the parameter weight of z.
+# Where the routines below sample a family; limit_value starts one past
+# the parameter weight of z.
 LIMIT_WINDOW = 10  # equal consecutive differences that count as stable
 LIMIT_SPAN = 200  # indices past the first before limit_value gives up
 PROFILE_TAIL = range(57, 65)  # indices whose spine depths m_profile reads
 PROFILE_THRESHOLD = 32  # a growing tail must end above this to be infinite
-TABLE_GAP = 7  # betandist_table's third index lies this far past its first
 
 
 class HorofunctionValue(NamedTuple):
@@ -131,15 +125,27 @@ def m_profile(family: PointFamily) -> tuple[float, ...]:
 # ── growth table toward beta ────────────────────────────────────────────────
 
 class AffineInN(NamedTuple):
+    """slope * n + intercept.  f_rows and profile_distance run on these
+    values unchanged; the tuple order is their order at every large n."""
+
     slope: int
     intercept: int
 
     def at(self, n: int) -> int:
         return self.slope * n + self.intercept
 
+    def __add__(self, other: AffineInN) -> AffineInN:
+        return AffineInN(self.slope + other.slope, self.intercept + other.intercept)
+
+    def __radd__(self, other: int) -> AffineInN:  # sum() starts from 0
+        return AffineInN(self.slope, other + self.intercept)
+
+    def __sub__(self, other: AffineInN) -> AffineInN:
+        return AffineInN(self.slope - other.slope, self.intercept - other.intercept)
+
 
 class BetaDistRow(NamedTuple):
-    """Affine fits for one tree ordering: per-index rows and their max."""
+    """One tree ordering's rows f(s, 2), f(s, 3) and their max, in n."""
 
     sub: dict[int, AffineInN]
     total: AffineInN
@@ -147,56 +153,53 @@ class BetaDistRow(NamedTuple):
 
 @dataclass(frozen=True)
 class BetaDistTable:
-    """Measured affine growth of every distance row toward beta_n."""
+    """Computed distance rows toward beta_n, affine in n >= from_n."""
 
     z: DLVertex
-    n1: int  # first and last sampled index, as chosen by betandist_table
-    n2: int
+    from_n: int  # total parameter weight of z plus one
     rows: dict[tuple[int, ...], BetaDistRow]
-    shift: int  # distance(beta_n, z) - 2n, constant across both probes
-
-
-def _fit_affine(samples: dict[int, int]) -> AffineInN:
-    """Exact two-point affine fit confirmed on a third sample."""
-    (na, va), (nb, vb), (nc, vc) = sorted(samples.items())
-    step, rem = divmod(vc - va, nc - na)
-    fit = AffineInN(step, va - step * na)
-    if rem != 0 or fit.at(nb) != vb:
-        raise NonAffine(f"samples {samples} do not lie on an integer line")
-    return fit
+    shift: int  # distance(beta_n, z) - 2n for every n >= from_n
 
 
 def betandist_table(z: DLVertex) -> BetaDistTable:
-    """Fit every f row of (beta_n, z) as an affine function of n.
+    """The f rows of (beta_n, z) as affine functions of n >= from_n.
 
-    Samples n1 = total parameter weight of z plus one, n1 + 1 and
-    n2 = n1 + TABLE_GAP, where every row is in its affine regime.  Also
-    measures distance(beta_n, z) - 2n at n1 and n2 and checks it against
-    the closed form, raising TableMismatch on disagreement.
+    For n past z's tree-3 spine depth, pair_profile(beta_n, z) is
+    m = (m1, m2, n), l = (l1, l2, n + h3) in z's own statistics, so
+    f_rows and profile_distance run on it over Z[n].  Their comparisons
+    by tuple order are exact at every n >= from_n = weight(z) + 1
+    (weight: the sum of all m_i + l_i), as no two compared terms cross
+    there.  For an ordering s = (a, b, c):
+
+    - f(s, 3) - f(s, 2) = m_a + m_c - l_b, which also decides
+      max(M, m_b + l_b), is n (tree 3 at an end) or -n (tree 3 in the
+      middle) plus a constant of size at most weight(z).
+    - The end-pair terms m_a + l_c and m_c + l_a differ by a constant:
+      both have slope 1 when tree 3 is at an end, else slope 0.
+    - The three totals, one per middle tree, all have slope 2.
+
+    Raises TableMismatch unless the distance is 2n + beta_value(z) and
+    equals distance(beta_n, z) at n = from_n.
     """
     if len(z.coords) != 3:
         raise WrongDimension("growth table needs exactly 3 tree coordinates")
-    n1 = _param_weight(z) + 1
-    n2 = n1 + TABLE_GAP
-    fam = beta_family(z.params)
-    ns = (n1, n1 + 1, n2)
-    profiles = {n: pair_profile(fam.at(n), z) for n in ns}
+    c1, c2, c3 = z.coords
+    m = (AffineInN(0, c1.m), AffineInN(0, c2.m), AffineInN(1, 0))
+    l = (AffineInN(0, c1.l), AffineInN(0, c2.l), AffineInN(1, c3.h))
     rows: dict[tuple[int, ...], BetaDistRow] = {}
     for sigma in all_permutations(3):
-        s = [t - 1 for t in sigma]
-        f = {n: f_rows(p.m, p.l, s) for n, p in profiles.items()}
-        sub = {i: _fit_affine({n: f[n][i - 2] for n in ns}) for i in (2, 3)}
-        total = _fit_affine({n: max(f[n]) for n in ns})
-        rows[sigma] = BetaDistRow(sub, total)
-    shifts = {n: distance(fam.at(n), z) - 2 * n for n in (n1, n2)}
-    if shifts[n1] != shifts[n2]:
-        raise NonAffine(f"distance shift not constant: {shifts}")
+        f2, f3 = f_rows(m, l, [t - 1 for t in sigma])
+        rows[sigma] = BetaDistRow({2: f2, 3: f3}, max(f2, f3))
+    dist = profile_distance(PairProfile(m, l))
     closed = beta_value(z)
-    if shifts[n1] != closed:
+    from_n = _param_weight(z) + 1
+    measured = distance(beta_family(z.params).at(from_n), z)
+    if dist != AffineInN(2, closed) or dist.at(from_n) != measured:
         raise TableMismatch(
-            f"measured shift {shifts[n1]} differs from closed form {closed}"
+            f"distance {dist} in n, closed form {closed}, "
+            f"distance(beta_n, z) = {measured} at n = {from_n}"
         )
-    return BetaDistTable(z, n1, n2, rows, shifts[n1])
+    return BetaDistTable(z, from_n, rows, closed)
 
 
 # ── probe sets ──────────────────────────────────────────────────────────────

@@ -80,8 +80,9 @@ def f_rows(m, l, s: Sequence[int]) -> list:
     """Rows [f(s, 2), ..., f(s, d)] for one 0-based ordering s.
 
     O(d): a running prefix sum of m and a running suffix sum of l.  Only
-    + and - touch the entries of m and l, so they may be ints or numpy
-    arrays of one shape, and the rows come out elementwise.
+    + and - touch the entries of m and l, so they may be ints, numpy
+    arrays of one shape (the rows come out elementwise) or
+    horofn.AffineInN values (the rows come out affine in n).
     """
     up = m[s[0]]                 # m_{s(1)} + ... + m_{s(i)}
     down = sum(l)                # l_{s(i)} + ... + l_{s(d)}

@@ -139,7 +139,10 @@ def parse_tree(text: str, offset: int = 0) -> TreeVertex:
     def nonneg(piece: str, what: str, pos: int) -> int:
         if not (piece.isascii() and piece.isdigit()):
             raise VertexSyntax(f"bad {what} {piece!r}", pos)
-        return int(piece)
+        try:
+            return int(piece)
+        except ValueError:  # past the interpreter's int() digit limit
+            raise VertexSyntax(f"{what} too long ({len(piece)} digits)", pos) from None
     labels: list[int] = []
     pos = offset + len(head) + 1
     if tail:

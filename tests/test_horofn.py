@@ -8,7 +8,6 @@ from dlstar import (
     AffineInN,
     DLParams,
     InconclusiveProfile,
-    NonAffine,
     NotStabilized,
     INFINITE,
     WrongDimension,
@@ -19,6 +18,7 @@ from dlstar import (
     betandist_table,
     custom_family,
     distance,
+    f_rows,
     format_vertex,
     gamma_family,
     identity,
@@ -26,13 +26,14 @@ from dlstar import (
     m_profile,
     neighbors,
     nu_point,
+    pair_profile,
     parse_vertex,
     printed_probe_set,
     probe_disagreement,
     symmetric_probe_set,
     zeta_point,
 )
-from dlstar.horofn import LIMIT_SPAN, LIMIT_WINDOW, _fit_affine
+from dlstar.horofn import LIMIT_SPAN, LIMIT_WINDOW
 
 
 def test_beta_value_frozen(params, origin):
@@ -128,21 +129,25 @@ def test_m_profile_inconclusive(params):
         m_profile(wobble)
 
 
-def test_fit_affine():
-    assert _fit_affine({2: 5, 3: 7, 10: 21}) == AffineInN(2, 1)
-    assert AffineInN(2, 1).at(5) == 11
-    with pytest.raises(NonAffine):
-        _fit_affine({0: 0, 1: 2, 2: 3})
-    with pytest.raises(NonAffine):
-        _fit_affine({0: 0, 1: 0, 2: 2})
+def test_affine_in_n_arithmetic():
+    a, b = AffineInN(2, 1), AffineInN(1, -3)
+    assert a.at(5) == 11
+    assert a + b == AffineInN(3, -2) and a - b == AffineInN(1, 4)
+    assert 4 + a == AffineInN(2, 5)
+    assert sum([a, b, AffineInN(0, 7)]) == AffineInN(3, 5)
+    # slope first: the tuple order is the order of the values at large n
+    lo, hi = AffineInN(1, 100), AffineInN(2, -100)
+    assert lo < hi and max(lo, hi) is hi and min(b, a) is b
+    assert lo.at(200) == hi.at(200)
+    assert all(lo.at(n) < hi.at(n) for n in range(201, 300))
 
 
 def test_growth_table_frozen(params):
     z = zeta_point(params, 1, 1)
     table = betandist_table(z)
     assert table.shift == 1 == beta_value(z)
-    # sampled from the parameter weight of z (2) plus one, 7 apart
-    assert (table.n1, table.n2) == (3, 10)
+    # valid from the parameter weight of z (2) plus one
+    assert table.from_n == 3
     fits = {
         s: (tuple(r.sub[2]), tuple(r.sub[3]), tuple(r.total))
         for s, r in table.rows.items()
@@ -161,15 +166,19 @@ def test_growth_table_frozen(params):
     assert min(r.total.intercept for r in table.rows.values()) == table.shift
 
 
-def test_growth_table_matches_distance(params):
-    z = parse_vertex("0:0|2:1,0|2:1", params)
+def test_growth_table_matches_distance(params, ball3):
     fam = beta_family(params)
-    table = betandist_table(z)
-    assert (table.n1, table.n2) == (9, 16)
-    for n in (9, 12, 16, 20):
-        xn = fam.at(n)
-        want = distance(xn, z)
-        assert min(r.total.at(n) for r in table.rows.values()) == want
+    for z in ball3:
+        table = betandist_table(z)
+        for n in range(table.from_n, table.from_n + 21):
+            p = pair_profile(fam.at(n), z)
+            for sigma, row in table.rows.items():
+                want = f_rows(p.m, p.l, [t - 1 for t in sigma])
+                assert [row.sub[2].at(n), row.sub[3].at(n)] == want, (z, sigma, n)
+                assert row.total.at(n) == max(want)
+            best = min(r.total.at(n) for r in table.rows.values())
+            assert best == distance(fam.at(n), z) == 2 * n + table.shift, (z, n)
+    assert betandist_table(parse_vertex("0:0|2:1,0|2:1", params)).from_n == 9
 
 
 def test_growth_table_preconditions(params):

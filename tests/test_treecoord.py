@@ -198,6 +198,10 @@ def test_parse_errors_carry_positions():
     with pytest.raises(VertexSyntax) as e:
         parse_tree("2:1,,1")
     assert e.value.position == 4
+    # a label longer than int()'s 4,300-digit string limit
+    with pytest.raises(VertexSyntax) as e:
+        parse_tree("2:1," + "7" * 5000, offset=6)
+    assert e.value.position == 10
     # unicode digits pass str.isdigit but are not valid labels
     with pytest.raises(VertexSyntax):
         parse_tree("²:1")
