@@ -4,7 +4,7 @@ The package works with DL_d(q), the graph whose vertices are d-tuples of
 vertices in (q+1)-regular trees subject to a zero-sum height constraint.
 Everything here is exact integer arithmetic: distances come from a
 closed-form over coordinate profiles (cross-checked against breadth-first
-search), boundary values from stabilized distance differences along
+search), boundary values from exact limits of distance differences along
 explicit vertex families.
 
 Quick start::
@@ -25,7 +25,6 @@ from .dlgraph import (
     alpha_family,
     ball_distances,
     beta_family,
-    custom_family,
     format_vertex,
     gamma_family,
     identity,
@@ -41,11 +40,9 @@ from .dlgraph import (
 from .errors import (
     DimensionMismatch,
     HeightImbalance,
-    InconclusiveProfile,
     MemoryCapExceeded,
     NonCanonicalWarning,
     NotBalanced,
-    NotStabilized,
     ProfileMismatch,
     TableMismatch,
     VertexSyntax,
@@ -120,12 +117,10 @@ __all__ = [
     "HeightImbalance",
     "HorofunctionValue",
     "INFINITE",
-    "InconclusiveProfile",
     "MAX_DIMENSION",
     "MemoryCapExceeded",
     "NonCanonicalWarning",
     "NotBalanced",
-    "NotStabilized",
     "ORIGIN",
     "PairProfile",
     "PointFamily",
@@ -150,7 +145,6 @@ __all__ = [
     "canonicalize",
     "check_coord_dominance",
     "check_f_dominance",
-    "custom_family",
     "distance",
     "f_row_max",
     "f_rows",

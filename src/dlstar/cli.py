@@ -39,7 +39,6 @@ from .dlgraph import (
     zeta_family,
 )
 from .horofn import (
-    LIMIT_WINDOW,
     beta_value,
     betandist_table,
     limit_value,
@@ -113,8 +112,7 @@ def cmd_beta(args, params):
     return {
         "closed_form": closed,
         "limit": limit.value,
-        "stabilized_at": limit.stabilized_at,
-        "window": LIMIT_WINDOW,
+        "from_n": limit.from_n,
         "match": closed == limit.value,
     }, closed == limit.value
 
@@ -126,8 +124,7 @@ def cmd_horolimit(args, params):
     return {
         "family": fam.name,
         "value": limit.value,
-        "stabilized_at": limit.stabilized_at,
-        "window": LIMIT_WINDOW,
+        "from_n": limit.from_n,
     }, None
 
 
@@ -148,7 +145,6 @@ def cmd_table_betandist(args, params):
     return {
         "from_n": table.from_n,
         "shift": table.shift,
-        "closed_form": beta_value(z),
         "rows": rows,
     }, None
 
@@ -295,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(handler=cmd_ball)
 
-    p = sub.add_parser("beta", help="closed-form boundary value vs stabilized limit")
+    p = sub.add_parser("beta", help="closed-form boundary value vs exact limit")
     p.add_argument("vertex")
     p.set_defaults(handler=cmd_beta)
 
-    p = sub.add_parser("horolimit", help="stabilized boundary value along a family")
+    p = sub.add_parser("horolimit", help="exact boundary value along a family")
     p.add_argument("vertex")
     p.add_argument("--family", required=True, help="alpha | beta | gamma:1,3 | ...")
     p.set_defaults(handler=cmd_horolimit)

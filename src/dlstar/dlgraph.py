@@ -4,13 +4,17 @@ A vertex of DL_d(q) is a d-tuple of tree coordinates whose heights sum
 to zero.  An edge moves up by one label in one coordinate and down by
 one in another, so the graph is d(d-1)q regular.  Vertex literals join
 the per-tree literals with '|', e.g. "0:0|2:1,0|2:1" for d = 3.
+
+A point family x_n is given by its shape: a base vertex, the trees that
+walk n down the spine and the trees that climb n label-1 edges.
+horofn reads the shape to take limits exactly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -207,25 +211,46 @@ def parse_vertex(text: str, params: DLParams) -> DLVertex:
 
 @dataclass(frozen=True)
 class PointFamily:
-    """Named integer-indexed vertex sequence used to approach the boundary."""
+    """Named vertex sequence x_n used to approach the boundary, by shape.
+
+    x_n agrees with base except in the moving trees (0-based indices):
+    a tree in down walks n down the spine, a tree in up climbs n label-1
+    edges, and a tree in both makes the balanced excursion (n, 1^n).
+    Moving trees must be trivial in base, and down and up must have the
+    same size so that every x_n stays balanced.
+    """
 
     name: str
-    params: DLParams
-    generator: Callable[[int], DLVertex] = field(repr=False)
+    base: DLVertex
+    down: frozenset[int] = frozenset()
+    up: frozenset[int] = frozenset()
+
+    def __post_init__(self):
+        moving = self.down | self.up
+        if any(not 0 <= t < self.base.d or self.base.coords[t] != ORIGIN for t in moving):
+            raise ValueError(
+                f"family {self.name}: moving trees must be among 0..{self.base.d - 1} "
+                "and trivial in the base"
+            )
+        if len(self.down) != len(self.up) or sum(self.base.heights) != 0:
+            raise HeightImbalance(f"family {self.name} does not keep heights balanced")
+        if self.up:
+            _require_label_one(self.params, self.name)
+
+    @property
+    def params(self) -> DLParams:
+        return self.base.params
 
     def at(self, n: int) -> DLVertex:
         _require_int(n, "family index")
         if n < 0:
             raise ValueError("family index must be nonnegative")
-        v = self.generator(n)
-        if v.q != self.params.q or len(v.coords) != self.params.d:
-            raise DimensionMismatch(f"family {self.name} produced a foreign vertex")
-        return v
-
-
-def _ray_coord(n: int) -> TreeVertex:
-    # spine depth n, climbing label 1 throughout: height stays 0
-    return TreeVertex(n, (1,) * n)
+        coords = list(self.base.coords)
+        for t in self.down | self.up:
+            coords[t] = TreeVertex(
+                n if t in self.down else 0, (1,) * n if t in self.up else ()
+            )
+        return DLVertex(tuple(coords), self.base.q)
 
 
 def _require_label_one(params: DLParams, who: str) -> None:
@@ -235,15 +260,7 @@ def _require_label_one(params: DLParams, who: str) -> None:
 
 def alpha_family(params: DLParams) -> PointFamily:
     """alpha_n: tree 1 climbs label-1 edges to height n, tree 2 descends to -n."""
-    _require_label_one(params, "alpha")
-
-    def gen(n: int) -> DLVertex:
-        coords = [ORIGIN] * params.d
-        coords[0] = TreeVertex(0, (1,) * n)
-        coords[1] = TreeVertex(n, ())
-        return DLVertex(tuple(coords), params.q)
-
-    return PointFamily("alpha", params, gen)
+    return PointFamily("alpha", identity(params), frozenset({1}), frozenset({0}))
 
 
 def beta_family(params: DLParams) -> PointFamily:
@@ -251,8 +268,7 @@ def beta_family(params: DLParams) -> PointFamily:
     i.e. gamma_family over tree 3 alone."""
     if params.d < 3:
         raise WrongDimension("beta needs at least 3 tree coordinates")
-    _require_label_one(params, "beta")
-    return replace(gamma_family(params, [3]), name="beta")
+    return PointFamily("beta", identity(params), frozenset({2}), frozenset({2}))
 
 
 def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:
@@ -266,16 +282,9 @@ def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:
         raise ValueError(f"tree indices {chosen} out of range 1..{params.d}")
     if 3 not in chosen:
         raise ValueError("gamma requires tree 3 among its indices")
-    _require_label_one(params, "gamma")
-
-    def gen(n: int) -> DLVertex:
-        coords = [ORIGIN] * params.d
-        for t in chosen:
-            coords[t - 1] = _ray_coord(n)
-        return DLVertex(tuple(coords), params.q)
-
+    moving = frozenset(t - 1 for t in chosen)
     name = "gamma:" + ",".join(str(t) for t in chosen)
-    return PointFamily(name, params, gen)
+    return PointFamily(name, identity(params), moving, moving)
 
 
 def zeta_point(params: DLParams, tree: int, k: int) -> DLVertex:
@@ -289,7 +298,7 @@ def zeta_point(params: DLParams, tree: int, k: int) -> DLVertex:
     if k > 0:
         _require_label_one(params, "zeta")
     coords = [ORIGIN] * params.d
-    coords[tree - 1] = _ray_coord(k)
+    coords[tree - 1] = TreeVertex(k, (1,) * k)
     return DLVertex(tuple(coords), params.q)
 
 
@@ -313,23 +322,9 @@ def nu_point(params: DLParams, tree: int, eps: int, k: int) -> DLVertex:
 
 def zeta_family(params: DLParams, tree: int, k: int) -> PointFamily:
     """Constant family sitting at zeta_point(tree, k)."""
-    v = zeta_point(params, tree, k)
-    return PointFamily(f"zeta:{tree},{k}", params, lambda n: v)
+    return PointFamily(f"zeta:{tree},{k}", zeta_point(params, tree, k))
 
 
 def nu_family(params: DLParams, tree: int, eps: int, k: int) -> PointFamily:
     """Constant family sitting at nu_point(tree, eps, k)."""
-    v = nu_point(params, tree, eps, k)
-    return PointFamily(f"nu:{tree},{eps},{k}", params, lambda n: v)
-
-
-def custom_family(
-    params: DLParams, generator: Callable[[int], DLVertex], name: str = "custom"
-) -> PointFamily:
-    """Wrap an arbitrary generator; every produced vertex is re-validated."""
-
-    def gen(n: int) -> DLVertex:
-        v = generator(n)
-        return make_vertex(params, v.coords if isinstance(v, DLVertex) else v)
-
-    return PointFamily(name, params, gen)
+    return PointFamily(f"nu:{tree},{eps},{k}", nu_point(params, tree, eps, k))

@@ -46,13 +46,5 @@ class MemoryCapExceeded(RuntimeError):
         self.size = size
 
 
-class NotStabilized(RuntimeError):
-    """Horofunction values failed to settle below the index ceiling."""
-
-
-class InconclusiveProfile(RuntimeError):
-    """Tail samples fit neither a constant nor a divergent spine depth."""
-
-
 class TableMismatch(RuntimeError):
     """Computed growth table disagrees with the closed form or the metric."""

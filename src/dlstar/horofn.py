@@ -1,16 +1,19 @@
 """Horofunction values along point families, and the closed form for the
 balanced tree-3 ray.
 
-The horofunction of a family (x_n) at a probe z is the stabilized value
-of distance(x_n, z) - distance(x_n, id).  For the beta family (balanced
-down-then-up excursions in tree 3) the limit has the exact closed form
+The horofunction of a family (x_n) at a probe z is the limit of
+distance(x_n, z) - distance(x_n, id).  From n = weight(z) + 1 on (the
+weight is the sum of all m_i + l_i of z) every meet statistic of x_n
+against z or id is affine in n, so limit_value runs the distance
+kernels over Z[n] and reads the limit off exactly.  For the beta family
+(balanced down-then-up excursions in tree 3) the limit has the closed
+form
 
     m1 + m2 + min over j in {1, 2} of { m_j + h3, h_j + h3, l_j }
 
 in terms of the probe's own coordinate statistics.  betandist_table
 computes, for each tree ordering, the distance rows to beta_n as affine
-functions of n by running the distance kernels over Z[n]; the distance
-it finds is 2n plus that closed form.
+functions of n; the distance it finds is 2n plus that closed form.
 """
 
 from __future__ import annotations
@@ -29,100 +32,18 @@ from .dlgraph import (
     nu_point,
     zeta_point,
 )
-from .errors import InconclusiveProfile, NotStabilized, TableMismatch, WrongDimension
-from .metric import PairProfile, all_permutations, distance, f_rows, profile_distance
+from .errors import TableMismatch, WrongDimension
+from .metric import (
+    PairProfile,
+    all_permutations,
+    distance,
+    f_rows,
+    pair_profile,
+    profile_distance,
+)
 
 INFINITE = math.inf
 
-
-# Where the routines below sample a family; limit_value starts one past
-# the parameter weight of z.
-LIMIT_WINDOW = 10  # equal consecutive differences that count as stable
-LIMIT_SPAN = 200  # indices past the first before limit_value gives up
-PROFILE_TAIL = range(57, 65)  # indices whose spine depths m_profile reads
-PROFILE_THRESHOLD = 32  # a growing tail must end above this to be infinite
-
-
-class HorofunctionValue(NamedTuple):
-    """Stabilized limit value and the first index of its window."""
-
-    value: int
-    stabilized_at: int
-
-
-def _param_weight(z: DLVertex) -> int:
-    return sum(c.m + c.l for c in z.coords)
-
-
-def limit_value(family: PointFamily, z: DLVertex) -> HorofunctionValue:
-    """First stabilized value of distance(x_n, z) - distance(x_n, id).
-
-    Scans n upward from the total parameter weight of z plus one until
-    the difference is constant across LIMIT_WINDOW consecutive indices;
-    raises NotStabilized after LIMIT_SPAN further indices.
-    """
-    n_min = _param_weight(z) + 1
-    n_max = n_min + LIMIT_SPAN
-    base = identity(z.params)
-    run_value = None
-    run_start = n_min
-    run_len = 0
-    for n in range(n_min, n_max + 1):
-        xn = family.at(n)
-        g = distance(xn, z) - distance(xn, base)
-        if g == run_value:
-            run_len += 1
-        else:
-            run_value = g
-            run_start = n
-            run_len = 1
-        if run_len == LIMIT_WINDOW:
-            return HorofunctionValue(run_value, run_start)
-    raise NotStabilized(
-        f"{family.name} at {z}: no constant window of length {LIMIT_WINDOW} "
-        f"up to n={n_max}"
-    )
-
-
-def beta_value(z: DLVertex) -> int:
-    """Closed-form beta horofunction value at z (d = 3 only)."""
-    if len(z.coords) != 3:
-        raise WrongDimension("beta closed form needs exactly 3 tree coordinates")
-    (m1, m2, _), (l1, l2, _) = (
-        tuple(c.m for c in z.coords),
-        tuple(c.l for c in z.coords),
-    )
-    h1, h2, h3 = (c.h for c in z.coords)
-    return m1 + m2 + min(m1 + h3, h1 + h3, l1, m2 + h3, h2 + h3, l2)
-
-
-def m_profile(family: PointFamily) -> tuple[float, ...]:
-    """Limiting spine depth per tree: an exact integer or INFINITE.
-
-    Samples the indices in PROFILE_TAIL.  A constant tail is Finite; a
-    nondecreasing tail ending above PROFILE_THRESHOLD counts as
-    Infinite; anything else is inconclusive.
-    """
-    tail = [family.at(n) for n in PROFILE_TAIL]
-    out: list[float] = []
-    for i in range(family.params.d):
-        vals = [v.coords[i].m for v in tail]
-        if all(v == vals[0] for v in vals):
-            out.append(vals[0])
-        elif (
-            all(a <= b for a, b in zip(vals, vals[1:]))
-            and vals[-1] > PROFILE_THRESHOLD
-        ):
-            out.append(INFINITE)
-        else:
-            raise InconclusiveProfile(
-                f"{family.name} tree {i + 1}: tail {vals} is neither constant "
-                f"nor increasing past {PROFILE_THRESHOLD}"
-            )
-    return tuple(out)
-
-
-# ── growth table toward beta ────────────────────────────────────────────────
 
 class AffineInN(NamedTuple):
     """slope * n + intercept.  f_rows and profile_distance run on these
@@ -144,6 +65,85 @@ class AffineInN(NamedTuple):
         return AffineInN(self.slope - other.slope, self.intercept - other.intercept)
 
 
+class HorofunctionValue(NamedTuple):
+    """The limit, and the index from which the pair profiles are affine
+    in n; the difference already equals the limit there."""
+
+    value: int
+    from_n: int  # total parameter weight of z plus one
+
+
+def _param_weight(z: DLVertex) -> int:
+    return sum(c.m + c.l for c in z.coords)
+
+
+def _profile_in_n(
+    family: PointFamily, y: DLVertex, from_n: int
+) -> tuple[PairProfile, PairProfile]:
+    """pair_profile(x_n, y) for n >= from_n >= weight(y) + 1, with
+    AffineInN entries, and its integer value at n = from_n.
+
+    Per tree, pair_stats of (x_n, y) is, with (m_y, l_y) y's coordinate:
+    a descending tree (n, ...) gives (l_x, n + l_y - m_y) once n > m_y;
+    a tree climbing only, (0, 1^n), gives (m_y + n, l_y) when m_y > 0
+    and otherwise (n - s, l_y - s) once n >= l_y, s being the length of
+    y's leading run of 1s; a fixed tree gives a constant.  So each entry
+    is affine from from_n on, and its values at from_n and from_n + 1
+    fix it.
+    """
+    p0 = pair_profile(family.at(from_n), y)
+    p1 = pair_profile(family.at(from_n + 1), y)
+    exact = PairProfile(*(
+        tuple(AffineInN(b - a, a - (b - a) * from_n) for a, b in zip(r0, r1))
+        for r0, r1 in zip(p0, p1)
+    ))
+    return exact, p0
+
+
+def limit_value(family: PointFamily, z: DLVertex) -> HorofunctionValue:
+    """The limit of distance(x_n, z) - distance(x_n, id) as n grows.
+
+    profile_distance runs on the pair profiles against z and against id
+    as affine functions of n >= from_n = weight(z) + 1, so each distance
+    comes out as its affine form at large n.  The two slopes agree, as
+    the difference is at most distance(z, id) in size, and the limit is
+    the difference of the intercepts.  Raises TableMismatch unless the
+    integer difference at n = from_n already equals it.
+    """
+    from_n = _param_weight(z) + 1
+    to_z, at_z = _profile_in_n(family, z, from_n)
+    to_id, at_id = _profile_in_n(family, identity(z.params), from_n)
+    value = (profile_distance(to_z) - profile_distance(to_id)).intercept
+    measured = profile_distance(at_z) - profile_distance(at_id)
+    if measured != value:
+        raise TableMismatch(
+            f"{family.name} at {z}: limit {value}, difference {measured} at n = {from_n}"
+        )
+    return HorofunctionValue(value, from_n)
+
+
+def beta_value(z: DLVertex) -> int:
+    """Closed-form beta horofunction value at z (d = 3 only)."""
+    if len(z.coords) != 3:
+        raise WrongDimension("beta closed form needs exactly 3 tree coordinates")
+    (m1, m2, _), (l1, l2, _) = (
+        tuple(c.m for c in z.coords),
+        tuple(c.l for c in z.coords),
+    )
+    h1, h2, h3 = (c.h for c in z.coords)
+    return m1 + m2 + min(m1 + h3, h1 + h3, l1, m2 + h3, h2 + h3, l2)
+
+
+def m_profile(family: PointFamily) -> tuple[float, ...]:
+    """Limiting spine depth per tree, read from the family's shape:
+    INFINITE for a descending tree, the base's spine depth otherwise."""
+    return tuple(
+        INFINITE if t in family.down else c.m for t, c in enumerate(family.base.coords)
+    )
+
+
+# ── growth table toward beta ────────────────────────────────────────────────
+
 class BetaDistRow(NamedTuple):
     """One tree ordering's rows f(s, 2), f(s, 3) and their max, in n."""
 
@@ -164,12 +164,11 @@ class BetaDistTable:
 def betandist_table(z: DLVertex) -> BetaDistTable:
     """The f rows of (beta_n, z) as affine functions of n >= from_n.
 
-    For n past z's tree-3 spine depth, pair_profile(beta_n, z) is
-    m = (m1, m2, n), l = (l1, l2, n + h3) in z's own statistics, so
-    f_rows and profile_distance run on it over Z[n].  Their comparisons
-    by tuple order are exact at every n >= from_n = weight(z) + 1
-    (weight: the sum of all m_i + l_i), as no two compared terms cross
-    there.  For an ordering s = (a, b, c):
+    The pair profile of (beta_n, z) over Z[n] is m = (m1, m2, n),
+    l = (l1, l2, n + h3) in z's own statistics, so f_rows and
+    profile_distance run on it.  Their comparisons by tuple order are
+    exact at every n >= from_n = weight(z) + 1, as no two compared terms
+    cross there.  For an ordering s = (a, b, c):
 
     - f(s, 3) - f(s, 2) = m_a + m_c - l_b, which also decides
       max(M, m_b + l_b), is n (tree 3 at an end) or -n (tree 3 in the
@@ -183,17 +182,15 @@ def betandist_table(z: DLVertex) -> BetaDistTable:
     """
     if len(z.coords) != 3:
         raise WrongDimension("growth table needs exactly 3 tree coordinates")
-    c1, c2, c3 = z.coords
-    m = (AffineInN(0, c1.m), AffineInN(0, c2.m), AffineInN(1, 0))
-    l = (AffineInN(0, c1.l), AffineInN(0, c2.l), AffineInN(1, c3.h))
+    from_n = _param_weight(z) + 1
+    profile, at_from = _profile_in_n(beta_family(z.params), z, from_n)
     rows: dict[tuple[int, ...], BetaDistRow] = {}
     for sigma in all_permutations(3):
-        f2, f3 = f_rows(m, l, [t - 1 for t in sigma])
+        f2, f3 = f_rows(profile.m, profile.l, [t - 1 for t in sigma])
         rows[sigma] = BetaDistRow({2: f2, 3: f3}, max(f2, f3))
-    dist = profile_distance(PairProfile(m, l))
+    dist = profile_distance(profile)
     closed = beta_value(z)
-    from_n = _param_weight(z) + 1
-    measured = distance(beta_family(z.params).at(from_n), z)
+    measured = profile_distance(at_from)
     if dist != AffineInN(2, closed) or dist.at(from_n) != measured:
         raise TableMismatch(
             f"distance {dist} in n, closed form {closed}, "

@@ -307,8 +307,10 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
     beta = beta_family(params)
     probes = _sorted_ball(params, 5)
     tally = Tally()
+    max_from_n = 0
     for z in probes:
-        got, want = limit_value(beta, z).value, beta_value(z)
+        (got, from_n), want = limit_value(beta, z), beta_value(z)
+        max_from_n = max(max_from_n, from_n)
         tally.check(got == want, lambda: f"{z}: limit {got}, closed form {want}")
     spot = [(identity(params), 0)] + [
         (nu_point(params, t, eps, 1), -1) for t in (1, 2) for eps in range(min(params.q, 2))
@@ -316,7 +318,10 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
     for z, want in spot:
         got = beta_value(z)
         tally.check(got == want, lambda: f"{z}: closed form {got}, want {want}")
-    return tally.report("beta-closed-form", {"ball_radius": 5, "probes": len(probes)})
+    return tally.report(
+        "beta-closed-form",
+        {"ball_radius": 5, "probes": len(probes), "max_from_n": max_from_n},
+    )
 
 
 def _sample_bounded_vertex(

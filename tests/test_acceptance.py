@@ -54,6 +54,7 @@ def test_beta_closed_form_matches_limits(params, capsys):
     rep = _run(capsys, _check_beta_closed_form, params, budget=120)
     assert rep.details["ball_radius"] == 5
     assert rep.details["probes"] == 3590
+    assert rep.details["max_from_n"] == 11  # weight 10 at radius 5, plus one
     assert rep.cases == 3595  # every probe + 5 spot values
 
 

@@ -142,6 +142,8 @@ def test_beta_match(capsys):
     doc = json.loads(out)
     assert doc["result"]["closed_form"] == 1
     assert doc["result"]["limit"] == 1
+    assert doc["result"]["from_n"] == 3
+    assert "stabilized_at" not in doc["result"] and "window" not in doc["result"]
     assert doc["passed"] is True
 
 
@@ -156,6 +158,7 @@ def test_horolimit_families(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["family"] == "gamma:1,3"
+    assert json.loads(out)["result"]["from_n"] == 3
     code, _, err = run(capsys, "horolimit", "0:|1:1|0:", "--family", "nope")
     assert code == 2 and "family" in err
 
@@ -169,6 +172,8 @@ def test_table_betandist(capsys):
     assert doc["result"]["from_n"] == 3
     assert "n1" not in doc["result"] and "n2" not in doc["result"]
     assert doc["result"]["shift"] == 1
+    # shift is the closed form whenever the table is built at all
+    assert "closed_form" not in doc["result"]
     assert len(doc["result"]["rows"]) == 6
     assert all(r["max_slope"] == 2 for r in doc["result"]["rows"])
     code, _, err = run(capsys, "--d", "4", "table-betandist", "1:1|0:|0:|0:")

@@ -5,17 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from dlstar import (
     DLParams,
+    DLVertex,
     DimensionMismatch,
     HeightImbalance,
     MemoryCapExceeded,
     NonCanonicalWarning,
+    PointFamily,
     TreeVertex,
     VertexSyntax,
     WrongDimension,
     alpha_family,
     ball_distances,
     beta_family,
-    custom_family,
     format_vertex,
     gamma_family,
     identity,
@@ -222,19 +223,24 @@ def test_families_reject_binary_labels():
     assert zeta_point(thin, 1, 0) == identity(thin)
 
 
-def test_custom_family_revalidates(params, origin):
-    ok = custom_family(params, lambda n: [(0, (1,) * n), (n, ()), (0, ())], name="ray")
-    assert ok.at(0) == origin
-    assert ok.at(2).heights == (2, -2, 0)
-    bad = custom_family(params, lambda n: [(0, (1,) * n), (0, ()), (0, ())])
-    assert bad.at(0) == origin
+def test_point_family_checks_shape(params, origin):
+    ray = PointFamily("ray", origin, frozenset({1}), frozenset({0}))
+    assert ray.params == params
+    assert all(ray.at(n) == alpha_family(params).at(n) for n in range(5))
+    assert ray.at(2).coords == (TreeVertex(0, (1, 1)), TreeVertex(2, ()), TreeVertex(0, ()))
+    # a moving tree must sit at o in the base and be one of the d trees
+    off = zeta_point(params, 1, 1)
+    for down, up in (({0}, {0}), ({1}, {3}), ({-1}, {2})):
+        with pytest.raises(ValueError, match="trivial in the base"):
+            PointFamily("bad", off, frozenset(down), frozenset(up))
+    # as many descending as climbing trees, and a balanced base
     with pytest.raises(HeightImbalance):
-        bad.at(1)
-    # re-validation rejects the same non-int values make_vertex does
-    floaty = custom_family(params, lambda n: [(0, (1,) * n), (float(n), ()), (0, ())])
-    with pytest.raises(ValueError, match="must be an int"):
-        floaty.at(0)
-    truthy = custom_family(params, lambda n: [(0, (True,) * n), (n, ()), (0, ())])
-    assert truthy.at(0) == origin
-    with pytest.raises(ValueError, match="must be an int"):
-        truthy.at(1)
+        PointFamily("lopsided", origin, frozenset({1, 2}), frozenset({0}))
+    tilted = DLVertex((TreeVertex(0, (1,)), TreeVertex(0, ()), TreeVertex(0, ())), 2)
+    with pytest.raises(HeightImbalance):
+        PointFamily("tilted", tilted)
+    # climbing uses label 1; a constant family needs no q >= 2
+    thin = identity(DLParams(3, 1))
+    with pytest.raises(ValueError, match="needs q >= 2"):
+        PointFamily("thin", thin, frozenset({2}), frozenset({2}))
+    assert PointFamily("still", thin).at(4) == thin

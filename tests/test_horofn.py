@@ -1,22 +1,21 @@
-"""Boundary values: stabilized limits, the closed form, growth tables."""
+"""Boundary values: exact limits, the closed form, growth tables."""
 
 import random
+from functools import cache
 
 import pytest
 
 from dlstar import (
     AffineInN,
     DLParams,
-    InconclusiveProfile,
-    NotStabilized,
     INFINITE,
+    TableMismatch,
     WrongDimension,
     alpha_family,
     ball_distances,
     beta_family,
     beta_value,
     betandist_table,
-    custom_family,
     distance,
     f_rows,
     format_vertex,
@@ -24,16 +23,21 @@ from dlstar import (
     identity,
     limit_value,
     m_profile,
+    make_vertex,
     neighbors,
+    nu_family,
     nu_point,
     pair_profile,
     parse_vertex,
     printed_probe_set,
     probe_disagreement,
     symmetric_probe_set,
+    zeta_family,
     zeta_point,
 )
-from dlstar.horofn import LIMIT_SPAN, LIMIT_WINDOW
+from dlstar import horofn
+from dlstar.cli import parse_family
+from dlstar.horofn import _param_weight
 
 
 def test_beta_value_frozen(params, origin):
@@ -63,14 +67,28 @@ def test_beta_value_is_1_lipschitz(params, ball4):
         assert abs(beta_value(x) - beta_value(y)) <= distance(x, y)
 
 
-@pytest.mark.parametrize("q,radius,edges", [(2, 4, 13_548), (3, 3, 19_134)])
-def test_beta_value_moves_at_most_one_per_edge(q, radius, edges):
-    # 1-Lipschitz along every edge out of the ball, hence for the metric
+@pytest.mark.parametrize("d,q,radius,family,edges", [
+    pytest.param(3, 2, 4, None, 13_548, id="2-4-13548"),
+    pytest.param(3, 3, 3, None, 19_134, id="3-3-19134"),
+    pytest.param(3, 2, 3, "alpha", 3_828, id="alpha-DL_3(2)"),
+    pytest.param(3, 2, 3, "gamma:1,3", 3_828, id="gamma:1,3-DL_3(2)"),
+    # beta_value raises WrongDimension here; only the limit exists
+    pytest.param(4, 2, 2, "beta", 5_880, id="beta-DL_4(2)"),
+])
+def test_beta_value_moves_at_most_one_per_edge(d, q, radius, family, edges):
+    # 1-Lipschitz along every edge out of the ball, hence for the metric;
+    # family None is beta_value, a family name its limit_value
+    params = DLParams(d, q)
+    if family is None:
+        value = beta_value
+    else:
+        fam = parse_family(family, params)
+        value = cache(lambda z: limit_value(fam, z).value)
     seen = 0
-    for z in ball_distances(DLParams(3, q), radius):
-        hz = beta_value(z)
+    for z in ball_distances(params, radius):
+        hz = value(z)
         for w in neighbors(z):
-            assert abs(hz - beta_value(w)) <= 1, (format_vertex(z), format_vertex(w))
+            assert abs(hz - value(w)) <= 1, (format_vertex(z), format_vertex(w))
             seen += 1
     assert seen == edges
 
@@ -80,53 +98,53 @@ def test_limits_tell_alpha_from_beta(params):
     la = limit_value(alpha_family(params), z)
     lb = limit_value(beta_family(params), z)
     assert la.value == 0 and lb.value == 1
-    # both settle at the first index scanned, the parameter weight of z plus one
-    assert la.stabilized_at == lb.stabilized_at == 3
+    # both exact from the parameter weight of z plus one
+    assert la.from_n == lb.from_n == 3
 
 
-def test_limit_value_respects_bounds(params):
-    # alternating beta and alpha (differences 1, 0, 1, ...) up to alpha at
-    # switch - 1, beta from switch on: the limit at z is beta's once a full
-    # window of beta indices fits before the scan gives up
-    a, b = alpha_family(params), beta_family(params)
-    z = zeta_point(params, 2, 1)
-    first = 3  # parameter weight of z plus one
-    last_start = first + LIMIT_SPAN - LIMIT_WINDOW + 1
-
-    def late(switch):
-        return custom_family(
-            params,
-            lambda n: (b if n >= switch or (switch - n) % 2 == 0 else a).at(n).coords,
-            name="late",
-        )
-
-    assert limit_value(late(30), z) == (1, 30)
-    assert limit_value(late(last_start), z) == (1, last_start)
-    with pytest.raises(NotStabilized):
-        limit_value(late(last_start + 1), z)
+@pytest.mark.parametrize("d,q,radius,name", [
+    *((3, 2, 3, name) for name in (
+        "alpha", "beta", "gamma:1,3", "gamma:1,2,3", "zeta:1,2", "nu:1,1,2"
+    )),
+    *((4, 2, 2, name) for name in ("alpha", "beta", "gamma:3,4")),
+])
+def test_limit_holds_from_from_n(d, q, radius, name):
+    # the difference already equals the limit at from_n and stays there
+    params = DLParams(d, q)
+    fam = parse_family(name, params)
+    base = identity(params)
+    for z in ball_distances(params, radius):
+        limit = limit_value(fam, z)
+        assert limit.from_n == _param_weight(z) + 1
+        for n in range(limit.from_n, limit.from_n + 31):
+            x = fam.at(n)
+            assert distance(x, z) - distance(x, base) == limit.value, (name, z, n)
 
 
-def test_limit_value_gives_up_on_oscillation(params):
-    a, b = alpha_family(params), beta_family(params)
-    flip = custom_family(
-        params, lambda n: (b if n % 2 else a).at(n).coords, name="flip"
-    )
-    with pytest.raises(NotStabilized):
-        limit_value(flip, zeta_point(params, 2, 1))
+def test_exact_forms_are_checked_at_from_n(params, monkeypatch):
+    # an integer distance at from_n that disagrees with the Z[n] form is
+    # reported, not passed over: shift the integer distances by the tree-1
+    # depth, which z has and id lacks
+    real = horofn.profile_distance
+
+    def off_in_tree_1(profile):
+        dist = real(profile)
+        return dist if isinstance(dist, AffineInN) else dist + profile.m[0]
+
+    monkeypatch.setattr(horofn, "profile_distance", off_in_tree_1)
+    z = zeta_point(params, 1, 1)
+    with pytest.raises(TableMismatch):
+        limit_value(beta_family(params), z)
+    with pytest.raises(TableMismatch):
+        betandist_table(z)
 
 
 def test_m_profiles(params):
     assert m_profile(alpha_family(params)) == (0, INFINITE, 0)
     assert m_profile(beta_family(params)) == (0, 0, INFINITE)
     assert m_profile(gamma_family(params, [1, 3])) == (INFINITE, 0, INFINITE)
-
-
-def test_m_profile_inconclusive(params):
-    wobble = custom_family(
-        params, lambda n: zeta_point(params, 3, n % 2).coords, name="wobble"
-    )
-    with pytest.raises(InconclusiveProfile):
-        m_profile(wobble)
+    assert m_profile(zeta_family(params, 1, 2)) == (2, 0, 0)
+    assert m_profile(nu_family(params, 1, 1, 2)) == (0, 0, 2)
 
 
 def test_affine_in_n_arithmetic():
@@ -213,14 +231,12 @@ def test_probe_disagreement_frozen(params):
 
 
 def test_limit_is_label_independent(params, ball3):
-    # a balanced tree-3 family climbing alternating labels has the same
-    # stabilized values as the all-ones ray
-    def gen(n):
-        path = tuple(1 if i % 2 == 0 else 0 for i in range(n))
-        return ((0, ()), (0, ()), (n, path))
-
-    fam = custom_family(params, gen, name="zigzag")
-    rng = random.Random(29)
-    verts = sorted(ball3, key=lambda v: v.coords)
-    for z in [rng.choice(verts) for _ in range(40)]:
-        assert limit_value(fam, z).value == beta_value(z)
+    # balanced tree-3 excursions climbing alternating labels, not only 1s,
+    # give beta's limit at every n from from_n on
+    for z in ball3:
+        first = _param_weight(z) + 1
+        for n in range(first, first + 20):
+            path = tuple(1 if i % 2 == 0 else 0 for i in range(n))
+            zig = make_vertex(params, [(0, ()), (0, ()), (n, path)])
+            got = distance(zig, z) - distance(zig, identity(params))
+            assert got == beta_value(z), (format_vertex(z), n)
