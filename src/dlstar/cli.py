@@ -51,11 +51,20 @@ from .stars import separation_evidence, star_witness
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
 
+def integer(text: str) -> int:
+    """ASCII digits after an optional '-', as in vertex literals: int()
+    would also take '+1', ' 1', '1_0' and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_family(text: str, params: DLParams) -> PointFamily:
     """Family syntax: alpha, beta, gamma:1,3, zeta:i,k, nu:j,eps,k."""
     head, _, tail = text.partition(":")
     try:
-        ints = [int(p) for p in tail.split(",")] if tail else []
+        ints = [integer(p) for p in tail.split(",")] if tail else []
     except ValueError:
         raise ValueError(f"bad family arguments in {text!r}")
     if head == "alpha" and not ints:
@@ -263,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dlstar",
         description="Exact word metric and boundary computations on Diestel-Leader graphs.",
     )
-    parser.add_argument("--d", type=int, default=3, help="number of tree factors")
-    parser.add_argument("--q", type=int, default=2, help="tree branching parameter")
+    parser.add_argument("--d", type=integer, default=3, help="number of tree factors")
+    parser.add_argument("--q", type=integer, default=2, help="tree branching parameter")
     parser.add_argument(
         "--format", choices=("table", "json", "csv"), default="table",
         help="output format",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+    parser.add_argument("--seed", type=integer, default=DEFAULT_SEED, help="sampling seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("distance", help="formula distance between two vertices")
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bfs", help="breadth-first oracle distance")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--cap", type=int, default=None, help="give up beyond this radius")
+    p.add_argument("--cap", type=integer, default=None, help="give up beyond this radius")
     p.set_defaults(handler=cmd_bfs)
 
     p = sub.add_parser("neighbors", help="adjacent vertices")
@@ -288,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_neighbors)
 
     p = sub.add_parser("ball", help="ball around the identity")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=integer, required=True)
     p.set_defaults(handler=cmd_ball)
 
     p = sub.add_parser("beta", help="closed-form boundary value vs exact limit")
@@ -314,15 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("star-witness", help="halfspace margins along two families")
     p.add_argument("--a", default="beta", help="family approaching the boundary")
     p.add_argument("--b", default="alpha", help="family whose star is probed")
-    p.add_argument("--nmax", type=int, default=30)
-    p.add_argument("--offset", type=int, default=0)
+    p.add_argument("--nmax", type=integer, default=30)
+    p.add_argument("--offset", type=integer, default=0)
     p.set_defaults(handler=cmd_star_witness)
 
     p = sub.add_parser("separation", help="distance excess over the beta neighborhood")
     p.add_argument("--family", default="alpha")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--nmax", type=integer, default=10)
+    p.add_argument("--depth", type=integer, default=3)
     p.set_defaults(handler=cmd_separation)
 
     p = sub.add_parser("verify", help="run property suites")

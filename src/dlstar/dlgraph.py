@@ -45,12 +45,8 @@ class DLParams:
     q: int = 2
 
     def __post_init__(self):
-        _require_int(self.d, "d")
-        _require_int(self.q, "q")
-        if not 2 <= self.d <= MAX_DIMENSION:
-            raise ValueError(f"d must be in [2, {MAX_DIMENSION}], got {self.d}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        _require_int(self.d, "d", 2, MAX_DIMENSION)
+        _require_int(self.q, "q", 1)
 
 
 class DLVertex(NamedTuple):
@@ -144,9 +140,7 @@ def ball_distances(
     Returns vertices in discovery order mapped to their graph distance.
     Raises MemoryCapExceeded once more than max_vertices are visited.
     """
-    _require_int(radius, "radius")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    _require_int(radius, "radius", 0)
     start = identity(params)
     dist = {start: 0}
     frontier = [start]
@@ -242,9 +236,7 @@ class PointFamily:
         return self.base.params
 
     def at(self, n: int) -> DLVertex:
-        _require_int(n, "family index")
-        if n < 0:
-            raise ValueError("family index must be nonnegative")
+        _require_int(n, "family index", 0)
         coords = list(self.base.coords)
         for t in self.down | self.up:
             coords[t] = TreeVertex(
@@ -276,10 +268,8 @@ def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:
     balanced down-then-up excursion of depth n."""
     trees = list(trees)
     for t in trees:
-        _require_int(t, "tree index")
+        _require_int(t, "tree index", 1, params.d)
     chosen = sorted(set(trees))
-    if any(t < 1 or t > params.d for t in chosen):
-        raise ValueError(f"tree indices {chosen} out of range 1..{params.d}")
     if 3 not in chosen:
         raise ValueError("gamma requires tree 3 among its indices")
     moving = frozenset(t - 1 for t in chosen)
@@ -289,12 +279,8 @@ def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:
 
 def zeta_point(params: DLParams, tree: int, k: int) -> DLVertex:
     """Balanced excursion of depth k in one tree, trivial elsewhere."""
-    _require_int(tree, "tree index")
-    _require_int(k, "k")
-    if not 1 <= tree <= params.d:
-        raise ValueError(f"tree index {tree} out of range 1..{params.d}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _require_int(tree, "tree index", 1, params.d)
+    _require_int(k, "k", 0)
     if k > 0:
         _require_label_one(params, "zeta")
     coords = [ORIGIN] * params.d
@@ -306,15 +292,9 @@ def nu_point(params: DLParams, tree: int, eps: int, k: int) -> DLVertex:
     """Climb k label-eps edges in tree 1 or 2, descend k in tree 3."""
     if params.d != 3:
         raise WrongDimension("nu points are only defined for d = 3")
-    _require_int(tree, "tree index")
-    _require_int(eps, "label")
-    _require_int(k, "k")
-    if tree not in (1, 2):
-        raise ValueError("nu tree index must be 1 or 2")
-    if not 0 <= eps < params.q:
-        raise ValueError(f"label {eps} out of range [0, {params.q})")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _require_int(tree, "tree index", 1, 2)
+    _require_int(eps, "label", 0, params.q - 1)
+    _require_int(k, "k", 0)
     coords = [ORIGIN, ORIGIN, TreeVertex(k, ())]
     coords[tree - 1] = TreeVertex(0, (eps,) * k)
     return DLVertex(tuple(coords), params.q)

@@ -60,10 +60,8 @@ def star_witness(
     Success is evidence that the limit of a lies in the star of the
     limit of b; a negative margin pinpoints the first failing index.
     """
-    _require_int(n_max, "n_max")
+    _require_int(n_max, "n_max", 1)
     _require_int(offset, "offset")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     base = identity(a.params)
     margins = []
     first_failure = None
@@ -89,10 +87,8 @@ def nk_beta_truncation(params: DLParams, k: int, depth: int) -> tuple[DLVertex, 
     """
     if params.d != 3:
         raise WrongDimension("the truncated neighborhood is defined for d = 3")
-    _require_int(k, "k")
-    _require_int(depth, "depth")
-    if k < 0 or depth < 0:
-        raise ValueError("k and depth must be nonnegative")
+    _require_int(k, "k", 0)
+    _require_int(depth, "depth", 0)
     out = []
     for j in range(k, k + depth + 1):
         for path in canonical_paths(j, params.q):
@@ -176,13 +172,9 @@ def separation_evidence(
     for all 1 <= n <= n_max and every w in the depth-truncated
     neighborhood at scale k; reports the minimum slack observed.
     """
-    _require_int(k, "k")
-    _require_int(n_max, "n_max")
-    _require_int(depth, "depth")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _require_int(k, "k", 1)
+    _require_int(n_max, "n_max", 1)
+    _require_int(depth, "depth")  # nk_beta_truncation bounds it, after the profile check
     profile = m_profile(a)
     if profile[2] != 0:
         raise ProfileMismatch(

@@ -51,28 +51,35 @@ def is_canonical(v: TreeVertex) -> bool:
     return v.m == 0 or not v.path or v.path[0] != 0
 
 
-def _require_int(value, what: str) -> None:
+def _require_int(value, what: str, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise ValueError unless value is an int in [lo, hi], naming it as what.
+
+    A bound left None is open; hi is only given together with lo.
+    """
     # int() would truncate 1.5 and accept True, so check the type instead
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an int, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = (
+            f"in [{lo}, {hi}]" if hi is not None
+            else "nonnegative" if lo == 0
+            else f"at least {lo}"
+        )
+        raise ValueError(f"{what} must be {span}, got {value}")
 
 
-def canonicalize(v: TreeVertex, q: int | None = None) -> TreeVertex:
+def canonicalize(v: TreeVertex, q: int) -> TreeVertex:
     """Rewrite (m, path) to the canonical address of the same vertex.
 
-    Validates that m and the labels are nonnegative ints (bool and
-    float are rejected, not coerced), labels below q when q is given.
-    Applies (m, (0,)+rest) -> (m-1, rest) until the leading label no
-    longer runs along the spine.
+    Validates that m is a nonnegative int and the labels are ints in
+    [0, q - 1] (bool and float are rejected, not coerced).  Applies
+    (m, (0,)+rest) -> (m-1, rest) until the leading label no longer runs
+    along the spine.
     """
     m, path = v[0], tuple(v[1])
-    _require_int(m, "spine depth")
-    if m < 0:
-        raise ValueError(f"negative spine depth {m}")
+    _require_int(m, "spine depth", 0)
     for a in path:
-        _require_int(a, "label")
-        if a < 0 or (q is not None and a >= q):
-            raise ValueError(f"label {a} out of range [0, {q})")
+        _require_int(a, "label", 0, q - 1)
     while m > 0 and path and path[0] == 0:
         m -= 1
         path = path[1:]

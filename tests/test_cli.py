@@ -127,6 +127,40 @@ def test_huge_dimension_exits_2(capsys):
     assert code == 2 and out == "" and "d must be in" in err
 
 
+# int() would read each of these as an integer; the CLI takes ASCII digits
+# after an optional '-', as vertex literals do
+NOT_INTEGERS = ("+1", " 1", "1_0", "\u0661")
+NOT_INTEGER_IDS = ("plus", "space", "underscore", "arabic-indic")
+INTEGER_FLAGS = (
+    ("--d", "{}", "distance", "0:|0:|0:", "0:|0:|0:"),
+    ("--q", "{}", "distance", "0:|0:|0:", "0:|0:|0:"),
+    ("--seed", "{}", "verify", "--suite", "stars"),
+    ("bfs", "0:|0:|0:", "0:1|1:|0:", "--cap", "{}"),
+    ("ball", "--radius", "{}"),
+    ("star-witness", "--nmax", "{}"),
+    ("star-witness", "--offset", "{}"),
+    ("separation", "--k", "{}"),
+    ("separation", "--k", "1", "--nmax", "{}"),
+    ("separation", "--k", "1", "--depth", "{}"),
+)
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_integer_flags_take_ascii_digits(capsys, text):
+    for argv in INTEGER_FLAGS:
+        with pytest.raises(SystemExit) as e:
+            main([arg.format(text) for arg in argv])
+        assert e.value.code == 2, argv
+        assert "invalid integer value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_family_arguments_take_ascii_digits(capsys, text):
+    for family in (f"zeta:1,{text}", f"nu:1,0,{text}", f"gamma:1,{text}"):
+        code, out, err = run(capsys, "horolimit", "0:|0:|0:", "--family", family)
+        assert code == 2 and out == "" and "bad family arguments" in err, family
+
+
 def test_bfs_huge_cap_on_adjacent_pair(capsys):
     code, out, _ = _timed(
         capsys, "--format", "json", "bfs", "0:|0:|0:", "0:1|1:|0:",

@@ -1,9 +1,12 @@
-"""Source checks that stand in for a linter: every import is read."""
+"""Source checks that stand in for a linter: every import is read, and
+the package exports exactly what its __init__ imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import dlstar
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dlstar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -39,3 +42,15 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    ]
+    assert len(dlstar.__all__) == len(set(dlstar.__all__))
+    assert set(dlstar.__all__) == set(imported)

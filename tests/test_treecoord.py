@@ -92,20 +92,20 @@ def test_neighbors_match_string_model(d, q, anchor, max_len):
 
 
 def test_canonicalize_cases():
-    assert canonicalize(TreeVertex(3, (0, 0, 1, 0))) == TreeVertex(1, (1, 0))
-    assert canonicalize(TreeVertex(2, (0, 0))) == ORIGIN
-    assert canonicalize(TreeVertex(1, (0, 0))) == TreeVertex(0, (0,))
-    assert canonicalize(TreeVertex(0, (0, 1))) == TreeVertex(0, (0, 1))
-    assert canonicalize(TreeVertex(5, ())) == TreeVertex(5, ())
+    assert canonicalize(TreeVertex(3, (0, 0, 1, 0)), 2) == TreeVertex(1, (1, 0))
+    assert canonicalize(TreeVertex(2, (0, 0)), 2) == ORIGIN
+    assert canonicalize(TreeVertex(1, (0, 0)), 2) == TreeVertex(0, (0,))
+    assert canonicalize(TreeVertex(0, (0, 1)), 2) == TreeVertex(0, (0, 1))
+    assert canonicalize(TreeVertex(5, ()), 2) == TreeVertex(5, ())
 
 
 def test_canonicalize_validation():
     with pytest.raises(ValueError):
-        canonicalize(TreeVertex(-1, ()))
+        canonicalize(TreeVertex(-1, ()), q=2)
     with pytest.raises(ValueError):
         canonicalize(TreeVertex(0, (2,)), q=2)
     with pytest.raises(ValueError):
-        canonicalize(TreeVertex(0, (-1,)))
+        canonicalize(TreeVertex(0, (-1,)), q=2)
     for bad in (TreeVertex(1.0, ()), TreeVertex(True, ()), TreeVertex(0, (True,)),
                 TreeVertex(0, (1.0,)), TreeVertex("1", ())):
         with pytest.raises(ValueError, match="must be an int"):
@@ -164,9 +164,12 @@ def test_canonicalize_is_idempotent(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda q: st.lists(_raw_vertices(q), min_size=2, max_size=2)))
-def test_pair_stats_swaps_with_arguments(pair):
-    x, y = (canonicalize(v) for v in pair)
+@given(st.integers(2, 4).flatmap(
+    lambda q: st.tuples(st.just(q), st.lists(_raw_vertices(q), min_size=2, max_size=2))
+))
+def test_pair_stats_swaps_with_arguments(case):
+    q, pair = case
+    x, y = (canonicalize(v, q) for v in pair)
     assert pair_stats(x, y) == pair_stats(y, x)[::-1]
 
 
