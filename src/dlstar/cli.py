@@ -62,9 +62,10 @@ def integer(text: str) -> int:
 
 def parse_family(text: str, params: DLParams) -> PointFamily:
     """Family syntax: alpha, beta, gamma:1,3, zeta:i,k, nu:j,eps,k."""
-    head, _, tail = text.partition(":")
+    head, colon, tail = text.partition(":")
     try:
-        ints = [integer(p) for p in tail.split(",")] if tail else []
+        # a colon promises arguments: "beta:" fails on its empty one
+        ints = [integer(p) for p in tail.split(",")] if colon else []
     except ValueError:
         raise ValueError(f"bad family arguments in {text!r}")
     if head == "alpha" and not ints:

@@ -269,7 +269,9 @@ def gamma_family(params: DLParams, trees: Iterable[int]) -> PointFamily:
     trees = list(trees)
     for t in trees:
         _require_int(t, "tree index", 1, params.d)
-    chosen = sorted(set(trees))
+    chosen = sorted(trees)
+    if len(set(chosen)) != len(chosen):
+        raise ValueError(f"gamma lists a tree more than once: {trees}")
     if 3 not in chosen:
         raise ValueError("gamma requires tree 3 among its indices")
     moving = frozenset(t - 1 for t in chosen)

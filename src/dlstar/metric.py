@@ -306,12 +306,6 @@ def check_coord_dominance(
     return BoundReport("CoordDominance", hyp, bound, verified)
 
 
-@lru_cache(maxsize=1024)
-def _identity_distance(x: DLVertex) -> int:
-    # balanced_compare meets each x against many probes z
-    return distance(x, identity(x.params))
-
-
 def balanced_compare(
     x: DLVertex, z: DLVertex
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
@@ -331,7 +325,7 @@ def balanced_compare(
         raise NotBalanced(f"heights {z.heights} are not all zero")
     mx = tuple(c.m for c in x.coords)
     mz = tuple(c.m for c in z.coords)
-    base = _identity_distance(x)
+    base = distance(x, identity(x.params))
     dxz = distance(x, z)
 
     hyp_eq = all(

@@ -6,12 +6,15 @@ triple screens run on a table of the distinct pair profiles, built from
 the library's own pair_stats, profile_distance and f_rows: each base
 vertex screens the pairs of distinct profiles it sees, every case
 weighted by how many triples share it.  Sampled calls bind the table
-and the screens to the checker functions they certify.
+and the screens to the checker functions they certify.  The exhaustive
+pair checks call their checker once per class of pairs with the same
+inputs, each call weighted by how many pairs share them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -135,11 +138,12 @@ def _balanced_probes(params: DLParams, caps: Sequence[int]) -> list[DLVertex]:
 
 @dataclass(frozen=True)
 class PairTable:
-    """The distinct pair profiles of a vertex list, one row each.
+    """The distinct pair profiles of rows x cols, one table row each.
 
     m, l: (U, d) per-tree meet statistics; dist: (U,) the distance;
     f: (U, width) the f rows, orderings in all_permutations order and
-    rows 2..d within each; inv: (n, n) the row of every ordered pair.
+    rows 2..d within each; inv: (len(rows), len(cols)) int32, the table
+    row of every ordered pair.
     """
 
     m: np.ndarray
@@ -149,25 +153,57 @@ class PairTable:
     inv: np.ndarray
 
 
-def pair_table(verts: Sequence[DLVertex]) -> PairTable:
-    """PairTable of verts, from pair_stats on each tree's distinct
-    coordinates and profile_distance on each distinct profile."""
-    n, d = len(verts), len(verts[0].coords)
-    codes, stats = [], []
-    for t in range(d):
-        coords = sorted({v.coords[t] for v in verts})
-        pos = {c: i for i, c in enumerate(coords)}
-        idx = np.array([pos[v.coords[t]] for v in verts])
-        pairs = np.array([pair_stats(a, b) for a in coords for b in coords])
-        # this tree's distinct (m, l), and which one each vertex pair has
-        tree_stats, code = np.unique(pairs, axis=0, return_inverse=True)
-        codes.append(code.reshape(len(coords), len(coords))[idx[:, None], idx[None, :]])
-        stats.append(tree_stats)
-    # one integer per combination of tree codes, so one 1-d unique finds
-    # the distinct profiles
-    dims = [len(tree_stats) for tree_stats in stats]
-    keys, inv = np.unique(np.ravel_multi_index(codes, dims), return_inverse=True)
-    per_tree = [tree_stats[c] for tree_stats, c in zip(stats, np.unravel_index(keys, dims))]
+def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
+    """Tree t's distinct (m, l) over rows x cols, a code (into them) for
+    each pair of distinct coordinates, and each row's and column's
+    coordinate index: rows[a], cols[b] have code[ri[a], ci[b]]."""
+    row_coords = sorted({v.coords[t] for v in rows})
+    col_coords = sorted({v.coords[t] for v in cols})
+    pairs = np.array([pair_stats(a, b) for a in row_coords for b in col_coords])
+    tree_stats, code = np.unique(pairs, axis=0, return_inverse=True)
+    code = code.astype(np.int32).reshape(len(row_coords), len(col_coords))
+    row_pos = {c: i for i, c in enumerate(row_coords)}
+    col_pos = {c: i for i, c in enumerate(col_coords)}
+    return (
+        tree_stats,
+        code,
+        np.array([row_pos[v.coords[t]] for v in rows]),
+        np.array([col_pos[v.coords[t]] for v in cols]),
+    )
+
+
+def pair_table(
+    rows: Sequence[DLVertex], cols: Sequence[DLVertex] | None = None
+) -> PairTable:
+    """PairTable of rows x cols (cols defaults to rows), from pair_stats
+    on each tree's distinct coordinates and profile_distance on each
+    distinct profile.
+
+    The key of a pair combines its per-tree codes, key = key * dims[t] +
+    code_t, built in place in one int32 array, one row at a time, so no
+    other array of every pair is made.  A dense lookup over all
+    prod(dims) keys then ranks the distinct ones, in key order.  Raises
+    ValueError when prod(dims) overflows int32.
+    """
+    cols = rows if cols is None else cols
+    trees = [_tree_codes(rows, cols, t) for t in range(len(rows[0].coords))]
+    dims = [len(tree_stats) for tree_stats, *_ in trees]
+    span = math.prod(dims)
+    if span > np.iinfo(np.int32).max:
+        raise ValueError(f"{span} combinations of tree statistics overflow the pair key")
+    key = np.zeros((len(rows), len(cols)), dtype=np.int32)
+    for dim, (_, code, ri, ci) in zip(dims, trees):
+        for key_row, r in zip(key, ri):
+            key_row *= dim
+            key_row += code[r, ci]
+    present = np.zeros(span, dtype=bool)
+    present[key] = True
+    rank = np.cumsum(present, dtype=np.int32)
+    rank -= 1
+    for key_row in key:
+        key_row[...] = rank[key_row]
+    codes = np.unravel_index(np.flatnonzero(present), dims)
+    per_tree = [tree[0][c] for tree, c in zip(trees, codes)]
     m = np.stack([ml[:, 0] for ml in per_tree], axis=1)
     l = np.stack([ml[:, 1] for ml in per_tree], axis=1)
     dist = np.array(
@@ -178,10 +214,10 @@ def pair_table(verts: Sequence[DLVertex]) -> PairTable:
         dtype=np.int64,
     )
     f = np.stack(
-        [row for s in all_permutations(d) for row in f_rows(m.T, l.T, [t - 1 for t in s])],
+        [row for s in all_permutations(len(dims)) for row in f_rows(m.T, l.T, [t - 1 for t in s])],
         axis=1,
     )
-    return PairTable(m, l, dist, f, inv.reshape(n, n))
+    return PairTable(m, l, dist, f, key)
 
 
 def screen_dominance(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) -> int:
@@ -216,6 +252,88 @@ def screen_dominance(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) 
             weights,
         )
     return widest
+
+
+def _classes(key_rows: Iterable[np.ndarray], span: int) -> tuple[np.ndarray, np.ndarray]:
+    """How many pairs each class in range(span) has, and its first pair.
+
+    key_rows gives, row by row, the class of every pair in the row.
+    Returns count (span,) and first (span, 2), the (row, column) of each
+    class's first pair in row-major order, or -1 for a class never seen.
+    """
+    count = np.zeros(span, dtype=np.int64)
+    first = np.full((span, 2), -1)
+    for a, row in enumerate(key_rows):
+        u, j, c = np.unique(row, return_index=True, return_counts=True)
+        count[u] += c
+        new = first[u, 0] < 0
+        first[u[new], 0] = a
+        first[u[new], 1] = j[new]
+    return count, first
+
+
+def screen_lower_bounds(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) -> None:
+    """lower_bounds on every ordered pair of verts, one call per profile.
+
+    lower_bounds(x, y) reads x and y only through pair_profile(x, y), so
+    the first pair of each table row stands for every pair of the row,
+    two reports each.  It also checks its own profile against the row.
+    """
+    count, first = _classes(table.inv, len(table.dist))
+    profiles = zip(map(tuple, table.m.tolist()), map(tuple, table.l.tolist()))
+    pairs = [(verts[a], verts[b]) for a, b in first.tolist()]
+    same = [pair_profile(x, y) == p for (x, y), p in zip(pairs, profiles)]
+    reports = [lower_bounds(x, y) for x, y in pairs]
+    bad = np.array([[not (ok and r.verified) for r in rs] for ok, rs in zip(same, reports)])
+
+    def message(u, j):
+        x, y = pairs[u]
+        if not same[u]:
+            return f"profile table disagrees with pair_profile at {x}, {y}"
+        return f"{reports[u][j].claim} exceeded distance at {x}, {y}"
+
+    tally.screen(bad, message, np.broadcast_to(count[:, None], bad.shape))
+
+
+def screen_balanced(
+    tally: Tally, table: PairTable, verts: Sequence[DLVertex], probes: Sequence[DLVertex]
+) -> None:
+    """balanced_compare on every (x, z) in verts x probes, one call per class.
+
+    balanced_compare(x, z) reads x's spine depths, z's spine depths,
+    distance(x, id) and distance(x, z).  Those four are the class: the
+    depths coded per vertex, distance(x, id) read from table (the pair
+    table of verts, which must hold id) and distance(x, z) from
+    pair_table(verts, probes), one base vertex x at a time.  The first
+    pair of each class stands for all, three reports each, and checks
+    both distances against the tables.
+    """
+    home = identity(verts[0].params)
+    cross = pair_table(verts, probes)
+    base = table.dist[table.inv[:, verts.index(home)]]
+    xkey = [[c.m for c in x.coords] + [b] for x, b in zip(verts, base.tolist())]
+    xc = np.unique(xkey, axis=0, return_inverse=True)[1].reshape(-1)
+    zkey = [[c.m for c in z.coords] for z in probes]
+    zc = np.unique(zkey, axis=0, return_inverse=True)[1].reshape(-1)
+    nz, span_d = int(zc.max()) + 1, int(cross.dist.max()) + 1
+    count, first = _classes(
+        ((xc[a] * nz + zc) * span_d + cross.dist[row] for a, row in enumerate(cross.inv)),
+        (int(xc.max()) + 1) * nz * span_d,
+    )
+    seen = np.flatnonzero(count)
+    pairs = [(verts[a], probes[b]) for a, b in first[seen].tolist()]
+    want = zip(seen % span_d, base[first[seen, 0]])
+    same = [(distance(x, z), distance(x, home)) == w for (x, z), w in zip(pairs, want)]
+    reports = [balanced_compare(x, z) for x, z in pairs]
+    bad = np.array([[r.falsified or not ok for r in rs] for ok, rs in zip(same, reports)])
+
+    def message(i, j):
+        x, z = pairs[i]
+        if not same[i]:
+            return f"distance tables disagree with distance at x={x}, z={z}"
+        return f"{reports[i][j].claim} falsified at x={x}, z={z}"
+
+    tally.screen(bad, message, np.broadcast_to(count[seen, None], bad.shape))
 
 
 def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
@@ -272,22 +390,11 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
                 lambda: f"check_coord_dominance falsified at {x}, {y}, {z}",
             )
 
-    # balanced comparisons, exhaustively against a balanced probe pool
+    # balanced comparisons against a balanced probe pool, and certified
+    # lower bounds on every pair, one call per class of equal inputs
     probes = _balanced_probes(params, [2] * (d - 1) + [4])
-    for x in verts:
-        for z in probes:
-            for report in balanced_compare(x, z):
-                tally.check(
-                    not report.falsified, lambda: f"{report.claim} falsified at x={x}, z={z}"
-                )
-
-    # certified lower bounds on every pair
-    for x in verts:
-        for y in verts:
-            for report in lower_bounds(x, y):
-                tally.check(
-                    report.verified, lambda: f"{report.claim} exceeded distance at {x}, {y}"
-                )
+    screen_balanced(tally, table, verts, probes)
+    screen_lower_bounds(tally, table, verts)
 
     return tally.report(
         "comparison-lemmas",

@@ -6,6 +6,7 @@ dlstar.verify at its full advertised domain and asserts the verdict,
 the number of cases checked and, where one applies, the runtime budget.
 """
 
+from dlstar import DLParams
 from dlstar.verify import (
     DEFAULT_SEED,
     _check_asymmetry,
@@ -65,12 +66,23 @@ def test_growth_table_reproduction(params, capsys):
 
 
 def test_comparison_lemma_screens(params, capsys):
-    rep = _run(capsys, _check_comparison_lemmas, params)
+    rep = _run(capsys, _check_comparison_lemmas, params, budget=10)
     assert rep.details["ball_radius"] == 3
     assert rep.details["vertices"] == 319
     assert rep.details["distinct_profiles"] == 704
     assert rep.details["max_profiles_per_vertex"] == 119
     assert rep.cases == 65_374_896  # 2 * 319**3 screened triples + 451,378 checked calls
+
+
+def test_comparison_lemma_screens_at_q3(capsys):
+    # the radius-3 ball of DL_3(3) shows the same 704 pair profiles as DL_3(2)
+    rep = _run(capsys, _check_comparison_lemmas, DLParams(3, 3), budget=10)
+    assert rep.details["ball_radius"] == 3
+    assert rep.details["vertices"] == 1063
+    assert rep.details["balanced_probes"] == 6561
+    assert rep.details["distinct_profiles"] == 704
+    assert rep.details["max_profiles_per_vertex"] == 119
+    assert rep.cases == 2_425_499_899  # 2 * 1063**3 screened triples + 23,185,805 checked calls
 
 
 def test_probe_set_exclusion(params, capsys):

@@ -35,7 +35,9 @@ BOUNDED = [
     ("DLParams.q", "q", 1, None, lambda v: DLParams(3, v)),
     ("ball_distances.radius", "radius", 0, None, lambda v: ball_distances(P, v)),
     ("PointFamily.at", "family index", 0, None, lambda v: ALPHA.at(v)),
-    ("gamma_family.trees", "tree index", 1, 3, lambda v: gamma_family(P, [v, 3])),
+    # tree 3 is required and may be listed only once
+    ("gamma_family.trees", "tree index", 1, 3,
+     lambda v: gamma_family(P, [v] if v == 3 else [v, 3])),
     ("zeta_point.tree", "tree index", 1, 3, lambda v: zeta_point(P, v, 1)),
     ("zeta_point.k", "k", 0, None, lambda v: zeta_point(P, 1, v)),
     ("nu_point.tree", "tree index", 1, 2, lambda v: nu_point(P, v, 0, 1)),

@@ -161,6 +161,16 @@ def test_family_arguments_take_ascii_digits(capsys, text):
         assert code == 2 and out == "" and "bad family arguments" in err, family
 
 
+@pytest.mark.parametrize(
+    "family,complaint",
+    [("beta:", "bad family arguments"), ("gamma:", "bad family arguments"),
+     ("gamma:3,3", "more than once"), ("gamma:1,3,1", "more than once")],
+)
+def test_family_text_is_rejected_not_rewritten(capsys, family, complaint):
+    code, out, err = run(capsys, "horolimit", "0:|0:|0:", "--family", family)
+    assert code == 2 and out == "" and complaint in err, family
+
+
 def test_bfs_huge_cap_on_adjacent_pair(capsys):
     code, out, _ = _timed(
         capsys, "--format", "json", "bfs", "0:|0:|0:", "0:1|1:|0:",

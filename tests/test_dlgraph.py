@@ -172,6 +172,8 @@ def test_gamma_family(params, origin):
         gamma_family(params, [1, 2])  # tree 3 required
     with pytest.raises(ValueError):
         gamma_family(params, [3, 4])  # out of range for d = 3
+    with pytest.raises(ValueError, match="more than once"):
+        gamma_family(params, [3, 1, 3])  # a repeat is an error, not a set
     # tree indices must be ints: 1.7 is not truncated to 1, True is not 1
     for trees in ([1.7, 3], [True, 3], [3.0]):
         with pytest.raises(ValueError, match="must be an int"):

@@ -13,12 +13,21 @@ from dlstar import (
     ball_distances,
     distance,
     f_value,
+    lower_bounds,
+    balanced_compare,
     pair_profile,
     run_suites,
     vertex_sort_key,
 )
 from dlstar.stars import Tally
-from dlstar.verify import SUITES, pair_table, screen_dominance
+from dlstar.verify import (
+    SUITES,
+    _balanced_probes,
+    pair_table,
+    screen_balanced,
+    screen_dominance,
+    screen_lower_bounds,
+)
 import dlstar.verify as verify_mod
 
 
@@ -77,6 +86,26 @@ def test_pair_table_matches_pair_profile(ball3):
         assert row == [f_value(profile, s, i) for s, i in row_keys]
 
 
+def test_pair_table_cross_matches_pair_profile(ball3, params):
+    verts = sorted(ball3, key=vertex_sort_key)
+    probes = _balanced_probes(params, [2, 2, 4])
+    table = pair_table(verts, probes)
+    assert table.inv.shape == (319, 256) and table.inv.dtype == np.int32
+    m, l, dist = table.m.tolist(), table.l.tolist(), table.dist.tolist()
+    assert len(dist) == len(set(zip(map(tuple, m), map(tuple, l))))
+    for x, row in zip(verts, table.inv.tolist()):
+        for z, p in zip(probes, row):
+            assert PairProfile(tuple(m[p]), tuple(l[p])) == pair_profile(x, z)
+            assert dist[p] == distance(x, z)
+
+
+def test_pair_table_rejects_key_overflow():
+    # 8 trees of radius-2 coordinates: more (m, l) combinations than int32 holds
+    verts = sorted(ball_distances(DLParams(8, 2), 2), key=vertex_sort_key)
+    with pytest.raises(ValueError, match="overflow the pair key"):
+        pair_table(verts)
+
+
 def _per_triple_screens(table):
     """(cases, failures) of both screens on every triple, one array
     element per triple, from the table expanded to one row per pair."""
@@ -109,3 +138,83 @@ def test_weighted_screens_match_per_triple_screens(d, q, radius):
         assert tally.cases == 2 * len(verts) ** 3
         assert (tally.failures > 0) == broken
         assert (tally.first_failure is not None) == broken
+
+
+def _per_pair_sweeps(verts, probes):
+    """(cases, failures) of lower_bounds on every pair of verts and of
+    balanced_compare on every pair of verts x probes, call by call."""
+    lower, balanced = Tally(), Tally()
+    for x in verts:
+        for y in verts:
+            for report in verify_mod.lower_bounds(x, y):
+                lower.check(report.verified, lambda: "lower bound")
+        for z in probes:
+            for report in verify_mod.balanced_compare(x, z):
+                balanced.check(not report.falsified, lambda: "balanced")
+    return (lower.cases, lower.failures), (balanced.cases, balanced.failures)
+
+
+def _tree_bound_too_high(x, y):
+    # one too high on the profiles whose spine depths sum to a multiple of 3
+    tree, index = lower_bounds(x, y)
+    if sum(pair_profile(x, y).m) % 3:
+        return tree, index
+    bound = tree.bound + 1
+    return replace(tree, bound=bound, verified=distance(x, y) >= bound), index
+
+
+def _leq_off_by_one(x, z):
+    # BalancedLeq claims distance(x, z) < distance(x, id) when they are equal
+    eq, leq, geq = balanced_compare(x, z)
+    if distance(x, z) != eq.bound:
+        return eq, leq, geq
+    return eq, replace(leq, bound=leq.bound - 1, verified=False), geq
+
+
+FAULTS = {"lower_bounds": _tree_bound_too_high, "balanced_compare": _leq_off_by_one}
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@pytest.mark.parametrize("d,q,radius", [(3, 2, 2), (2, 2, 3)])
+def test_class_sweeps_match_per_pair_calls(d, q, radius, fault, monkeypatch):
+    params = DLParams(d, q)
+    verts = sorted(ball_distances(params, radius), key=vertex_sort_key)
+    probes = _balanced_probes(params, [2] * (d - 1) + [4])
+    if fault:
+        monkeypatch.setattr(verify_mod, fault, FAULTS[fault])
+    want_lower, want_balanced = _per_pair_sweeps(verts, probes)
+    assert want_lower[0] == 2 * len(verts) ** 2
+    assert want_balanced[0] == 3 * len(verts) * len(probes)
+    table = pair_table(verts)
+    for screen, args, want, broken in (
+        (screen_lower_bounds, (verts,), want_lower, fault == "lower_bounds"),
+        (screen_balanced, (verts, probes), want_balanced, fault == "balanced_compare"),
+    ):
+        tally = Tally()
+        screen(tally, table, *args)
+        assert (tally.cases, tally.failures) == want
+        assert (tally.failures > 0) == broken
+        assert (tally.first_failure is not None) == broken
+
+
+def test_class_sweeps_fail_on_a_wrong_table():
+    # a representative checks its inputs against the table: a wrong row
+    # fails its class, and the case count stays that of every pair
+    params = DLParams(2, 2)
+    verts = sorted(ball_distances(params, 3), key=vertex_sort_key)
+    probes = _balanced_probes(params, [2, 4])
+    table = pair_table(verts)
+    shifted = table.m.copy()
+    shifted[::7, 0] += 1
+    lowered = table.dist.copy()
+    lowered[::5] -= 1
+    for screen, args, mutant, claim in (
+        (screen_lower_bounds, (verts,), replace(table, m=shifted), "profile table"),
+        (screen_balanced, (verts, probes), replace(table, dist=lowered), "distance tables"),
+    ):
+        clean, broken = Tally(), Tally()
+        screen(clean, table, *args)
+        screen(broken, mutant, *args)
+        assert clean.failures == 0
+        assert broken.cases == clean.cases and broken.failures > 0
+        assert broken.first_failure.startswith(claim)
