@@ -61,6 +61,7 @@ from .horofn import (
     m_profile,
     printed_probe_set,
     probe_disagreement,
+    shifts,
     symmetric_probe_set,
 )
 from .metric import (
@@ -81,10 +82,8 @@ from .metric import (
     profile_distance,
 )
 from .stars import (
-    HalfspaceQuery,
     StarWitnessReport,
     VerificationReport,
-    in_halfspace,
     nk_beta_truncation,
     separation_evidence,
     star_witness,
@@ -113,7 +112,6 @@ __all__ = [
     "DLParams",
     "DLVertex",
     "DimensionMismatch",
-    "HalfspaceQuery",
     "HeightImbalance",
     "HorofunctionValue",
     "INFINITE",
@@ -153,7 +151,6 @@ __all__ = [
     "format_vertex",
     "gamma_family",
     "identity",
-    "in_halfspace",
     "is_canonical",
     "limit_value",
     "lower_bounds",
@@ -172,6 +169,7 @@ __all__ = [
     "profile_distance",
     "run_suites",
     "separation_evidence",
+    "shifts",
     "star_witness",
     "symmetric_probe_set",
     "tree_distance",

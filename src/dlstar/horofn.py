@@ -2,12 +2,12 @@
 balanced tree-3 ray.
 
 The horofunction of a family (x_n) at a probe z is the limit of
-distance(x_n, z) - distance(x_n, id).  From n = weight(z) + 1 on (the
-weight is the sum of all m_i + l_i of z) every meet statistic of x_n
-against z or id is affine in n, so limit_value runs the distance
-kernels over Z[n] and reads the limit off exactly.  For the beta family
-(balanced down-then-up excursions in tree 3) the limit has the closed
-form
+distance(x_n, z) - distance(x_n, id), which shifts computes at one x_n.
+From n = weight(z) + 1 on (the weight is the sum of all m_i + l_i of z)
+every meet statistic of x_n against z or id is affine in n, so
+limit_value runs the distance kernels over Z[n] and reads the limit off
+exactly.  For the beta family (balanced down-then-up excursions in
+tree 3) the limit has the closed form
 
     m1 + m2 + min over j in {1, 2} of { m_j + h3, h_j + h3, l_j }
 
@@ -98,6 +98,13 @@ def _profile_in_n(
         for r0, r1 in zip(p0, p1)
     ))
     return exact, p0
+
+
+def shifts(x: DLVertex, targets: tuple[DLVertex, ...]) -> tuple[int, ...]:
+    """distance(x, w) - distance(x, id) for each target w: the finite-n
+    term whose limit along a family limit_value takes."""
+    base = distance(x, identity(x.params))
+    return tuple(distance(x, w) - base for w in targets)
 
 
 def limit_value(family: PointFamily, z: DLVertex) -> HorofunctionValue:
@@ -237,9 +244,12 @@ def _require_probe_params(params: DLParams) -> None:
 class ProbeReport(NamedTuple):
     """Probe-by-probe comparison of measured shifts with the closed form."""
 
-    disagrees: bool
     witness: DLVertex | None
     rows: tuple[tuple[DLVertex, int, int], ...]
+
+    @property
+    def disagrees(self) -> bool:
+        return self.witness is not None
 
 
 @lru_cache(maxsize=8)
@@ -250,10 +260,8 @@ def _closed_forms(probes: tuple[DLVertex, ...]) -> tuple[int, ...]:
 
 
 def probe_disagreement(z: DLVertex, probes: tuple[DLVertex, ...]) -> ProbeReport:
-    """Does distance(z, f) - distance(z, id) differ from beta_value(f)
-    for some probe f?  True means z visibly does not approach beta."""
-    dzid = distance(z, identity(z.params))
-    measured = [distance(z, f) - dzid for f in probes]
-    rows = tuple(zip(probes, measured, _closed_forms(tuple(probes))))
+    """Does the shift of z at some probe f differ from beta_value(f)?
+    A witness f means z visibly does not approach beta."""
+    rows = tuple(zip(probes, shifts(z, probes), _closed_forms(tuple(probes))))
     witness = next((f for f, got, want in rows if got != want), None)
-    return ProbeReport(witness is not None, witness, rows)
+    return ProbeReport(witness, rows)

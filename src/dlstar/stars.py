@@ -14,29 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .dlgraph import DLParams, DLVertex, PointFamily, identity, vertex_sort_key
+from .dlgraph import DLParams, DLVertex, PointFamily, vertex_sort_key
 from .errors import ProfileMismatch, WrongDimension
-from .horofn import m_profile
-from .metric import distance
+from .horofn import m_profile, shifts
 from .treecoord import ORIGIN, TreeVertex, _require_int, canonical_paths
-
-
-@dataclass(frozen=True)
-class HalfspaceQuery:
-    """Witness vertices W and slack C defining {z : d(z, W) <= d(z, id) + C}."""
-
-    witnesses: tuple[DLVertex, ...]
-    offset: int = 0
-
-    def __post_init__(self):
-        if not self.witnesses:
-            raise ValueError("halfspace needs at least one witness vertex")
-        _require_int(self.offset, "offset")
-
-
-def in_halfspace(z: DLVertex, query: HalfspaceQuery) -> bool:
-    best = min(distance(z, w) for w in query.witnesses)
-    return best <= distance(z, identity(z.params)) + query.offset
 
 
 @dataclass(frozen=True)
@@ -48,8 +29,11 @@ class StarWitnessReport:
     checked_n: int
     offset: int
     margins: tuple[int, ...]
-    holds_for_all: bool
     first_failure: int | None
+
+    @property
+    def holds_for_all(self) -> bool:
+        return self.first_failure is None
 
 
 def star_witness(
@@ -62,19 +46,15 @@ def star_witness(
     """
     _require_int(n_max, "n_max", 1)
     _require_int(offset, "offset")
-    base = identity(a.params)
     margins = []
     first_failure = None
     for n in range(1, n_max + 1):
-        an = a.at(n)
-        margin = distance(an, base) + offset - distance(an, b.at(n))
+        (shift,) = shifts(a.at(n), (b.at(n),))
+        margin = offset - shift
         margins.append(margin)
         if margin < 0 and first_failure is None:
             first_failure = n
-    return StarWitnessReport(
-        a.name, b.name, n_max, offset, tuple(margins),
-        first_failure is None, first_failure,
-    )
+    return StarWitnessReport(a.name, b.name, n_max, offset, tuple(margins), first_failure)
 
 
 def nk_beta_truncation(params: DLParams, k: int, depth: int) -> tuple[DLVertex, ...]:
@@ -181,14 +161,13 @@ def separation_evidence(
             f"{a.name} has limiting tree-3 spine depth {profile[2]}, need 0"
         )
     witnesses = nk_beta_truncation(a.params, k, depth)
-    base = identity(a.params)
+    if not witnesses:  # q = 1 has no vertex at depth >= 1
+        raise ValueError(f"no witnesses of depth {k}..{k + depth} at q = {a.params.q}")
     tally = Tally()
     slacks = []
     for n in range(1, n_max + 1):
-        an = a.at(n)
-        target = distance(an, base) + k
-        for w in witnesses:
-            slacks.append(distance(an, w) - target)
+        for w, shift in zip(witnesses, shifts(a.at(n), witnesses)):
+            slacks.append(shift - k)
             tally.check(slacks[-1] >= 0, lambda: f"n={n}, w={w}")
     return tally.report(
         f"separation:{a.name},k={k}",

@@ -265,6 +265,11 @@ def test_separation_exit_codes(capsys):
         "--nmax", "0", "--depth", "1",
     )
     assert code == 2 and out == "" and "n_max" in err
+    # at q = 1 the neighborhood is empty, so nothing is checked
+    code, out, err = run(
+        capsys, "--q", "1", "separation", "--family", "nu:1,0,0", "--k", "1",
+    )
+    assert code == 2 and out == "" and "no witnesses" in err
 
 
 def test_verify_suite(capsys):

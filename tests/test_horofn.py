@@ -31,6 +31,7 @@ from dlstar import (
     parse_vertex,
     printed_probe_set,
     probe_disagreement,
+    shifts,
     symmetric_probe_set,
     zeta_family,
     zeta_point,
@@ -119,6 +120,7 @@ def test_limit_holds_from_from_n(d, q, radius, name):
         for n in range(limit.from_n, limit.from_n + 31):
             x = fam.at(n)
             assert distance(x, z) - distance(x, base) == limit.value, (name, z, n)
+            assert shifts(x, (z,)) == (limit.value,), (name, z, n)
 
 
 def test_exact_forms_are_checked_at_from_n(params, monkeypatch):

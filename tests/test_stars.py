@@ -5,33 +5,18 @@ import pytest
 
 from dlstar import (
     DLParams,
-    HalfspaceQuery,
     ProfileMismatch,
     WrongDimension,
     alpha_family,
     beta_family,
     gamma_family,
-    in_halfspace,
     nk_beta_truncation,
+    nu_family,
     separation_evidence,
     star_witness,
     zeta_point,
 )
 from dlstar.stars import Tally
-
-
-def test_halfspace_membership(params):
-    a5 = alpha_family(params).at(5)
-    b5 = beta_family(params).at(5)
-    tight = HalfspaceQuery(witnesses=(b5,), offset=0)
-    assert not in_halfspace(a5, tight)
-    assert in_halfspace(a5, HalfspaceQuery((b5,), offset=5))
-    assert in_halfspace(b5, tight)
-    with pytest.raises(ValueError):
-        HalfspaceQuery(witnesses=())
-    for offset in (1.5, True):
-        with pytest.raises(ValueError, match="must be an int"):
-            HalfspaceQuery((b5,), offset=offset)
 
 
 def test_star_witness_beta_into_alpha(params):
@@ -110,6 +95,9 @@ def test_separation_rejects_wrong_profile(params):
     # no index checked is no evidence, not a pass
     with pytest.raises(ValueError, match="n_max"):
         separation_evidence(alpha_family(params), 1, 0, 1)
+    # nor is an empty neighborhood: at q = 1 no vertex has depth >= 1
+    with pytest.raises(ValueError, match="no witnesses"):
+        separation_evidence(nu_family(DLParams(3, 1), 1, 0, 0), 1, 4, 2)
     for k, n_max, depth in ((True, 3, 1), (1, 3.0, 1), (1, 3, 1.0), (1.5, 3, 1)):
         with pytest.raises(ValueError, match="must be an int"):
             separation_evidence(alpha_family(params), k, n_max, depth)

@@ -1,14 +1,18 @@
-"""Source checks that stand in for a linter: every import is read, and
-the package exports exactly what its __init__ imports."""
+"""Source checks that stand in for a linter: every import is read, the
+package exports exactly what its __init__ imports, and README's examples
+run as printed."""
 
 import ast
+import shlex
 from pathlib import Path
 
 import pytest
 
 import dlstar
+from dlstar.cli import main
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dlstar"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dlstar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -54,3 +58,40 @@ def test_all_lists_the_package_imports():
     ]
     assert len(dlstar.__all__) == len(set(dlstar.__all__))
     assert set(dlstar.__all__) == set(imported)
+
+
+def readme_block(section: str, lang: str) -> str:
+    """The first fenced `lang` block under README's `## section` heading."""
+    text = (ROOT / "README.md").read_text().split(f"\n## {section}\n", 1)[1]
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+# verify runs in the acceptance tests
+README_COMMANDS = [
+    shlex.split(line, comments=True)
+    for line in readme_block("Command line", "sh").splitlines()
+    if not line.startswith("dlstar verify")
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[1])
+def test_readme_commands_run(argv, capsys):
+    assert argv[0] == "dlstar"
+    assert main(argv[1:]) == 0, capsys.readouterr()
+
+
+def test_readme_quick_start_runs():
+    # each bare expression's comment starts with its result
+    source = readme_block("Library quick start", "python")
+    lines = source.splitlines()
+    namespace: dict = {}
+    results = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        got = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        want = lines[node.end_lineno - 1].partition("#")[2].strip().rsplit(", ", 1)[0]
+        assert repr(got).removeprefix(type(got).__name__) == want, lines[node.lineno - 1]
+        results.append(want)
+    assert results == ["5", "5", "1", "(value=1, from_n=9)"]
