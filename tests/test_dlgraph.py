@@ -77,6 +77,12 @@ def test_ball_distances_are_layered(params, ball3):
         assert min(ball3.get(w, 99) for w in neighbors(v)) == r - 1
 
 
+def test_ball_shares_equal_coordinates(ball4):
+    # one object per distinct tree coordinate, however many vertices hold it
+    coords = [c for v in ball4 for c in v.coords]
+    assert len({id(c) for c in coords}) == len(set(coords)) < len(coords) // 10
+
+
 def test_ball_memory_cap(params):
     with pytest.raises(MemoryCapExceeded) as e:
         ball_distances(params, 3, max_vertices=100)

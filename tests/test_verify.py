@@ -13,20 +13,27 @@ from dlstar import (
     ball_distances,
     distance,
     f_value,
+    identity,
     lower_bounds,
     balanced_compare,
     pair_profile,
+    printed_probe_set,
+    probe_disagreement,
     run_suites,
+    symmetric_probe_set,
     vertex_sort_key,
 )
 from dlstar.stars import Tally
 from dlstar.verify import (
+    DEFAULT_SEED,
     SUITES,
     _balanced_probes,
+    _check_probe_exclusion,
     pair_table,
     screen_balanced,
     screen_dominance,
     screen_lower_bounds,
+    screen_probes,
 )
 import dlstar.verify as verify_mod
 
@@ -91,6 +98,24 @@ def test_pair_table_cross_matches_pair_profile(ball3, params):
     probes = _balanced_probes(params, [2, 2, 4])
     table = pair_table(verts, probes)
     assert table.inv.shape == (319, 256) and table.inv.dtype == np.int32
+    m, l, dist = table.m.tolist(), table.l.tolist(), table.dist.tolist()
+    assert len(dist) == len(set(zip(map(tuple, m), map(tuple, l))))
+    for x, row in zip(verts, table.inv.tolist()):
+        for z, p in zip(probes, row):
+            assert PairProfile(tuple(m[p]), tuple(l[p])) == pair_profile(x, z)
+            assert dist[p] == distance(x, z)
+
+
+def test_pair_table_narrow_cross_spans_blocks(ball4, params):
+    # many rows and few columns: the key is built and ranked a block of
+    # rows at a time, and the last block is a partial one
+    verts = sorted(ball4, key=vertex_sort_key)
+    sets = symmetric_probe_set(params) + printed_probe_set(params)
+    probes = (identity(params),) + tuple(dict.fromkeys(sets))
+    step = verify_mod._BLOCK_PAIRS // len(probes)
+    assert len(verts) > 2 * step and len(verts) % step
+    table = pair_table(verts, probes)
+    assert table.inv.shape == (1129, 8) and table.inv.dtype == np.int32
     m, l, dist = table.m.tolist(), table.l.tolist(), table.dist.tolist()
     assert len(dist) == len(set(zip(map(tuple, m), map(tuple, l))))
     for x, row in zip(verts, table.inv.tolist()):
@@ -218,3 +243,44 @@ def test_class_sweeps_fail_on_a_wrong_table():
         assert clean.failures == 0
         assert broken.cases == clean.cases and broken.failures > 0
         assert broken.first_failure.startswith(claim)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_probe_screen_matches_probe_disagreement(q):
+    # every vertex of the radius-4 ball, trivial ones included, so that the
+    # symmetric set misses some and the screen must count each miss
+    params = DLParams(3, q)
+    verts = sorted(ball_distances(params, 4), key=vertex_sort_key)
+    sets = (symmetric_probe_set(params), printed_probe_set(params))
+    want = np.array([[probe_disagreement(z, s).disagrees for s in sets] for z in verts])
+    tally = Tally()
+    excluded, profiles, classes = screen_probes(tally, verts, *sets)
+    assert excluded.shape == (len(verts), 2)
+    assert (excluded == want).all()
+    assert 0 < (~want[:, 0]).sum() < (~want[:, 1]).sum()
+    assert (tally.cases, tally.failures) == (len(verts), int((~want[:, 0]).sum()))
+    assert tally.first_failure.endswith("agrees with every symmetric probe")
+    probes = (identity(params),) + tuple(dict.fromkeys(sets[0] + sets[1]))
+    assert profiles == len(pair_table(verts, probes).dist)
+    assert 0 < classes < len(verts)
+
+
+def test_probe_screen_fails_on_a_wrong_table(params, monkeypatch):
+    # a representative checks its shifts and witnesses against
+    # probe_disagreement: one profile one too high fails its class, and
+    # the case count stays one per vertex
+    clean = _check_probe_exclusion(params, DEFAULT_SEED)
+    real = verify_mod.pair_table
+
+    def one_too_high(rows, cols=None):
+        table = real(rows, cols)
+        raised = table.dist.copy()
+        raised[table.inv[0, 0]] += 1  # distance(first row, id)
+        return replace(table, dist=raised)
+
+    monkeypatch.setattr(verify_mod, "pair_table", one_too_high)
+    broken = _check_probe_exclusion(params, DEFAULT_SEED)
+    assert clean.failures == 0
+    assert broken.cases == clean.cases == 10585
+    assert broken.failures > 0
+    assert broken.first_failure.startswith("shift table disagrees with probe_disagreement")
