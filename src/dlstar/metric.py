@@ -42,10 +42,6 @@ class PairProfile(NamedTuple):
     m: tuple[int, ...]
     l: tuple[int, ...]
 
-    @property
-    def h(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in zip(self.m, self.l))
-
 
 def _check_same_graph(x: DLVertex, y: DLVertex) -> None:
     if len(x.coords) != len(y.coords) or x.q != y.q:
@@ -241,12 +237,6 @@ class BoundReport:
     @property
     def falsified(self) -> bool:
         return self.hypothesis_holds and not self.verified
-
-    @property
-    def status(self) -> str:
-        if not self.hypothesis_holds:
-            return "not-applicable"
-        return "verified" if self.verified else "falsified"
 
 
 def lower_bounds(x: DLVertex, y: DLVertex) -> tuple[BoundReport, BoundReport]:

@@ -8,7 +8,11 @@ vertex screens the pairs of distinct profiles it sees, every case
 weighted by how many triples share it.  Sampled calls bind the table
 and the screens to the checker functions they certify.  The exhaustive
 pair checks call their checker once per class of pairs with the same
-inputs, each call weighted by how many pairs share them.
+inputs, each call weighted by how many pairs share them.  Both probe
+sweeps, balanced_compare against the balanced probes and
+probe_disagreement against the probe sets, build their own cross table
+of the vertices against (id,) + probes and read each vertex's distance
+to the identity from its first column.
 """
 
 from __future__ import annotations
@@ -308,28 +312,28 @@ def screen_lower_bounds(tally: Tally, table: PairTable, verts: Sequence[DLVertex
 
 
 def screen_balanced(
-    tally: Tally, table: PairTable, verts: Sequence[DLVertex], probes: Sequence[DLVertex]
-) -> None:
+    tally: Tally, verts: Sequence[DLVertex], probes: Sequence[DLVertex]
+) -> int:
     """balanced_compare on every (x, z) in verts x probes, one call per class.
 
     balanced_compare(x, z) reads x's spine depths, z's spine depths,
     distance(x, id) and distance(x, z).  Those four are the class: the
-    depths coded per vertex, distance(x, id) read from table (the pair
-    table of verts, which must hold id) and distance(x, z) from
-    pair_table(verts, probes), one base vertex x at a time.  The first
-    pair of each class stands for all, three reports each, and checks
-    both distances against the tables.
+    depths coded per vertex and both distances read from pair_table(verts,
+    (id,) + probes), distance(x, id) from its first column, one base
+    vertex x at a time.  The first pair of each class stands for all,
+    three reports each, and checks both distances against the table.
+    Returns the number of classes.
     """
     home = identity(verts[0].params)
-    cross = pair_table(verts, probes)
-    base = table.dist[table.inv[:, verts.index(home)]]
+    cross = pair_table(verts, (home, *probes))
+    base = cross.dist[cross.inv[:, 0]]
     xkey = [[c.m for c in x.coords] + [b] for x, b in zip(verts, base.tolist())]
     xc = np.unique(xkey, axis=0, return_inverse=True)[1].reshape(-1)
     zkey = [[c.m for c in z.coords] for z in probes]
     zc = np.unique(zkey, axis=0, return_inverse=True)[1].reshape(-1)
     nz, span_d = int(zc.max()) + 1, int(cross.dist.max()) + 1
     count, first = _classes(
-        ((xc[a] * nz + zc) * span_d + cross.dist[row] for a, row in enumerate(cross.inv)),
+        ((xc[a] * nz + zc) * span_d + cross.dist[row[1:]] for a, row in enumerate(cross.inv)),
         (int(xc.max()) + 1) * nz * span_d,
     )
     seen = np.flatnonzero(count)
@@ -342,10 +346,11 @@ def screen_balanced(
     def message(i, j):
         x, z = pairs[i]
         if not same[i]:
-            return f"distance tables disagree with distance at x={x}, z={z}"
+            return f"distance table disagrees with distance at x={x}, z={z}"
         return f"{reports[i][j].claim} falsified at x={x}, z={z}"
 
     tally.screen(bad, message, np.broadcast_to(count[seen, None], bad.shape))
+    return len(seen)
 
 
 def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
@@ -405,7 +410,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     # balanced comparisons against a balanced probe pool, and certified
     # lower bounds on every pair, one call per class of equal inputs
     probes = _balanced_probes(params, [2] * (d - 1) + [4])
-    screen_balanced(tally, table, verts, probes)
+    balanced_classes = screen_balanced(tally, verts, probes)
     screen_lower_bounds(tally, table, verts)
 
     return tally.report(
@@ -414,6 +419,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             "ball_radius": 3,
             "vertices": n,
             "balanced_probes": len(probes),
+            "balanced_classes": balanced_classes,
             "distinct_profiles": len(table.dist),
             "max_profiles_per_vertex": widest,
         },
@@ -501,61 +507,54 @@ def screen_probes(
     verts: Sequence[DLVertex],
     symmetric: tuple[DLVertex, ...],
     printed: tuple[DLVertex, ...],
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[int, int, int]:
     """probe_disagreement of every z in verts with both sets, one call per
     class of vertices with equal shifts.
 
     The probes are those of either set, each once.  In pair_table(verts,
     (id,) + probes), row z's shifts are its distances to the probes less
-    its distance to id, and a set excludes z when some shift differs
-    from the probe's beta_value.  Every z the symmetric set does not
-    exclude is a failure, one case per z.  probe_disagreement(z, probes)
-    reads z only through those shifts, so the first z of each class of
-    equal shift rows stands for the class: its witness and rows for both
-    sets must match the table's.  Returns, per z, whether each set
-    (symmetric, printed) excludes it, the number of distinct profiles in
-    the table and the number of classes.
+    its distance to id, read from the first column.  probe_disagreement(z,
+    probes) reads z only through those shifts, so the first z of each
+    class of equal shift rows stands for the class: its witness and rows
+    for both sets must match the table's, and the table's reports count
+    for every z of the class.  Every z the symmetric set does not exclude
+    is a failure, one case per z.  Returns the number of z the printed
+    set does not exclude, the number of distinct profiles in the table
+    and the number of classes.
     """
     sets = (symmetric, printed)
     probes = tuple(dict.fromkeys(symmetric + printed))
-    cols = [[probes.index(f) for f in s] for s in sets]
-    want = np.array([beta_value(f) for f in probes])
+    beta = {f: beta_value(f) for f in probes}
     cross = pair_table(verts, (identity(verts[0].params),) + probes)
-    excluded = np.zeros((len(verts), len(sets)), dtype=bool)
     classes: dict[tuple[int, ...], list[int]] = {}  # shift row -> [first z, count]
     for block in _row_blocks(*cross.inv.shape):
         dist = cross.dist[cross.inv[block]]
-        dist -= dist[:, :1]
-        shift = dist[:, 1:]
-        differs = shift != want
-        for k, c in enumerate(cols):
-            excluded[block, k] = differs[:, c].any(axis=1)
-        for a, row in enumerate(map(tuple, shift.tolist()), block.start):
+        for a, row in enumerate(map(tuple, (dist[:, 1:] - dist[:, :1]).tolist()), block.start):
             classes.setdefault(row, [a, 0])[1] += 1
     profiles = len(cross.dist)
     del cross, dist  # the representatives' calls below need neither
 
-    def from_table(
-        row: tuple[int, ...], probe_set: tuple[DLVertex, ...], c: list[int]
-    ) -> ProbeReport:
-        got = tuple((f, row[j], int(want[j])) for f, j in zip(probe_set, c))
-        return ProbeReport(next((f for f, shift, w in got if shift != w), None), got)
+    def from_table(row: tuple[int, ...], probe_set: tuple[DLVertex, ...]) -> ProbeReport:
+        shift = dict(zip(probes, row))
+        got = tuple((f, shift[f], beta[f]) for f in probe_set)
+        return ProbeReport(next((f for f, s, w in got if s != w), None), got)
 
     reps = [(verts[a], row) for row, (a, _) in classes.items()]
-    expected = [[from_table(row, s, c) for s, c in zip(sets, cols)] for _, row in reps]
+    expected = [[from_table(row, s) for s in sets] for _, row in reps]
     mismatch = [
         [probe_disagreement(z, s) for s in sets] != reports
         for (z, _), reports in zip(reps, expected)
     ]
-    bad = np.array([m or reports[0].witness is None for m, reports in zip(mismatch, expected)])
+    count = np.array([n for _, n in classes.values()])
+    missed = np.array([[r.witness is None for r in reports] for reports in expected])
 
     def message(i):
         if mismatch[i]:
             return f"shift table disagrees with probe_disagreement at {reps[i][0]}"
         return f"{reps[i][0]} agrees with every symmetric probe"
 
-    tally.screen(bad, message, np.array([n for _, n in classes.values()]))
-    return excluded, profiles, len(classes)
+    tally.screen(np.array(mismatch) | missed[:, 0], message, count)
+    return int(count[missed[:, 1]].sum()), profiles, len(classes)
 
 
 def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
@@ -565,7 +564,7 @@ def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
     nontrivial = [z for z in reached if any(c != ORIGIN for c in z.coords[:2])]
     del reached
     tally = Tally()
-    excluded, profiles, classes = screen_probes(tally, nontrivial, symmetric, printed)
+    misses, profiles, classes = screen_probes(tally, nontrivial, symmetric, printed)
     tally.check(
         not probe_disagreement(beta_family(params).at(5), symmetric).disagrees,
         lambda: "beta_5 unexpectedly disagrees with a symmetric probe",
@@ -575,7 +574,7 @@ def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
         {
             "ball_radius": 6,
             "nontrivial_vertices": len(nontrivial),
-            "printed_set_misses": int((~excluded[:, 1]).sum()),
+            "printed_set_misses": misses,
             "distinct_profiles": profiles,
             "probe_classes": classes,
         },

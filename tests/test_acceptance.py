@@ -69,6 +69,9 @@ def test_comparison_lemma_screens(params, capsys):
     rep = _run(capsys, _check_comparison_lemmas, params, budget=10)
     assert rep.details["ball_radius"] == 3
     assert rep.details["vertices"] == 319
+    assert rep.details["balanced_probes"] == 256
+    # one balanced_compare call per class of equal inputs
+    assert rep.details["balanced_classes"] == 2287
     assert rep.details["distinct_profiles"] == 704
     assert rep.details["max_profiles_per_vertex"] == 119
     assert rep.cases == 65_374_896  # 2 * 319**3 screened triples + 451,378 checked calls
@@ -80,6 +83,7 @@ def test_comparison_lemma_screens_at_q3(capsys):
     assert rep.details["ball_radius"] == 3
     assert rep.details["vertices"] == 1063
     assert rep.details["balanced_probes"] == 6561
+    assert rep.details["balanced_classes"] == 2448
     assert rep.details["distinct_profiles"] == 704
     assert rep.details["max_profiles_per_vertex"] == 119
     assert rep.cases == 2_425_499_899  # 2 * 1063**3 screened triples + 23,185,805 checked calls

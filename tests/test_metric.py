@@ -103,7 +103,7 @@ def test_pair_profile_and_f_values(params, origin):
     z11 = zeta_point(params, 1, 1)
     prof = pair_profile(origin, z11)
     assert prof == PairProfile((1, 0, 0), (1, 0, 0))
-    assert prof.h == (0, 0, 0)
+    assert prof.l == prof.m  # no height change across the pair
     assert f_value(prof, (2, 1, 3), 2) == 2
     assert f_value(prof, (1, 2, 3), 3) == 2
     assert f_row_max(prof, (1, 2, 3)) == 2
@@ -304,7 +304,7 @@ def test_lower_bounds_hold_exhaustively(params):
         assert tree.claim == "TreeBound" and index.claim == "BigIndex"
         for rep in (tree, index):
             assert rep.verified and not rep.falsified
-            assert rep.status == "verified"
+            assert rep.hypothesis_holds
             assert rep.bound <= distance(o, v)
 
 
@@ -323,7 +323,7 @@ def test_f_dominance(params, origin):
     assert rep.bound == distance(b10, origin) + 1 == 21
     # push the offset past the actual gap: hypothesis must fail
     rep2 = check_f_dominance(b10, origin, z11, 2)
-    assert not rep2.hypothesis_holds and rep2.status == "not-applicable"
+    assert not rep2.hypothesis_holds and not rep2.verified
     assert not rep2.falsified
     for k in (1.0, True):
         with pytest.raises(ValueError):

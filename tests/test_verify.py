@@ -210,36 +210,70 @@ def test_class_sweeps_match_per_pair_calls(d, q, radius, fault, monkeypatch):
     want_lower, want_balanced = _per_pair_sweeps(verts, probes)
     assert want_lower[0] == 2 * len(verts) ** 2
     assert want_balanced[0] == 3 * len(verts) * len(probes)
-    table = pair_table(verts)
     for screen, args, want, broken in (
-        (screen_lower_bounds, (verts,), want_lower, fault == "lower_bounds"),
+        (screen_lower_bounds, (pair_table(verts), verts), want_lower, fault == "lower_bounds"),
         (screen_balanced, (verts, probes), want_balanced, fault == "balanced_compare"),
     ):
         tally = Tally()
-        screen(tally, table, *args)
+        screen(tally, *args)
         assert (tally.cases, tally.failures) == want
         assert (tally.failures > 0) == broken
         assert (tally.first_failure is not None) == broken
 
 
-def test_class_sweeps_fail_on_a_wrong_table():
-    # a representative checks its inputs against the table: a wrong row
-    # fails its class, and the case count stays that of every pair
+@pytest.mark.parametrize("d,q,cases", [(3, 2, 57_600), (2, 2, 2_688)])
+def test_balanced_screen_needs_no_identity(d, q, cases, monkeypatch):
+    # distance to id comes from the screen's own cross table, so a vertex
+    # list without the identity is screened like any other
+    params = DLParams(d, q)
+    verts = sorted(set(ball_distances(params, 2)) - {identity(params)}, key=vertex_sort_key)
+    probes = _balanced_probes(params, [2] * (d - 1) + [4])
+    want = _per_pair_sweeps(verts, probes)[1]
+    calls = []
+
+    def counted(x, z):
+        calls.append((x, z))
+        return balanced_compare(x, z)
+
+    monkeypatch.setattr(verify_mod, "balanced_compare", counted)
+    tally = Tally()
+    classes = screen_balanced(tally, verts, probes)
+    assert (tally.cases, tally.failures) == want == (cases, 0)
+    assert classes == len(calls) < len(verts) * len(probes)
+
+
+def test_class_sweeps_fail_on_a_wrong_table(monkeypatch):
+    # a representative checks its inputs against the table it reads: a
+    # wrong row fails its class, and the case count stays that of every pair
     params = DLParams(2, 2)
     verts = sorted(ball_distances(params, 3), key=vertex_sort_key)
     probes = _balanced_probes(params, [2, 4])
     table = pair_table(verts)
     shifted = table.m.copy()
     shifted[::7, 0] += 1
-    lowered = table.dist.copy()
-    lowered[::5] -= 1
-    for screen, args, mutant, claim in (
-        (screen_lower_bounds, (verts,), replace(table, m=shifted), "profile table"),
-        (screen_balanced, (verts, probes), replace(table, dist=lowered), "distance tables"),
+    real = verify_mod.pair_table
+
+    def raised(rows, cols=None):
+        cross = real(rows, cols)
+        dist = cross.dist.copy()
+        dist[::5] += 1
+        return replace(cross, dist=dist)
+
+    def lower_bounds_screen(tally, broken):
+        screen_lower_bounds(tally, replace(table, m=shifted) if broken else table, verts)
+
+    def balanced_screen(tally, broken):
+        if broken:
+            monkeypatch.setattr(verify_mod, "pair_table", raised)
+        screen_balanced(tally, verts, probes)
+
+    for screen, claim in (
+        (lower_bounds_screen, "profile table"),
+        (balanced_screen, "distance table"),
     ):
         clean, broken = Tally(), Tally()
-        screen(clean, table, *args)
-        screen(broken, mutant, *args)
+        screen(clean, False)
+        screen(broken, True)
         assert clean.failures == 0
         assert broken.cases == clean.cases and broken.failures > 0
         assert broken.first_failure.startswith(claim)
@@ -254,10 +288,9 @@ def test_probe_screen_matches_probe_disagreement(q):
     sets = (symmetric_probe_set(params), printed_probe_set(params))
     want = np.array([[probe_disagreement(z, s).disagrees for s in sets] for z in verts])
     tally = Tally()
-    excluded, profiles, classes = screen_probes(tally, verts, *sets)
-    assert excluded.shape == (len(verts), 2)
-    assert (excluded == want).all()
-    assert 0 < (~want[:, 0]).sum() < (~want[:, 1]).sum()
+    misses, profiles, classes = screen_probes(tally, verts, *sets)
+    assert misses == int((~want[:, 1]).sum())
+    assert 0 < (~want[:, 0]).sum() < misses
     assert (tally.cases, tally.failures) == (len(verts), int((~want[:, 0]).sum()))
     assert tally.first_failure.endswith("agrees with every symmetric probe")
     probes = (identity(params),) + tuple(dict.fromkeys(sets[0] + sets[1]))
