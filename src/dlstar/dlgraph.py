@@ -12,9 +12,11 @@ horofn reads the shape to take limits exactly.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -28,6 +30,7 @@ from .treecoord import (
     ORIGIN,
     TreeVertex,
     _require_int,
+    canonical_paths,
     canonicalize,
     format_tree,
     parse_tree,
@@ -35,6 +38,9 @@ from .treecoord import (
 
 MAX_DIMENSION = 8
 DEFAULT_MEMORY_CAP = 2_000_000
+# entries of one (U, U, width) array that the lemma screens build per base
+# vertex: 2**25 int64 entries are 256 MiB.  DL_4(2) needs 589 * 589 * 72.
+SCREEN_ENTRY_CAP = 2**25
 
 
 @dataclass(frozen=True)
@@ -159,6 +165,32 @@ def ball_distances(
                 raise MemoryCapExceeded("ball enumeration too large", len(dist))
         frontier = nxt
     return dist
+
+
+def balanced_vertices(params: DLParams, depths: Sequence[range]) -> tuple[DLVertex, ...]:
+    """Every vertex whose coordinates all have height 0, tree t's spine
+    depth in depths[t] (a range of nonnegative depths, step 1), with
+    canonical labels, in vertex_sort_key order.
+
+    A tree has one such coordinate at depth 0 and (q-1) q^(j-1) at each
+    depth j >= 1.  Raises MemoryCapExceeded, before building any vertex,
+    when the product of those counts passes DEFAULT_MEMORY_CAP."""
+    if len(depths) != params.d:
+        raise DimensionMismatch(f"expected {params.d} depth ranges, got {len(depths)}")
+    q = params.q
+    # shallower[j] coordinates have depth < j.  For q >= 2 depth top alone
+    # holds more than the cap, and at q = 1 no depth past 0 holds any, so
+    # no depth past top is counted or built.
+    top = DEFAULT_MEMORY_CAP.bit_length() + 1
+    shallower = [0] + [q ** (j - 1) for j in range(1, top + 2)]
+    depths = [range(min(r.start, top), min(r.stop, top + 1)) if r else r for r in depths]
+    size = math.prod(shallower[r.stop] - shallower[r.start] if r else 0 for r in depths)
+    if size > DEFAULT_MEMORY_CAP:
+        raise MemoryCapExceeded("balanced vertex enumeration too large", size)
+    if not size:  # no vertex, though another tree's range may reach top
+        return ()
+    per_tree = [[TreeVertex(j, p) for j in r for p in canonical_paths(j, q)] for r in depths]
+    return tuple(DLVertex(coords, q) for coords in itertools.product(*per_tree))
 
 
 def vertex_sort_key(v: DLVertex):

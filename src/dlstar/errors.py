@@ -39,11 +39,11 @@ class ProfileMismatch(ValueError):
 
 
 class MemoryCapExceeded(RuntimeError):
-    """Breadth-first enumeration grew past the configured vertex cap."""
+    """An enumeration or array grew, or would grow, past its cap."""
 
     def __init__(self, message: str, size: int):
-        super().__init__(f"{message} (visited {size} vertices)")
-        self.size = size
+        super().__init__(f"{message} (at least {size})")
+        self.size = size  # a lower bound on the size asked for
 
 
 class TableMismatch(RuntimeError):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .dlgraph import (
@@ -210,35 +209,24 @@ def betandist_table(z: DLVertex) -> BetaDistTable:
 
 def printed_probe_set(params: DLParams) -> tuple[DLVertex, ...]:
     """Depth-1 and depth-2 tree-1 excursions plus the four unit slides."""
-    _require_probe_params(params)
-    return (
-        zeta_point(params, 1, 1),
-        zeta_point(params, 1, 2),
-        nu_point(params, 1, 0, 1),
-        nu_point(params, 1, 1, 1),
-        nu_point(params, 2, 0, 1),
-        nu_point(params, 2, 1, 1),
-    )
+    return _probe_set(params, ((1, 1), (1, 2)))
 
 
 def symmetric_probe_set(params: DLParams) -> tuple[DLVertex, ...]:
     """Depth-1 excursions in both horizontal trees plus the unit slides."""
-    _require_probe_params(params)
-    return (
-        zeta_point(params, 1, 1),
-        zeta_point(params, 2, 1),
-        nu_point(params, 1, 0, 1),
-        nu_point(params, 1, 1, 1),
-        nu_point(params, 2, 0, 1),
-        nu_point(params, 2, 1, 1),
-    )
+    return _probe_set(params, ((1, 1), (2, 1)))
 
 
-def _require_probe_params(params: DLParams) -> None:
+def _probe_set(params: DLParams, excursions: tuple) -> tuple[DLVertex, ...]:
+    """zeta_point(tree, k) for each (tree, k) in excursions, then the four
+    unit slides nu_point(tree, eps, 1) for tree in (1, 2), eps in (0, 1)."""
     if params.d != 3:
         raise WrongDimension("probe sets are only defined for d = 3")
     if params.q < 2:
         raise ValueError("probe sets need q >= 2")
+    return tuple(zeta_point(params, tree, k) for tree, k in excursions) + tuple(
+        nu_point(params, tree, eps, 1) for tree in (1, 2) for eps in (0, 1)
+    )
 
 
 class ProbeReport(NamedTuple):
@@ -252,16 +240,9 @@ class ProbeReport(NamedTuple):
         return self.witness is not None
 
 
-@lru_cache(maxsize=8)
-def _closed_forms(probes: tuple[DLVertex, ...]) -> tuple[int, ...]:
-    # a check sweeps a ball against the same few probe sets, so each
-    # probe's closed form is evaluated once per set, not once per vertex
-    return tuple(beta_value(f) for f in probes)
-
-
 def probe_disagreement(z: DLVertex, probes: tuple[DLVertex, ...]) -> ProbeReport:
     """Does the shift of z at some probe f differ from beta_value(f)?
     A witness f means z visibly does not approach beta."""
-    rows = tuple(zip(probes, shifts(z, probes), _closed_forms(tuple(probes))))
+    rows = tuple((f, got, beta_value(f)) for f, got in zip(probes, shifts(z, probes)))
     witness = next((f for f, got, want in rows if got != want), None)
     return ProbeReport(witness, rows)

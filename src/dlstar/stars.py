@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .dlgraph import DLParams, DLVertex, PointFamily, vertex_sort_key
+from .dlgraph import DLParams, DLVertex, PointFamily, balanced_vertices
 from .errors import ProfileMismatch, WrongDimension
 from .horofn import m_profile, shifts
-from .treecoord import ORIGIN, TreeVertex, _require_int, canonical_paths
+from .treecoord import _require_int
 
 
 @dataclass(frozen=True)
@@ -63,19 +63,14 @@ def nk_beta_truncation(params: DLParams, k: int, depth: int) -> tuple[DLVertex, 
     These are the vertices agreeing with the beta ray's tail shape up
     to relabeling: trivial in trees 1 and 2, equal spine depth and
     climb in tree 3, every canonical label choice included.  There are
-    (q-1) q^(j-1) of them at each depth j >= 1.
+    (q-1) q^(j-1) of them at each depth j >= 1.  Raises
+    MemoryCapExceeded past DEFAULT_MEMORY_CAP of them.
     """
     if params.d != 3:
         raise WrongDimension("the truncated neighborhood is defined for d = 3")
     _require_int(k, "k", 0)
     _require_int(depth, "depth", 0)
-    out = []
-    for j in range(k, k + depth + 1):
-        for path in canonical_paths(j, params.q):
-            coords = (ORIGIN, ORIGIN, TreeVertex(j, path))
-            out.append(DLVertex(coords, params.q))
-    out.sort(key=vertex_sort_key)
-    return tuple(out)
+    return balanced_vertices(params, (range(1), range(1), range(k, k + depth + 1)))
 
 
 @dataclass(frozen=True)
@@ -115,9 +110,9 @@ class Tally:
         self.failures = 0
         self.first_failure: str | None = None
 
-    def check(self, ok: bool, message: Callable[[], str | None], cases: int = 1) -> None:
-        """Count cases, and one failure unless ok."""
-        self.cases += cases
+    def check(self, ok: bool, message: Callable[[], str | None]) -> None:
+        """Count one case, and a failure unless ok."""
+        self.cases += 1
         if not ok:
             self.fail(message)
 

@@ -12,12 +12,13 @@ inputs, each call weighted by how many pairs share them.  Both probe
 sweeps, balanced_compare against the balanced probes and
 probe_disagreement against the probe sets, build their own cross table
 of the vertices against (id,) + probes and read each vertex's distance
-to the identity from its first column.
+to the identity from its first column.  The probe screen binds each
+class's measured shifts to its table row and takes both sets' verdicts
+from probe_disagreement itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -27,17 +28,18 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dlgraph import (
+    SCREEN_ENTRY_CAP,
     DLParams,
     DLVertex,
     alpha_family,
     ball_distances,
+    balanced_vertices,
     beta_family,
     identity,
-    nu_point,
     vertex_sort_key,
 )
+from .errors import MemoryCapExceeded
 from .horofn import (
-    ProbeReport,
     beta_value,
     betandist_table,
     limit_value,
@@ -60,7 +62,7 @@ from .metric import (
     profile_distance,
 )
 from .stars import Tally, VerificationReport, separation_evidence, star_witness
-from .treecoord import ORIGIN, TreeVertex, canonical_paths, pair_stats
+from .treecoord import ORIGIN, TreeVertex, pair_stats
 
 DEFAULT_SEED = 20260814
 
@@ -131,15 +133,6 @@ def _check_metric_axioms(params: DLParams, seed: int) -> VerificationReport:
 
 
 # ── comparison lemmas ───────────────────────────────────────────────────────
-
-def _balanced_probes(params: DLParams, caps: Sequence[int]) -> list[DLVertex]:
-    """Every height-0 vertex with per-tree spine depth bounded by caps."""
-    per_tree = [
-        [TreeVertex(j, p) for j in range(cap + 1) for p in canonical_paths(j, params.q)]
-        for cap in caps
-    ]
-    return [DLVertex(coords, params.q) for coords in itertools.product(*per_tree)]
-
 
 @dataclass(frozen=True)
 class PairTable:
@@ -244,10 +237,15 @@ def screen_dominance(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) 
     only through their profiles, so each x screens the pairs of distinct
     profiles it sees, each weighted by how many (y, z) share it: one case
     per triple and screen.  Returns the most profiles one x sees.
+    Raises MemoryCapExceeded, before building them, when the (U, U,
+    width) arrays of an x seeing U profiles would pass SCREEN_ENTRY_CAP.
     """
     widest = 0
     for a, row in enumerate(table.inv):
         u, first, count = np.unique(row, return_index=True, return_counts=True)
+        entries = len(u) ** 2 * table.f.shape[1]
+        if entries > SCREEN_ENTRY_CAP:
+            raise MemoryCapExceeded("domination screen array too large", entries)
         widest = max(widest, len(u))
         weights = count[:, None] * count[None, :]
         f, dist, m, l = table.f[u], table.dist[u], table.m[u], table.l[u]
@@ -321,11 +319,11 @@ def screen_balanced(
     depths coded per vertex and both distances read from pair_table(verts,
     (id,) + probes), distance(x, id) from its first column, one base
     vertex x at a time.  The first pair of each class stands for all,
-    three reports each, and checks both distances against the table.
-    Returns the number of classes.
+    three reports each, and checks distance(x, z) and its BalancedEq
+    bound, which is distance(x, id), against the table.  Returns the
+    number of classes.
     """
-    home = identity(verts[0].params)
-    cross = pair_table(verts, (home, *probes))
+    cross = pair_table(verts, (identity(verts[0].params), *probes))
     base = cross.dist[cross.inv[:, 0]]
     xkey = [[c.m for c in x.coords] + [b] for x, b in zip(verts, base.tolist())]
     xc = np.unique(xkey, axis=0, return_inverse=True)[1].reshape(-1)
@@ -339,8 +337,9 @@ def screen_balanced(
     seen = np.flatnonzero(count)
     pairs = [(verts[a], probes[b]) for a, b in first[seen].tolist()]
     want = zip(seen % span_d, base[first[seen, 0]])
-    same = [(distance(x, z), distance(x, home)) == w for (x, z), w in zip(pairs, want)]
     reports = [balanced_compare(x, z) for x, z in pairs]
+    got = [(distance(x, z), eq.bound) for (x, z), (eq, _, _) in zip(pairs, reports)]
+    same = [g == w for g, w in zip(got, want)]
     bad = np.array([[r.falsified or not ok for r in rs] for ok, rs in zip(same, reports)])
 
     def message(i, j):
@@ -409,7 +408,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
 
     # balanced comparisons against a balanced probe pool, and certified
     # lower bounds on every pair, one call per class of equal inputs
-    probes = _balanced_probes(params, [2] * (d - 1) + [4])
+    probes = balanced_vertices(params, [range(3)] * (d - 1) + [range(5)])
     balanced_classes = screen_balanced(tally, verts, probes)
     screen_lower_bounds(tally, table, verts)
 
@@ -437,9 +436,8 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
         (got, from_n), want = limit_value(beta, z), beta_value(z)
         max_from_n = max(max_from_n, from_n)
         tally.check(got == want, lambda: f"{z}: limit {got}, closed form {want}")
-    spot = [(identity(params), 0)] + [
-        (nu_point(params, t, eps, 1), -1) for t in (1, 2) for eps in range(min(params.q, 2))
-    ]
+    # the identity, then the four unit slides that end either probe set
+    spot = [(identity(params), 0)] + [(f, -1) for f in symmetric_probe_set(params)[2:]]
     for z, want in spot:
         got = beta_value(z)
         tally.check(got == want, lambda: f"{z}: closed form {got}, want {want}")
@@ -515,16 +513,14 @@ def screen_probes(
     (id,) + probes), row z's shifts are its distances to the probes less
     its distance to id, read from the first column.  probe_disagreement(z,
     probes) reads z only through those shifts, so the first z of each
-    class of equal shift rows stands for the class: its witness and rows
-    for both sets must match the table's, and the table's reports count
+    class of equal shift rows stands for the class: every shift its two
+    reports measured must match the table row, and their verdicts count
     for every z of the class.  Every z the symmetric set does not exclude
     is a failure, one case per z.  Returns the number of z the printed
     set does not exclude, the number of distinct profiles in the table
     and the number of classes.
     """
-    sets = (symmetric, printed)
     probes = tuple(dict.fromkeys(symmetric + printed))
-    beta = {f: beta_value(f) for f in probes}
     cross = pair_table(verts, (identity(verts[0].params),) + probes)
     classes: dict[tuple[int, ...], list[int]] = {}  # shift row -> [first z, count]
     for block in _row_blocks(*cross.inv.shape):
@@ -534,19 +530,14 @@ def screen_probes(
     profiles = len(cross.dist)
     del cross, dist  # the representatives' calls below need neither
 
-    def from_table(row: tuple[int, ...], probe_set: tuple[DLVertex, ...]) -> ProbeReport:
-        shift = dict(zip(probes, row))
-        got = tuple((f, shift[f], beta[f]) for f in probe_set)
-        return ProbeReport(next((f for f, s, w in got if s != w), None), got)
-
-    reps = [(verts[a], row) for row, (a, _) in classes.items()]
-    expected = [[from_table(row, s) for s in sets] for _, row in reps]
+    reps = [(verts[a], dict(zip(probes, row))) for row, (a, _) in classes.items()]
+    reports = [[probe_disagreement(z, s) for s in (symmetric, printed)] for z, _ in reps]
     mismatch = [
-        [probe_disagreement(z, s) for s in sets] != reports
-        for (z, _), reports in zip(reps, expected)
+        any(got != shift[f] for r in rs for f, got, _ in r.rows)
+        for (_, shift), rs in zip(reps, reports)
     ]
     count = np.array([n for _, n in classes.values()])
-    missed = np.array([[r.witness is None for r in reports] for reports in expected])
+    missed = np.array([[r.witness is None for r in rs] for rs in reports])
 
     def message(i):
         if mismatch[i]:
@@ -585,16 +576,15 @@ def _check_asymmetry(params: DLParams, seed: int) -> VerificationReport:
     tally = Tally()
     alpha = alpha_family(params)
     witness = star_witness(beta_family(params), alpha, 30)
-    tally.check(
-        witness.holds_for_all and all(m == 0 for m in witness.margins),
-        lambda: f"inclusion margins {set(witness.margins)} not all zero",
-        cases=witness.checked_n,
-    )
+    for n, margin in enumerate(witness.margins, 1):
+        tally.check(margin == 0, lambda: f"inclusion margin {margin} at n={n}, want 0")
     min_slacks = []
     for k in range(1, 6):
         report = separation_evidence(alpha, k, n_max=10, depth=3)
         min_slacks.append(report.details["min_slack"])
-        tally.check(report.passed, lambda: report.first_failure, cases=report.cases)
+        tally.cases += report.cases
+        if report.failures:
+            tally.fail(lambda: f"{report.name}: {report.first_failure}", report.failures)
     if min(min_slacks) != 0:
         tally.fail(lambda: f"minimum separation slack {min(min_slacks)}, want exactly 0")
     return tally.report(

@@ -270,6 +270,13 @@ def test_separation_exit_codes(capsys):
         capsys, "--q", "1", "separation", "--family", "nu:1,0,0", "--k", "1",
     )
     assert code == 2 and out == "" and "no witnesses" in err
+    # 2^41 - 1 witnesses: refused before any is built
+    code, out, err = run(
+        capsys, "separation", "--family", "alpha", "--k", "1", "--nmax", "1",
+        "--depth", "40",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: balanced vertex enumeration too large")
 
 
 def test_verify_suite(capsys):

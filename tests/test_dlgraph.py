@@ -1,5 +1,7 @@
 """Graph structure, balls, literals, and point families."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from dlstar import (
     zeta_family,
     zeta_point,
 )
+from dlstar.dlgraph import DEFAULT_MEMORY_CAP, balanced_vertices
 
 
 def test_params_validation():
@@ -90,6 +93,39 @@ def test_ball_memory_cap(params):
     for radius in (True, 1.0, 1.5):
         with pytest.raises(ValueError, match="must be an int"):
             ball_distances(params, radius)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_balanced_vertices_order_and_size(q):
+    # one coordinate at depth 0 and (q-1) q^(j-1) at depth j >= 1 per tree
+    params = DLParams(3, q)
+    depths = (range(3), range(1, 2), range(4))
+    got = balanced_vertices(params, depths)
+    per_tree = [sum((q - 1) * q ** (j - 1) if j else 1 for j in r) for r in depths]
+    assert len(got) == len(set(got)) == math.prod(per_tree)
+    assert list(got) == sorted(got, key=vertex_sort_key)
+    for v in got:
+        assert make_vertex(params, v.coords) == v  # canonical and balanced
+        assert v.heights == (0, 0, 0)
+        assert all(c.m in r for c, r in zip(v.coords, depths))
+
+
+def test_balanced_vertices_memory_cap(params):
+    # the size is counted in closed form before any vertex is built, and
+    # depths far past the cap take no large power
+    for top in (41, 10**12):
+        with pytest.raises(MemoryCapExceeded) as e:
+            balanced_vertices(params, (range(1), range(1), range(1, top)))
+        assert e.value.size > DEFAULT_MEMORY_CAP
+    with pytest.raises(MemoryCapExceeded):
+        balanced_vertices(params, (range(1), range(1), range(10**12, 10**12 + 1)))
+    # at q = 1 only depth 0 has a coordinate, however deep the range
+    (only,) = balanced_vertices(DLParams(3, 1), (range(1), range(1), range(10**12)))
+    assert only == identity(DLParams(3, 1))
+    # an empty range empties the product without building the others
+    assert balanced_vertices(params, (range(1), range(0), range(10**12))) == ()
+    with pytest.raises(DimensionMismatch):
+        balanced_vertices(params, (range(3), range(3)))
 
 
 def test_make_vertex_strictness(params):

@@ -1,6 +1,6 @@
-"""Source checks that stand in for a linter: every import is read, the
-package exports exactly what its __init__ imports, and README's examples
-run as printed."""
+"""Source checks that stand in for a linter: every import and every
+private top-level name is read, the package exports exactly what its
+__init__ imports, and README's examples run as printed."""
 
 import ast
 import shlex
@@ -46,6 +46,42 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Top-level names with one leading underscore, defined in one of the
+    sources, that none of them reads (an import counts as a read, as
+    test_no_unused_imports checks that the importer reads it)."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    return sorted(private - read)
+
+
+def test_unread_private_names_are_found():
+    sources = [
+        "_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): return _A\nclass _C: pass\n",
+        "from .x import _C\ndef g(): return _f\n",
+    ]
+    assert unread_private_names(sources) == ["_B"]
+
+
+def test_no_unread_private_names():
+    assert unread_private_names([p.read_text() for p in PACKAGE.glob("*.py")]) == []
 
 
 def test_all_lists_the_package_imports():

@@ -7,7 +7,9 @@ import pytest
 
 from dlstar import (
     DLParams,
+    MemoryCapExceeded,
     PairProfile,
+    ProbeReport,
     VerificationReport,
     all_permutations,
     ball_distances,
@@ -23,11 +25,12 @@ from dlstar import (
     symmetric_probe_set,
     vertex_sort_key,
 )
+from dlstar.dlgraph import SCREEN_ENTRY_CAP, balanced_vertices
 from dlstar.stars import Tally
 from dlstar.verify import (
     DEFAULT_SEED,
     SUITES,
-    _balanced_probes,
+    _check_asymmetry,
     _check_probe_exclusion,
     pair_table,
     screen_balanced,
@@ -95,7 +98,7 @@ def test_pair_table_matches_pair_profile(ball3):
 
 def test_pair_table_cross_matches_pair_profile(ball3, params):
     verts = sorted(ball3, key=vertex_sort_key)
-    probes = _balanced_probes(params, [2, 2, 4])
+    probes = balanced_vertices(params, [range(3), range(3), range(5)])
     table = pair_table(verts, probes)
     assert table.inv.shape == (319, 256) and table.inv.dtype == np.int32
     m, l, dist = table.m.tolist(), table.l.tolist(), table.dist.tolist()
@@ -165,6 +168,22 @@ def test_weighted_screens_match_per_triple_screens(d, q, radius):
         assert (tally.first_failure is not None) == broken
 
 
+def test_dominance_screen_cap(monkeypatch):
+    # an x's (U, U, width) arrays are checked against the cap before they
+    # are built; the cap admits DL_4(2) and refuses DL_5(2)
+    assert 589**2 * 72 <= SCREEN_ENTRY_CAP < 1096**2 * 480
+    verts = sorted(ball_distances(DLParams(2, 2), 2), key=vertex_sort_key)
+    table = pair_table(verts)
+    widest = screen_dominance(Tally(), table, verts)
+    entries = widest**2 * table.f.shape[1]
+    monkeypatch.setattr(verify_mod, "SCREEN_ENTRY_CAP", entries)
+    assert screen_dominance(Tally(), table, verts) == widest
+    monkeypatch.setattr(verify_mod, "SCREEN_ENTRY_CAP", entries - 1)
+    with pytest.raises(MemoryCapExceeded) as e:
+        screen_dominance(Tally(), table, verts)
+    assert e.value.size == entries
+
+
 def _per_pair_sweeps(verts, probes):
     """(cases, failures) of lower_bounds on every pair of verts and of
     balanced_compare on every pair of verts x probes, call by call."""
@@ -204,7 +223,7 @@ FAULTS = {"lower_bounds": _tree_bound_too_high, "balanced_compare": _leq_off_by_
 def test_class_sweeps_match_per_pair_calls(d, q, radius, fault, monkeypatch):
     params = DLParams(d, q)
     verts = sorted(ball_distances(params, radius), key=vertex_sort_key)
-    probes = _balanced_probes(params, [2] * (d - 1) + [4])
+    probes = balanced_vertices(params, [range(3)] * (d - 1) + [range(5)])
     if fault:
         monkeypatch.setattr(verify_mod, fault, FAULTS[fault])
     want_lower, want_balanced = _per_pair_sweeps(verts, probes)
@@ -227,7 +246,7 @@ def test_balanced_screen_needs_no_identity(d, q, cases, monkeypatch):
     # list without the identity is screened like any other
     params = DLParams(d, q)
     verts = sorted(set(ball_distances(params, 2)) - {identity(params)}, key=vertex_sort_key)
-    probes = _balanced_probes(params, [2] * (d - 1) + [4])
+    probes = balanced_vertices(params, [range(3)] * (d - 1) + [range(5)])
     want = _per_pair_sweeps(verts, probes)[1]
     calls = []
 
@@ -247,7 +266,7 @@ def test_class_sweeps_fail_on_a_wrong_table(monkeypatch):
     # wrong row fails its class, and the case count stays that of every pair
     params = DLParams(2, 2)
     verts = sorted(ball_distances(params, 3), key=vertex_sort_key)
-    probes = _balanced_probes(params, [2, 4])
+    probes = balanced_vertices(params, [range(3), range(5)])
     table = pair_table(verts)
     shifted = table.m.copy()
     shifted[::7, 0] += 1
@@ -317,3 +336,41 @@ def test_probe_screen_fails_on_a_wrong_table(params, monkeypatch):
     assert broken.cases == clean.cases == 10585
     assert broken.failures > 0
     assert broken.first_failure.startswith("shift table disagrees with probe_disagreement")
+
+
+def test_probe_screen_takes_verdicts_from_probe_disagreement(params, monkeypatch):
+    # the screen keeps no copy of the witness rule: it binds the measured
+    # shifts, which still match here, and reads the (now wrong) verdicts
+    real = verify_mod.probe_disagreement
+
+    def no_witness(z, probes):
+        return ProbeReport(None, real(z, probes).rows)
+
+    monkeypatch.setattr(verify_mod, "probe_disagreement", no_witness)
+    report = _check_probe_exclusion(params, DEFAULT_SEED)
+    assert (report.cases, report.failures) == (10585, 10584)
+    assert report.details["printed_set_misses"] == 10584
+    assert report.first_failure.endswith("agrees with every symmetric probe")
+
+
+def test_asymmetry_counts_every_failing_case(params, monkeypatch):
+    # each failing case counts once: two nonzero inclusion margins and a
+    # separation report with three failures are five failures
+    clean = _check_asymmetry(params, DEFAULT_SEED)
+    star, separation = verify_mod.star_witness, verify_mod.separation_evidence
+
+    def two_margins_off(a, b, n_max):
+        report = star(a, b, n_max)
+        return replace(report, margins=(1, -1) + report.margins[2:])
+
+    def three_failures(a, k, n_max, depth):
+        report = separation(a, k, n_max, depth)
+        return replace(report, failures=3, first_failure="n=1") if k == 2 else report
+
+    monkeypatch.setattr(verify_mod, "star_witness", two_margins_off)
+    monkeypatch.setattr(verify_mod, "separation_evidence", three_failures)
+    broken = _check_asymmetry(params, DEFAULT_SEED)
+    assert clean.failures == 0
+    assert broken.cases == clean.cases == 4680
+    assert broken.failures == 5
+    assert broken.first_failure == "inclusion margin 1 at n=1, want 0"
