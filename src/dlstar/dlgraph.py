@@ -38,9 +38,10 @@ from .treecoord import (
 
 MAX_DIMENSION = 8
 DEFAULT_MEMORY_CAP = 2_000_000
-# entries of one (U, U, width) array that the lemma screens build per base
-# vertex: 2**25 int64 entries are 256 MiB.  DL_4(2) needs 589 * 589 * 72.
-SCREEN_ENTRY_CAP = 2**25
+# entries of the U x U boolean map of profile pairs that the domination
+# screen marks, U the distinct pair profiles of the ball: 2**26 entries are
+# 64 MiB.  DL_4(2) needs 6552**2, DL_5(2) would need 43681**2.
+PROFILE_PAIR_CAP = 2**26
 
 
 @dataclass(frozen=True)

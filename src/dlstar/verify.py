@@ -3,13 +3,13 @@
 Each suite is a tuple of checks, one per headline property; a check
 takes (params, seed) and returns a VerificationReport.  Exhaustive
 triple screens run on a table of the distinct pair profiles, built from
-the library's own pair_stats, profile_distance and f_rows: each base
-vertex screens the pairs of distinct profiles it sees, every case
-weighted by how many triples share it.  Sampled calls bind the table
-and the screens to the checker functions they certify.  The exhaustive
-pair checks call their checker once per class of pairs with the same
-inputs, each call weighted by how many pairs share them.  Both probe
-sweeps, balanced_compare against the balanced probes and
+the library's own pair_stats, profile_distance and f_rows: every pair
+of distinct profiles that some base vertex sees is screened once, and
+a failing pair counts every triple it stands for.  Sampled calls bind
+the table and the screens to the checker functions they certify.  The
+exhaustive pair checks call their checker once per class of pairs with
+the same inputs, each call weighted by how many pairs share them.  Both
+probe sweeps, balanced_compare against the balanced probes and
 probe_disagreement against the probe sets, build their own cross table
 of the vertices against (id,) + probes and read each vertex's distance
 to the identity from its first column.  The probe screen binds each
@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dlgraph import (
-    SCREEN_ENTRY_CAP,
+    PROFILE_PAIR_CAP,
     DLParams,
     DLVertex,
     alpha_family,
@@ -168,8 +168,10 @@ def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
     return np.array(tree_stats), code[:, [col_pos[v.coords[t]] for v in cols]], row_pos
 
 
-# pairs per block of rows in pair_table and screen_probes, so that the
-# per-block temporaries stay a few tens of kB
+# pairs per block of rows in pair_table and screen_probes, and per block
+# of profile pairs in screen_dominance, so that the per-block temporaries
+# stay small: a few tens of kB in the tables, up to about 1.5 MB in the
+# screen at d = 4
 _BLOCK_PAIRS = 2**12
 
 
@@ -178,12 +180,11 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(a, a + step) for a in range(0, rows, step)]
 
 
-def pair_table(
-    rows: Sequence[DLVertex], cols: Sequence[DLVertex] | None = None
-) -> PairTable:
-    """PairTable of rows x cols (cols defaults to rows), from pair_stats
-    on each tree's distinct coordinates and profile_distance on each
-    distinct profile.
+def _profile_keys(
+    rows: Sequence[DLVertex], cols: Sequence[DLVertex]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct pair profiles of rows x cols: m and l, (U, d) each,
+    in key order, and inv, the table row of every ordered pair.
 
     The key of a pair combines its per-tree codes, key = key * dims[t] +
     code_t, built in place in one int32 array, a block of rows at a
@@ -192,7 +193,6 @@ def pair_table(
     a block at a time.  Raises ValueError when prod(dims) overflows
     int32.
     """
-    cols = rows if cols is None else cols
     trees = [_tree_codes(rows, cols, t) for t in range(len(rows[0].coords))]
     dims = [len(tree_stats) for tree_stats, *_ in trees]
     span = math.prod(dims)
@@ -215,6 +215,11 @@ def pair_table(
     per_tree = [tree[0][c] for tree, c in zip(trees, codes)]
     m = np.stack([ml[:, 0] for ml in per_tree], axis=1)
     l = np.stack([ml[:, 1] for ml in per_tree], axis=1)
+    return m, l, key
+
+
+def _tabulate(m: np.ndarray, l: np.ndarray, inv: np.ndarray) -> PairTable:
+    """PairTable of the profiles (m, l), from profile_distance on each."""
     dist = np.array(
         [
             profile_distance(PairProfile(tuple(a), tuple(b)))
@@ -223,49 +228,122 @@ def pair_table(
         dtype=np.int64,
     )
     f = np.stack(
-        [row for s in all_permutations(len(dims)) for row in f_rows(m.T, l.T, [t - 1 for t in s])],
+        [row for s in all_permutations(m.shape[1]) for row in f_rows(m.T, l.T, [t - 1 for t in s])],
         axis=1,
     )
-    return PairTable(m, l, dist, f, key)
+    return PairTable(m, l, dist, f, inv)
 
 
-def screen_dominance(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) -> int:
+def pair_table(
+    rows: Sequence[DLVertex], cols: Sequence[DLVertex] | None = None
+) -> PairTable:
+    """PairTable of rows x cols (cols defaults to rows), from pair_stats
+    on each tree's distinct coordinates and profile_distance on each
+    distinct profile.  Raises ValueError when the combinations of tree
+    statistics overflow the int32 pair key."""
+    return _tabulate(*_profile_keys(rows, rows if cols is None else cols))
+
+
+def _require_pair_map(profiles: int) -> None:
+    """Raise MemoryCapExceeded when the profiles x profiles map of
+    screen_dominance would pass PROFILE_PAIR_CAP."""
+    entries = profiles**2
+    if entries > PROFILE_PAIR_CAP:
+        raise MemoryCapExceeded("profile pair map too large", entries)
+
+
+def _pair_blocks(per_row: np.ndarray) -> Iterable[slice]:
+    """Slices of consecutive rows holding about _BLOCK_PAIRS pairs each,
+    per_row[i] pairs in row i."""
+    start = held = 0
+    for i, k in enumerate(per_row.tolist()):
+        held += k
+        if held >= _BLOCK_PAIRS:
+            yield slice(start, i + 1)
+            start, held = i + 1, 0
+    if start < len(per_row):
+        yield slice(start, len(per_row))
+
+
+def _triples(inv: np.ndarray, profiles: int, ys: np.ndarray, zs: np.ndarray) -> int:
+    """Triples (x, y, z) whose profile pair (inv[x, y], inv[x, z]) is one
+    of the pairs (ys, zs): the sum over x of count_x[y] * count_x[z]."""
+    bad = np.zeros((profiles, profiles), dtype=bool)
+    bad[ys, zs] = True
+    total = 0
+    for row in inv:
+        count = np.bincount(row, minlength=profiles)
+        u = np.flatnonzero(count)
+        total += int(count[u] @ bad[u[:, None], u].astype(np.int64) @ count[u])
+    return total
+
+
+def _witness(inv: np.ndarray, y: int, z: int) -> tuple[int, int, int]:
+    """The first row a holding both profiles y and z, and their first
+    columns in it."""
+    a = int(np.flatnonzero((inv == y).any(axis=1) & (inv == z).any(axis=1))[0])
+    return a, int(np.flatnonzero(inv[a] == y)[0]), int(np.flatnonzero(inv[a] == z)[0])
+
+
+def screen_dominance(
+    tally: Tally, table: PairTable, verts: Sequence[DLVertex]
+) -> tuple[int, int]:
     """Row-wise and coordinatewise domination on every triple (x, y, z).
 
-    For each x, the strongest applicable k (row-wise and coordinatewise)
-    must satisfy its concluded bound.  Both depend on (x, y) and (x, z)
-    only through their profiles, so each x screens the pairs of distinct
-    profiles it sees, each weighted by how many (y, z) share it: one case
-    per triple and screen.  Returns the most profiles one x sees.
-    Raises MemoryCapExceeded, before building them, when the (U, U,
-    width) arrays of an x seeing U profiles would pass SCREEN_ENTRY_CAP.
+    For each triple, the strongest applicable k (row-wise and
+    coordinatewise) must satisfy its concluded bound.  Both verdicts
+    read the triple only through the profiles of (x, y) and (x, z), so
+    each pair of distinct profiles that some x sees is screened once:
+    the pairs are marked in a U x U map, one x at a time, and screened a
+    block of about _BLOCK_PAIRS pairs at a time, one block of y profiles
+    each.  Every triple counts one case per screen, 2 * rows * cols**2
+    in all.  A failing pair counts one failure per triple it stands for,
+    the sum over x of count_x[y] * count_x[z].  Returns the most
+    profiles one x sees and the number of pairs screened.  Raises
+    MemoryCapExceeded, before building it, when the map would pass
+    PROFILE_PAIR_CAP.
     """
+    inv = table.inv
+    profiles = len(table.dist)
+    _require_pair_map(profiles)
+    seen = np.zeros((profiles, profiles), dtype=bool)
     widest = 0
-    for a, row in enumerate(table.inv):
-        u, first, count = np.unique(row, return_index=True, return_counts=True)
-        entries = len(u) ** 2 * table.f.shape[1]
-        if entries > SCREEN_ENTRY_CAP:
-            raise MemoryCapExceeded("domination screen array too large", entries)
+    for row in inv:
+        u = np.flatnonzero(np.bincount(row, minlength=profiles))
         widest = max(widest, len(u))
-        weights = count[:, None] * count[None, :]
-        f, dist, m, l = table.f[u], table.dist[u], table.m[u], table.l[u]
-        kmax = (f[None, :, :] - f[:, None, :]).min(axis=2)
-        gap = dist[None, :] - dist[:, None]
-        tally.screen(
-            (kmax >= 0) & (gap < kmax),
-            lambda yb, zb: f"row domination fails at x={verts[a]}, "
-            f"y={verts[first[yb]]}, z={verts[first[zb]]}, k={kmax[yb, zb]}",
-            weights,
+        seen[u[:, None], u] = True
+    per_row = seen.sum(axis=1)
+    dist, m, l = table.dist, table.m, table.l
+    # f is a sum of spine depths and climbs, so it is nonnegative; below
+    # 2**15 its differences fit int16, which keeps the (pairs, width)
+    # temporaries of a block small
+    f = table.f.astype(np.int16) if table.f.max() < 2**15 else table.f
+    row_bad, coord_bad = [], []
+    for block in _pair_blocks(per_row):
+        ys, zs = np.nonzero(seen[block])
+        ys += block.start
+        kmax = (f[zs] - f[ys]).min(axis=1)
+        gap = dist[zs] - dist[ys]
+        coff = np.minimum(m[zs] - m[ys], l[zs] - l[ys])
+        for bad, found in (
+            ((kmax >= 0) & (gap < kmax), row_bad),
+            ((coff >= 0).all(axis=1) & (gap < coff.sum(axis=1)), coord_bad),
+        ):
+            if bad.any():
+                found.append((ys[bad], zs[bad], kmax[bad]))
+    del seen  # failure counts build a map of their own
+    tally.cases += 2 * inv.shape[0] * inv.shape[1] ** 2
+    for found, what in ((row_bad, "row"), (coord_bad, "coordinate")):
+        if not found:
+            continue
+        ys, zs, ks = (np.concatenate(c) for c in zip(*found))
+        a, b, c = _witness(inv, ys[0], zs[0])
+        k = f", k={ks[0]}" if what == "row" else ""
+        tally.fail(
+            lambda: f"{what} domination fails at x={verts[a]}, y={verts[b]}, z={verts[c]}{k}",
+            _triples(inv, profiles, ys, zs),
         )
-        coff = np.minimum(m[None, :, :] - m[:, None, :], l[None, :, :] - l[:, None, :])
-        applicable = (coff >= 0).all(axis=2)
-        tally.screen(
-            applicable & (gap < coff.sum(axis=2)),
-            lambda yb, zb: f"coordinate domination fails at x={verts[a]}, "
-            f"y={verts[first[yb]]}, z={verts[first[zb]]}",
-            weights,
-        )
-    return widest
+    return widest, int(per_row.sum())
 
 
 def _classes(key_rows: Iterable[np.ndarray], span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,8 +436,9 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     d = params.d
     row_keys = [(s, i) for s in all_permutations(d) for i in range(2, d + 1)]
     width = len(row_keys)
-    table = pair_table(verts)
-    inv = table.inv
+    m, l, inv = _profile_keys(verts, verts)
+    _require_pair_map(len(m))  # refuse before profile_distance runs on them
+    table = _tabulate(m, l, inv)
 
     tally = Tally()
 
@@ -378,7 +457,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             lambda: f"distance table disagrees at {verts[a]}, {verts[b]}",
         )
 
-    widest = screen_dominance(tally, table, verts)
+    widest, profile_pairs = screen_dominance(tally, table, verts)
 
     # the checker functions themselves, on seeded triples at the strongest
     # applicable k and just past it
@@ -421,6 +500,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             "balanced_classes": balanced_classes,
             "distinct_profiles": len(table.dist),
             "max_profiles_per_vertex": widest,
+            "profile_pairs": profile_pairs,
         },
     )
 

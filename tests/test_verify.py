@@ -1,5 +1,6 @@
 """Suite plumbing, and the profile table and screens of the lemma suite."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,12 +26,13 @@ from dlstar import (
     symmetric_probe_set,
     vertex_sort_key,
 )
-from dlstar.dlgraph import SCREEN_ENTRY_CAP, balanced_vertices
+from dlstar.dlgraph import PROFILE_PAIR_CAP, balanced_vertices
 from dlstar.stars import Tally
 from dlstar.verify import (
     DEFAULT_SEED,
     SUITES,
     _check_asymmetry,
+    _check_comparison_lemmas,
     _check_probe_exclusion,
     pair_table,
     screen_balanced,
@@ -152,6 +154,16 @@ def _per_triple_screens(table):
     return cases, failures
 
 
+def _fails(table, a, b, c):
+    """Whether the triple of rows a, b, c fails either screen, by the rule
+    of _per_triple_screens."""
+    p, r = table.inv[a, b], table.inv[a, c]
+    kmax = (table.f[r] - table.f[p]).min()
+    gap = table.dist[r] - table.dist[p]
+    coff = np.minimum(table.m[r] - table.m[p], table.l[r] - table.l[p])
+    return bool((kmax >= 0 and gap < kmax) or ((coff >= 0).all() and gap < coff.sum()))
+
+
 @pytest.mark.parametrize("d,q,radius", [(3, 2, 2), (2, 2, 3)])
 def test_weighted_screens_match_per_triple_screens(d, q, radius):
     verts = sorted(ball_distances(DLParams(d, q), radius), key=vertex_sort_key)
@@ -159,29 +171,51 @@ def test_weighted_screens_match_per_triple_screens(d, q, radius):
     lowered = table.dist.copy()
     lowered[::5] -= 1
     mutant = replace(table, dist=lowered)
-    for tab, broken in ((table, False), (mutant, True)):
+    # one profile lowered that only a few x see: its failing pairs stand
+    # for triples of those x alone, counted x by x
+    seen_by = (table.inv[:, :, None] == np.arange(len(table.dist))).any(axis=1).sum(axis=0)
+    rare = int(seen_by.argmin())
+    assert 1 < seen_by[rare] < len(verts)
+    lowered = table.dist.copy()
+    lowered[rare] -= 1
+    sparse = replace(table, dist=lowered)
+    index = {repr(v): i for i, v in enumerate(verts)}
+    for tab, broken in ((table, False), (mutant, True), (sparse, True)):
         tally = Tally()
         screen_dominance(tally, tab, verts)
         assert (tally.cases, tally.failures) == _per_triple_screens(tab)
         assert tally.cases == 2 * len(verts) ** 3
         assert (tally.failures > 0) == broken
         assert (tally.first_failure is not None) == broken
+        if broken:
+            named = re.fullmatch(r".* x=(.*), y=(.*), z=(.*?)(, k=\d+)?", tally.first_failure)
+            assert _fails(tab, *(index[name] for name in named.groups()[:3]))
 
 
-def test_dominance_screen_cap(monkeypatch):
-    # an x's (U, U, width) arrays are checked against the cap before they
-    # are built; the cap admits DL_4(2) and refuses DL_5(2)
-    assert 589**2 * 72 <= SCREEN_ENTRY_CAP < 1096**2 * 480
+def test_dominance_screen_cap(monkeypatch, params):
+    # the U x U map of profile pairs is checked against the cap before it
+    # is built, and the lemma check refuses before profile_distance runs
+    # on the table; the cap admits DL_4(2) and refuses DL_5(2)
+    assert 6552**2 <= PROFILE_PAIR_CAP < 43681**2
     verts = sorted(ball_distances(DLParams(2, 2), 2), key=vertex_sort_key)
     table = pair_table(verts)
-    widest = screen_dominance(Tally(), table, verts)
-    entries = widest**2 * table.f.shape[1]
-    monkeypatch.setattr(verify_mod, "SCREEN_ENTRY_CAP", entries)
-    assert screen_dominance(Tally(), table, verts) == widest
-    monkeypatch.setattr(verify_mod, "SCREEN_ENTRY_CAP", entries - 1)
+    entries = len(table.dist) ** 2
+    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", entries)
+    widest, pairs = screen_dominance(Tally(), table, verts)
+    assert pairs <= entries
+    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", entries - 1)
     with pytest.raises(MemoryCapExceeded) as e:
         screen_dominance(Tally(), table, verts)
     assert e.value.size == entries
+
+    def unreachable(profile):
+        raise AssertionError("profile_distance ran before the cap was checked")
+
+    monkeypatch.setattr(verify_mod, "profile_distance", unreachable)
+    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", 704**2 - 1)
+    with pytest.raises(MemoryCapExceeded) as e:
+        _check_comparison_lemmas(params, DEFAULT_SEED)
+    assert e.value.size == 704**2
 
 
 def _per_pair_sweeps(verts, probes):
