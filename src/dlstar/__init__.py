@@ -49,7 +49,6 @@ from .errors import (
     WrongDimension,
 )
 from .horofn import (
-    INFINITE,
     AffineInN,
     BetaDistRow,
     BetaDistTable,
@@ -58,7 +57,6 @@ from .horofn import (
     beta_value,
     betandist_table,
     limit_value,
-    m_profile,
     printed_probe_set,
     probe_disagreement,
     shifts,
@@ -114,7 +112,6 @@ __all__ = [
     "DimensionMismatch",
     "HeightImbalance",
     "HorofunctionValue",
-    "INFINITE",
     "MAX_DIMENSION",
     "MemoryCapExceeded",
     "NonCanonicalWarning",
@@ -154,7 +151,6 @@ __all__ = [
     "is_canonical",
     "limit_value",
     "lower_bounds",
-    "m_profile",
     "make_vertex",
     "neighbors",
     "nk_beta_truncation",

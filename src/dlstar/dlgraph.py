@@ -38,10 +38,6 @@ from .treecoord import (
 
 MAX_DIMENSION = 8
 DEFAULT_MEMORY_CAP = 2_000_000
-# entries of the U x U boolean map of profile pairs that the domination
-# screen marks, U the distinct pair profiles of the ball: 2**26 entries are
-# 64 MiB.  DL_4(2) needs 6552**2, DL_5(2) would need 43681**2.
-PROFILE_PAIR_CAP = 2**26
 
 
 @dataclass(frozen=True)
@@ -139,17 +135,16 @@ def neighbors(v: DLVertex) -> list[DLVertex]:
     return out
 
 
-def ball_distances(
-    params: DLParams, radius: int, max_vertices: int = DEFAULT_MEMORY_CAP
-) -> dict[DLVertex, int]:
+def ball_distances(params: DLParams, radius: int) -> dict[DLVertex, int]:
     """Breadth-first distances from the identity out to the given radius.
 
     Returns vertices in discovery order mapped to their graph distance.
     Equal tree coordinates are one shared object across the vertices,
     which about halves the ball's memory.  Raises MemoryCapExceeded once
-    more than max_vertices are visited.
+    more than DEFAULT_MEMORY_CAP are visited.
     """
     _require_int(radius, "radius", 0)
+    limit = DEFAULT_MEMORY_CAP
     start = identity(params)
     dist = {start: 0}
     frontier = [start]
@@ -162,7 +157,7 @@ def ball_distances(
                     w = DLVertex(tuple([shared.setdefault(c, c) for c in w.coords]), w.q)
                     dist[w] = layer + 1
                     nxt.append(w)
-            if len(dist) > max_vertices:
+            if len(dist) > limit:
                 raise MemoryCapExceeded("ball enumeration too large", len(dist))
         frontier = nxt
     return dist

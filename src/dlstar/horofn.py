@@ -18,7 +18,6 @@ functions of n; the distance it finds is 2n plus that closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,8 +39,6 @@ from .metric import (
     pair_profile,
     profile_distance,
 )
-
-INFINITE = math.inf
 
 
 class AffineInN(NamedTuple):
@@ -138,14 +135,6 @@ def beta_value(z: DLVertex) -> int:
     )
     h1, h2, h3 = (c.h for c in z.coords)
     return m1 + m2 + min(m1 + h3, h1 + h3, l1, m2 + h3, h2 + h3, l2)
-
-
-def m_profile(family: PointFamily) -> tuple[float, ...]:
-    """Limiting spine depth per tree, read from the family's shape:
-    INFINITE for a descending tree, the base's spine depth otherwise."""
-    return tuple(
-        INFINITE if t in family.down else c.m for t, c in enumerate(family.base.coords)
-    )
 
 
 # ── growth table toward beta ────────────────────────────────────────────────

@@ -14,7 +14,7 @@ the six orderings to a closed form over the choice of middle tree,
 derived in its docstring.  f_value and f_row_max write the formula out
 literally as the reference for both.  bfs_distance is the independent
 oracle for the same quantity: a meet-in-the-middle breadth-first search
-whose max_vertices cap counts both sides.
+whose two balls together may hold DEFAULT_MEMORY_CAP vertices.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatch, NotBalanced
 from .dlgraph import DLVertex, identity, neighbors, DEFAULT_MEMORY_CAP
-from .errors import MemoryCapExceeded
+from .errors import DimensionMismatch, MemoryCapExceeded, NotBalanced
 from .treecoord import _require_int, pair_stats
 
 # configurations whose formula distances have been bulk-checked against
@@ -155,12 +154,7 @@ def distance(x: DLVertex, y: DLVertex) -> int:
     return profile_distance(pair_profile(x, y))
 
 
-def bfs_distance(
-    x: DLVertex,
-    y: DLVertex,
-    cap: int | None = None,
-    max_vertices: int = DEFAULT_MEMORY_CAP,
-) -> int | None:
+def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None:
     """Breadth-first graph distance, independent of the formula.
 
     Meet-in-the-middle search (Pohl 1971): one ball grows around x and
@@ -178,14 +172,14 @@ def bfs_distance(
     formula distance plus two, so a discrepancy in either direction is
     caught; it is the only use of the formula here.  Raises
     MemoryCapExceeded once the two balls together hold more than
-    max_vertices vertices, and ValueError for a cap or max_vertices
-    that is not an int, a negative cap or a max_vertices below 1.
+    DEFAULT_MEMORY_CAP vertices, and ValueError for a cap that is not
+    an int or is negative.
     """
     _check_same_graph(x, y)
     if cap is None:
         cap = 2 * distance(x, y) + 2
     _require_int(cap, "cap", 0)
-    _require_int(max_vertices, "max_vertices", 1)
+    limit = DEFAULT_MEMORY_CAP
     if x == y:
         return 0
     near, far = {x: 0}, {y: 0}
@@ -207,7 +201,7 @@ def bfs_distance(
                     return layer + met
                 near[w] = layer
                 nxt.append(w)
-            if len(near) + len(far) > max_vertices:
+            if len(near) + len(far) > limit:
                 raise MemoryCapExceeded(
                     "breadth-first search too large", len(near) + len(far)
                 )

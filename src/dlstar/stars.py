@@ -16,7 +16,7 @@ from typing import Callable
 
 from .dlgraph import DLParams, DLVertex, PointFamily, balanced_vertices
 from .errors import ProfileMismatch, WrongDimension
-from .horofn import m_profile, shifts
+from .horofn import shifts
 from .treecoord import _require_int
 
 
@@ -142,19 +142,18 @@ def separation_evidence(
 ) -> VerificationReport:
     """Uniform distance excess of a's points over the beta neighborhood.
 
-    Requires a's limiting tree-3 spine depth to be exactly 0 (checked
-    via m_profile).  Verifies distance(a_n, w) >= distance(a_n, id) + k
-    for all 1 <= n <= n_max and every w in the depth-truncated
-    neighborhood at scale k; reports the minimum slack observed.
+    Requires a's limiting tree-3 spine depth, read from its shape, to be
+    exactly 0: unbounded when tree 3 descends, else the base's depth
+    there.  Verifies distance(a_n, w) >= distance(a_n, id) + k for all
+    1 <= n <= n_max and every w in the depth-truncated neighborhood at
+    scale k; reports the minimum slack observed.
     """
     _require_int(k, "k", 1)
     _require_int(n_max, "n_max", 1)
     _require_int(depth, "depth")  # nk_beta_truncation bounds it, after the profile check
-    profile = m_profile(a)
-    if profile[2] != 0:
-        raise ProfileMismatch(
-            f"{a.name} has limiting tree-3 spine depth {profile[2]}, need 0"
-        )
+    limit = "unbounded" if 2 in a.down else a.base.coords[2].m
+    if limit != 0:
+        raise ProfileMismatch(f"{a.name} has limiting tree-3 spine depth {limit}, need 0")
     witnesses = nk_beta_truncation(a.params, k, depth)
     if not witnesses:  # q = 1 has no vertex at depth >= 1
         raise ValueError(f"no witnesses of depth {k}..{k + depth} at q = {a.params.q}")

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dlgraph import (
-    PROFILE_PAIR_CAP,
     DLParams,
     DLVertex,
     alpha_family,
@@ -65,6 +64,15 @@ from .stars import Tally, VerificationReport, separation_evidence, star_witness
 from .treecoord import ORIGIN, TreeVertex, pair_stats
 
 DEFAULT_SEED = 20260814
+# entries of each array that the lemma tables build over all pairs or
+# all profile pairs, checked before the array is allocated: the int32
+# pair key, which becomes the table's inv (rows x cols); the bool
+# present lookup and int32 rank of _profile_keys (prod(dims) keys); and
+# the bool U x U maps of profile pairs in screen_dominance and _triples
+# (U the distinct profiles).  An int32 array of 2**26 entries is 256 MiB.
+# The cap is below the int32 maximum, so every key fits in int32.
+# DL_4(2) needs 6552**2 profile pairs, DL_5(2) would need 43681**2.
+PROFILE_PAIR_CAP = 2**26
 
 Check = Callable[[DLParams, int], VerificationReport]
 
@@ -190,14 +198,14 @@ def _profile_keys(
     code_t, built in place in one int32 array, a block of rows at a
     time, so no other array of every pair is made.  A dense lookup over
     all prod(dims) keys then ranks the distinct ones, in key order, again
-    a block at a time.  Raises ValueError when prod(dims) overflows
-    int32.
+    a block at a time.  Raises MemoryCapExceeded, before building either,
+    when the key or the lookup would pass PROFILE_PAIR_CAP.
     """
+    _require_entries("pair key", len(rows) * len(cols))
     trees = [_tree_codes(rows, cols, t) for t in range(len(rows[0].coords))]
     dims = [len(tree_stats) for tree_stats, *_ in trees]
     span = math.prod(dims)
-    if span > np.iinfo(np.int32).max:
-        raise ValueError(f"{span} combinations of tree statistics overflow the pair key")
+    _require_entries("pair key range", span)
     key = np.zeros((len(rows), len(cols)), dtype=np.int32)
     blocks = _row_blocks(len(rows), len(cols))
     present = np.zeros(span, dtype=bool)
@@ -239,17 +247,16 @@ def pair_table(
 ) -> PairTable:
     """PairTable of rows x cols (cols defaults to rows), from pair_stats
     on each tree's distinct coordinates and profile_distance on each
-    distinct profile.  Raises ValueError when the combinations of tree
-    statistics overflow the int32 pair key."""
+    distinct profile.  Raises MemoryCapExceeded when its arrays would
+    pass PROFILE_PAIR_CAP."""
     return _tabulate(*_profile_keys(rows, rows if cols is None else cols))
 
 
-def _require_pair_map(profiles: int) -> None:
-    """Raise MemoryCapExceeded when the profiles x profiles map of
-    screen_dominance would pass PROFILE_PAIR_CAP."""
-    entries = profiles**2
+def _require_entries(what: str, entries: int) -> None:
+    """Raise MemoryCapExceeded when an array of that many entries would
+    pass PROFILE_PAIR_CAP."""
     if entries > PROFILE_PAIR_CAP:
-        raise MemoryCapExceeded("profile pair map too large", entries)
+        raise MemoryCapExceeded(f"{what} too large", entries)
 
 
 def _pair_blocks(per_row: np.ndarray) -> Iterable[slice]:
@@ -305,7 +312,7 @@ def screen_dominance(
     """
     inv = table.inv
     profiles = len(table.dist)
-    _require_pair_map(profiles)
+    _require_entries("profile pair map", profiles**2)
     seen = np.zeros((profiles, profiles), dtype=bool)
     widest = 0
     for row in inv:
@@ -437,7 +444,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     row_keys = [(s, i) for s in all_permutations(d) for i in range(2, d + 1)]
     width = len(row_keys)
     m, l, inv = _profile_keys(verts, verts)
-    _require_pair_map(len(m))  # refuse before profile_distance runs on them
+    _require_entries("profile pair map", len(m) ** 2)  # before profile_distance runs
     table = _tabulate(m, l, inv)
 
     tally = Tally()

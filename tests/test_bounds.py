@@ -45,8 +45,6 @@ BOUNDED = [
     ("nu_point.k", "k", 0, None, lambda v: nu_point(P, 1, 0, v)),
     ("f_value.i", "row index", 2, 3, lambda v: f_value(PROFILE, (1, 2, 3), v)),
     ("bfs_distance.cap", "cap", 0, None, lambda v: bfs_distance(O, O, cap=v)),
-    ("bfs_distance.max_vertices", "max_vertices", 1, None,
-     lambda v: bfs_distance(O, O, max_vertices=v)),
     ("check_coord_dominance.c", "offset", 0, None,
      lambda v: check_coord_dominance(O, O, O, (v, 0, 0))),
     ("star_witness.n_max", "n_max", 1, None,

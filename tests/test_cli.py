@@ -288,6 +288,15 @@ def test_verify_suite(capsys):
     assert names == ["beta-closed-form", "growth-table"]
 
 
+@pytest.mark.parametrize("d", ["6", "7"])
+def test_verify_lemmas_refuses_large_pair_key(capsys, d):
+    # the radius-3 ball's pair key would pass the cap, so the lemma check
+    # is refused before the key is built: a failed run, not a usage error
+    code, out, err = run(capsys, "--d", d, "verify", "--suite", "lemmas")
+    assert code == 1 and out == ""
+    assert err.startswith("error: pair key too large") and "Traceback" not in err
+
+
 def test_console_entry_point():
     # the child imports the same dlstar as this process, installed or not
     src = str(Path(dlstar.__file__).resolve().parents[1])

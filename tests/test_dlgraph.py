@@ -32,6 +32,7 @@ from dlstar import (
     zeta_point,
 )
 from dlstar.dlgraph import DEFAULT_MEMORY_CAP, balanced_vertices
+import dlstar.dlgraph as dlgraph_mod
 
 
 def test_params_validation():
@@ -86,9 +87,10 @@ def test_ball_shares_equal_coordinates(ball4):
     assert len({id(c) for c in coords}) == len(set(coords)) < len(coords) // 10
 
 
-def test_ball_memory_cap(params):
+def test_ball_memory_cap(params, monkeypatch):
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 100)
     with pytest.raises(MemoryCapExceeded) as e:
-        ball_distances(params, 3, max_vertices=100)
+        ball_distances(params, 3)
     assert e.value.size > 100
     for radius in (True, 1.0, 1.5):
         with pytest.raises(ValueError, match="must be an int"):

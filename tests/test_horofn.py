@@ -8,7 +8,6 @@ import pytest
 from dlstar import (
     AffineInN,
     DLParams,
-    INFINITE,
     TableMismatch,
     WrongDimension,
     alpha_family,
@@ -19,13 +18,10 @@ from dlstar import (
     distance,
     f_rows,
     format_vertex,
-    gamma_family,
     identity,
     limit_value,
-    m_profile,
     make_vertex,
     neighbors,
-    nu_family,
     nu_point,
     pair_profile,
     parse_vertex,
@@ -33,7 +29,6 @@ from dlstar import (
     probe_disagreement,
     shifts,
     symmetric_probe_set,
-    zeta_family,
     zeta_point,
 )
 from dlstar import horofn
@@ -139,14 +134,6 @@ def test_exact_forms_are_checked_at_from_n(params, monkeypatch):
         limit_value(beta_family(params), z)
     with pytest.raises(TableMismatch):
         betandist_table(z)
-
-
-def test_m_profiles(params):
-    assert m_profile(alpha_family(params)) == (0, INFINITE, 0)
-    assert m_profile(beta_family(params)) == (0, 0, INFINITE)
-    assert m_profile(gamma_family(params, [1, 3])) == (INFINITE, 0, INFINITE)
-    assert m_profile(zeta_family(params, 1, 2)) == (2, 0, 0)
-    assert m_profile(nu_family(params, 1, 1, 2)) == (0, 0, 2)
 
 
 def test_affine_in_n_arithmetic():

@@ -233,17 +233,22 @@ def test_bfs_distance_cap_edge(params, ball3):
     assert bfs_distance(verts[0], verts[0], cap=0) == 0
 
 
-def test_bfs_distance_memory_cap(params, origin):
+def test_bfs_distance_memory_cap(params, origin, monkeypatch):
+    import dlstar.metric as metric_mod
+
     far = beta_family(params).at(5)
+    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 50)
     with pytest.raises(MemoryCapExceeded) as e:
-        bfs_distance(origin, far, max_vertices=50)
+        bfs_distance(origin, far)
     assert e.value.size > 50
     # after the first layer the ball around origin holds 13 vertices and
     # the one around far holds 1: the cap counts both
+    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 13)
     with pytest.raises(MemoryCapExceeded) as e:
-        bfs_distance(origin, far, max_vertices=13)
+        bfs_distance(origin, far)
     assert e.value.size == 14
-    assert bfs_distance(origin, far, max_vertices=100_000) == 10
+    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 100_000)
+    assert bfs_distance(origin, far) == 10
 
 
 def test_bfs_distance_reads_formula_only_for_default_cap(params, origin, monkeypatch):
@@ -266,14 +271,10 @@ def test_bfs_distance_rejects_bad_limits(params, origin):
         bfs_distance(origin, z, cap=-1)
     with pytest.raises(ValueError):
         bfs_distance(origin, origin, cap=-1)
-    with pytest.raises(ValueError):
-        bfs_distance(origin, z, max_vertices=0)
     # a bool or float cap is rejected, not run as cap 1
     for bad in (True, 3.0, 2.5):
         with pytest.raises(ValueError, match="must be an int"):
             bfs_distance(origin, z, cap=bad)
-        with pytest.raises(ValueError, match="must be an int"):
-            bfs_distance(origin, z, max_vertices=bad)
 
 
 # DL_3(2) is checked against BFS by test_word_metric_matches_bfs_oracle

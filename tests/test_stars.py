@@ -14,6 +14,7 @@ from dlstar import (
     nu_family,
     separation_evidence,
     star_witness,
+    zeta_family,
     zeta_point,
 )
 from dlstar.stars import Tally
@@ -90,6 +91,11 @@ def test_separation_rejects_wrong_profile(params):
         separation_evidence(beta_family(params), 1, 5, 2)
     with pytest.raises(ProfileMismatch):
         separation_evidence(gamma_family(params, [1, 3]), 1, 5, 2)
+    # a constant family's limiting depth is its base's: nu's tree 3 sits
+    # at depth 2, zeta's at depth 0
+    with pytest.raises(ProfileMismatch, match="spine depth 2,"):
+        separation_evidence(nu_family(params, 1, 1, 2), 1, 5, 2)
+    assert separation_evidence(zeta_family(params, 1, 2), 1, 5, 2).cases > 0
     with pytest.raises(ValueError):
         separation_evidence(alpha_family(params), 0, 5, 2)
     # no index checked is no evidence, not a pass

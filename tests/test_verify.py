@@ -1,5 +1,6 @@
 """Suite plumbing, and the profile table and screens of the lemma suite."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -26,10 +27,12 @@ from dlstar import (
     symmetric_probe_set,
     vertex_sort_key,
 )
-from dlstar.dlgraph import PROFILE_PAIR_CAP, balanced_vertices
+from dlstar.dlgraph import balanced_vertices
 from dlstar.stars import Tally
+from dlstar.treecoord import pair_stats
 from dlstar.verify import (
     DEFAULT_SEED,
+    PROFILE_PAIR_CAP,
     SUITES,
     _check_asymmetry,
     _check_comparison_lemmas,
@@ -130,10 +133,37 @@ def test_pair_table_narrow_cross_spans_blocks(ball4, params):
 
 
 def test_pair_table_rejects_key_overflow():
-    # 8 trees of radius-2 coordinates: more (m, l) combinations than int32 holds
+    # 8 trees of radius-2 coordinates: more (m, l) combinations than the
+    # cap admits, refused before the key range is allocated
     verts = sorted(ball_distances(DLParams(8, 2), 2), key=vertex_sort_key)
-    with pytest.raises(ValueError, match="overflow the pair key"):
+    assert len(verts) ** 2 <= PROFILE_PAIR_CAP
+    dims = [
+        len({pair_stats(a, b) for a in coords for b in coords})
+        for coords in ({v.coords[t] for v in verts} for t in range(8))
+    ]
+    with pytest.raises(MemoryCapExceeded, match="pair key range too large") as e:
         pair_table(verts)
+    assert e.value.size == math.prod(dims) > PROFILE_PAIR_CAP
+
+
+def test_pair_table_cap_precedes_pair_stats(ball3, params, monkeypatch):
+    # the rows x cols key is checked against the cap before any tree's
+    # pair_stats runs
+    rows = sorted(ball3, key=vertex_sort_key)[:40]
+    cols = symmetric_probe_set(params)
+    entries = len(rows) * len(cols)
+
+    def unreachable(a, b):
+        raise AssertionError("pair_stats ran")
+
+    monkeypatch.setattr(verify_mod, "pair_stats", unreachable)
+    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", entries)
+    with pytest.raises(AssertionError, match="pair_stats ran"):
+        pair_table(rows, cols)
+    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", entries - 1)
+    with pytest.raises(MemoryCapExceeded, match="pair key too large") as e:
+        pair_table(rows, cols)
+    assert e.value.size == entries
 
 
 def _per_triple_screens(table):
