@@ -96,34 +96,37 @@ def identity(params: DLParams) -> DLVertex:
     return DLVertex(tuple(ORIGIN for _ in range(params.d)), params.q)
 
 
+def _tree_moves(c: TreeVertex, q: int) -> tuple[list[TreeVertex], TreeVertex]:
+    """The q up moves of one tree coordinate, by label, and its down move.
+
+    Up appends a label, except that label 0 from a spine vertex (m, ())
+    with m > 0 lands on (m - 1, ()); down drops the last label, or from
+    (m, ()) steps to (m + 1, ()).  Both keep the coordinate canonical.
+    """
+    m, path = c
+    if path:
+        return [TreeVertex(m, path + (a,)) for a in range(q)], TreeVertex(m, path[:-1])
+    ups = [TreeVertex(m, (a,)) for a in range(q)]
+    if m > 0:
+        ups[0] = TreeVertex(m - 1, ())
+    return ups, TreeVertex(m + 1, ())
+
+
 def neighbors(v: DLVertex) -> list[DLVertex]:
     """All d(d-1)q adjacent vertices, in deterministic (i, j, label) order.
 
     Neighbor i,j,a moves coordinate i up along label a and coordinate j
-    down.  Up appends a, except that label 0 from a spine vertex (m, ())
-    with m > 0 lands on (m - 1, ()); down drops the last label, or from
-    (m, ()) steps to (m + 1, ()).  Every move preserves the zero height
-    sum and canonical form, so results are assembled without
-    re-validation.
+    down (_tree_moves).  Every move preserves the zero height sum and
+    canonical form, so results are assembled without re-validation.
     """
     coords = v.coords
     q = v.q
     d = len(coords)
+    moves = [_tree_moves(c, q) for c in coords]
+    downs = [down for _, down in moves]
+    new = tuple.__new__  # DLVertex(...) less the namedtuple constructor's frame
     out: list[DLVertex] = []
-    downs = []
-    for c in coords:
-        if c.path:
-            downs.append(TreeVertex(c.m, c.path[:-1]))
-        else:
-            downs.append(TreeVertex(c.m + 1, ()))
-    for i in range(d):
-        ci = coords[i]
-        ups = []
-        for a in range(q):
-            if ci.m > 0 and not ci.path and a == 0:
-                ups.append(TreeVertex(ci.m - 1, ()))
-            else:
-                ups.append(TreeVertex(ci.m, ci.path + (a,)))
+    for i, (ups, _) in enumerate(moves):
         for j in range(d):
             if i == j:
                 continue
@@ -131,36 +134,112 @@ def neighbors(v: DLVertex) -> list[DLVertex]:
             base[j] = downs[j]
             for up in ups:
                 base[i] = up
-                out.append(DLVertex(tuple(base), q))
+                out.append(new(DLVertex, (tuple(base), q)))
     return out
+
+
+class _VertexCoder:
+    """Packs the vertices of one search into ints.
+
+    Each tree coordinate the search meets gets the next int code from an
+    intern table, and a vertex becomes the key sum of code_t << (bits * t)
+    over its trees.  A code's q up moves and its down move (_tree_moves)
+    are interned once, and kept per tree as the change they make to a
+    key, so neighbor (i, j, a) of a key is the key plus tree j's down
+    change plus tree i's label-a up change.
+
+    bits fits every code as long as the search expands a vertex only
+    while it holds at most max_vertices vertices, or just its start
+    vertices.  A new code appears only among the moves of an expanded
+    vertex, and so in a neighbor that no held vertex equals, which the
+    search inserts unless it stops within that expansion.  So when an
+    expansion starts every code belongs to a held vertex, at most
+    d * (max_vertices + 2) codes, and the expansion adds at most
+    d * (q + 1).
+    """
+
+    def __init__(self, d: int, q: int, max_vertices: int):
+        self.q = q
+        bits = (d * (max_vertices + q + 3)).bit_length()
+        self.mask = (1 << bits) - 1
+        self.shifts = [bits * t for t in range(d)]
+        self.coords: list[TreeVertex] = []
+        self._codes: dict[TreeVertex, int] = {}
+        self._moves: dict[int, tuple[list[int], int]] = {}
+        self._changes: list[dict[int, tuple[list[int], int]]] = [{} for _ in range(d)]
+
+    def code(self, c: TreeVertex) -> int:
+        code = self._codes.get(c)
+        if code is None:
+            code = len(self.coords)
+            if code > self.mask:
+                raise RuntimeError("tree coordinate codes overflow their field")
+            self._codes[c] = code
+            self.coords.append(c)
+        return code
+
+    def encode(self, v: DLVertex) -> int:
+        return sum(self.code(c) << s for c, s in zip(v.coords, self.shifts))
+
+    def decode(self, key: int) -> DLVertex:
+        coords, mask = self.coords, self.mask
+        return DLVertex(tuple([coords[key >> s & mask] for s in self.shifts]), self.q)
+
+    def _key_changes(self, t: int, c: int) -> tuple[list[int], int]:
+        """Up and down changes to a key whose tree t holds code c."""
+        moves = self._moves.get(c)
+        if moves is None:
+            ups, down = _tree_moves(self.coords[c], self.q)
+            moves = self._moves[c] = ([self.code(u) for u in ups], self.code(down))
+        s = self.shifts[t]
+        ups, down = moves
+        changes = self._changes[t][c] = ([(u - c) << s for u in ups], (down - c) << s)
+        return changes
+
+    def neighbor_keys(self, key: int) -> list[int]:
+        """Keys of neighbors(decode(key)), in the same (i, j, label) order."""
+        mask = self.mask
+        moves = [
+            self._changes[t].get(key >> s & mask) or self._key_changes(t, key >> s & mask)
+            for t, s in enumerate(self.shifts)
+        ]
+        bases = [key + down for _, down in moves]
+        return [
+            base + up
+            for i, (ups, _) in enumerate(moves)
+            for j, base in enumerate(bases)
+            if i != j
+            for up in ups
+        ]
 
 
 def ball_distances(params: DLParams, radius: int) -> dict[DLVertex, int]:
     """Breadth-first distances from the identity out to the given radius.
 
     Returns vertices in discovery order mapped to their graph distance.
-    Equal tree coordinates are one shared object across the vertices,
-    which about halves the ball's memory.  Raises MemoryCapExceeded once
-    more than DEFAULT_MEMORY_CAP are visited.
+    The search runs on the packed int keys of one _VertexCoder, whose
+    field width is sized from DEFAULT_MEMORY_CAP, and decodes them once
+    at the end.  The coder's intern table holds one object per distinct
+    tree coordinate, shared by every vertex that has it, which about
+    halves the ball's memory.  Raises MemoryCapExceeded once more than
+    DEFAULT_MEMORY_CAP are visited.
     """
     _require_int(radius, "radius", 0)
     limit = DEFAULT_MEMORY_CAP
-    start = identity(params)
-    dist = {start: 0}
-    frontier = [start]
-    shared: dict[TreeVertex, TreeVertex] = {}
-    for layer in range(radius):
-        nxt: list[DLVertex] = []
+    coder = _VertexCoder(params.d, params.q, limit)
+    dist = {coder.encode(identity(params)): 0}
+    frontier = list(dist)
+    for layer in range(1, radius + 1):
+        nxt: list[int] = []
         for v in frontier:
-            for w in neighbors(v):
+            for w in coder.neighbor_keys(v):
                 if w not in dist:
-                    w = DLVertex(tuple([shared.setdefault(c, c) for c in w.coords]), w.q)
-                    dist[w] = layer + 1
+                    dist[w] = layer
                     nxt.append(w)
             if len(dist) > limit:
                 raise MemoryCapExceeded("ball enumeration too large", len(dist))
         frontier = nxt
-    return dist
+    return {coder.decode(k): r for k, r in dist.items()}
 
 
 def balanced_vertices(params: DLParams, depths: Sequence[range]) -> tuple[DLVertex, ...]:

@@ -14,7 +14,9 @@ the six orderings to a closed form over the choice of middle tree,
 derived in its docstring.  f_value and f_row_max write the formula out
 literally as the reference for both.  bfs_distance is the independent
 oracle for the same quantity: a meet-in-the-middle breadth-first search
-whose two balls together may hold DEFAULT_MEMORY_CAP vertices.
+whose two balls together may hold DEFAULT_MEMORY_CAP vertices.  It runs
+on the packed int keys of dlgraph._VertexCoder, whose neighbor keys
+follow neighbors, and builds no vertex past its two inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .dlgraph import DLVertex, identity, neighbors, DEFAULT_MEMORY_CAP
+from .dlgraph import DEFAULT_MEMORY_CAP, DLVertex, _VertexCoder, identity
 from .errors import DimensionMismatch, MemoryCapExceeded, NotBalanced
 from .treecoord import _require_int, pair_stats
 
@@ -32,7 +34,7 @@ from .treecoord import _require_int, pair_stats
 # the breadth-first oracle; others get a verified=false advisory in the CLI.
 # test_every_verified_config_has_a_bfs_run (tests/test_metric.py) ties
 # this set to the tests that check each entry's seeded pairs against BFS.
-VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3)})
+VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3), (5, 2)})
 
 
 class PairProfile(NamedTuple):
@@ -167,6 +169,13 @@ def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None
     length at most depth_a + 1 + depth_b, hence exactly that: the
     first hit is the distance.
 
+    Vertices are held as the packed int keys of one per-call coder
+    (dlgraph._VertexCoder), whose neighbor keys are those of neighbors
+    in the same order.  Each tree coordinate takes B bits of a key, B
+    sized from DEFAULT_MEMORY_CAP: new coordinate codes appear only in
+    inserted vertices, so at most d * (DEFAULT_MEMORY_CAP + 2) exist
+    when a vertex is expanded, and the expansion adds at most d (q + 1).
+
     Returns None when the distance exceeds cap, i.e. once depth_a +
     depth_b reaches cap without a meeting.  cap defaults to twice the
     formula distance plus two, so a discrepancy in either direction is
@@ -175,16 +184,23 @@ def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None
     DEFAULT_MEMORY_CAP vertices, and ValueError for a cap that is not
     an int or is negative.
     """
+    return _bfs_search(x, y, cap)[0]
+
+
+def _bfs_search(x: DLVertex, y: DLVertex, cap: int | None) -> tuple[int | None, int]:
+    """bfs_distance and the number of vertices the search expanded."""
     _check_same_graph(x, y)
     if cap is None:
         cap = 2 * distance(x, y) + 2
     _require_int(cap, "cap", 0)
     limit = DEFAULT_MEMORY_CAP
     if x == y:
-        return 0
-    near, far = {x: 0}, {y: 0}
-    near_front, far_front = [x], [y]
+        return 0, 0
+    coder = _VertexCoder(len(x.coords), x.q, limit)
+    near, far = {coder.encode(x): 0}, {coder.encode(y): 0}
+    near_front, far_front = list(near), list(far)
     near_depth = far_depth = 0
+    expanded = 0
     while near_depth + far_depth < cap:
         if len(far_front) < len(near_front):
             near, far = far, near
@@ -193,12 +209,13 @@ def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None
         layer = near_depth + 1
         nxt = []
         for v in near_front:
-            for w in neighbors(v):
+            expanded += 1
+            for w in coder.neighbor_keys(v):
                 if w in near:
                     continue
                 met = far.get(w)
                 if met is not None:
-                    return layer + met
+                    return layer + met, expanded
                 near[w] = layer
                 nxt.append(w)
             if len(near) + len(far) > limit:
@@ -206,9 +223,9 @@ def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None
                     "breadth-first search too large", len(near) + len(far)
                 )
         if not nxt:
-            return None
+            return None, expanded
         near_front, near_depth = nxt, layer
-    return None
+    return None, expanded
 
 
 # ── comparison reports ──────────────────────────────────────────────────────

@@ -48,9 +48,9 @@ from .horofn import (
 )
 from .metric import (
     PairProfile,
+    _bfs_search,
     all_permutations,
     balanced_compare,
-    bfs_distance,
     check_coord_dominance,
     check_f_dominance,
     distance,
@@ -93,12 +93,20 @@ def _check_word_metric(params: DLParams, seed: int) -> VerificationReport:
     pool = _sorted_ball(params, 4)
     rng = random.Random(seed)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
+    expanded = 0
     for x, y in pairs:
-        want, got = distance(x, y), bfs_distance(x, y)
+        want = distance(x, y)
+        got, cost = _bfs_search(x, y, None)
+        expanded += cost
         tally.check(got == want, lambda: f"{x} vs {y}: formula {want}, bfs {got}")
     return tally.report(
         "word-metric-conformance",
-        {"ball_radius": 5, "ball_size": len(reached), "random_pairs": len(pairs)},
+        {
+            "ball_radius": 5,
+            "ball_size": len(reached),
+            "random_pairs": len(pairs),
+            "bfs_expanded": expanded,
+        },
     )
 
 

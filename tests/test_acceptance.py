@@ -33,10 +33,20 @@ def _run(capsys, check, params, budget=None):
 
 
 def test_word_metric_matches_bfs_oracle(params, capsys):
-    rep = _run(capsys, _check_word_metric, params, budget=60)
+    rep = _run(capsys, _check_word_metric, params, budget=10)
     assert rep.details["ball_radius"] == 5
     assert rep.details["random_pairs"] == 200
+    # vertices the 200 meet-in-the-middle searches expanded
+    assert rep.details["bfs_expanded"] == 37169
     assert rep.cases == 3790  # 3590 ball vertices + 200 pairs
+
+
+def test_word_metric_matches_bfs_oracle_at_d4(capsys):
+    rep = _run(capsys, _check_word_metric, DLParams(4, 2), budget=20)
+    assert rep.details["ball_radius"] == 5
+    assert rep.details["random_pairs"] == 200
+    assert rep.details["bfs_expanded"] == 130812
+    assert rep.cases == 32151  # 31951 ball vertices + 200 pairs
 
 
 def test_beta_ray_identities(params, capsys):

@@ -1,6 +1,8 @@
 """Graph structure, balls, literals, and point families."""
 
 import math
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,7 @@ from dlstar import (
     zeta_family,
     zeta_point,
 )
-from dlstar.dlgraph import DEFAULT_MEMORY_CAP, balanced_vertices
+from dlstar.dlgraph import DEFAULT_MEMORY_CAP, _VertexCoder, balanced_vertices
 import dlstar.dlgraph as dlgraph_mod
 
 
@@ -95,6 +97,47 @@ def test_ball_memory_cap(params, monkeypatch):
     for radius in (True, 1.0, 1.5):
         with pytest.raises(ValueError, match="must be an int"):
             ball_distances(params, radius)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (3, 3), (4, 2), (5, 2), (2, 5)])
+def test_coded_neighbors_match_neighbors(d, q):
+    # along a seeded walk, the packed neighbor keys decode to exactly
+    # neighbors(v), in its (i, j, label) order
+    params = DLParams(d, q)
+    coder = _VertexCoder(d, q, DEFAULT_MEMORY_CAP)
+    rng = random.Random(100 * d + q)
+    v = identity(params)
+    for _ in range(60):
+        key = coder.encode(v)
+        assert coder.decode(key) == v
+        adj = neighbors(v)
+        assert [coder.decode(k) for k in coder.neighbor_keys(key)] == adj
+        v = rng.choice(adj)
+
+
+def _queue_ball(params, radius):
+    """One-way queue search over neighbors, written apart from the library's."""
+    start = identity(params)
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == radius:
+            continue
+        for w in neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+@pytest.mark.parametrize("d,q,radius", [(4, 2, 3), (2, 3, 4)])
+def test_ball_matches_queue_search(d, q, radius):
+    params = DLParams(d, q)
+    # the same distances in the same discovery order
+    assert list(ball_distances(params, radius).items()) == list(
+        _queue_ball(params, radius).items()
+    )
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -213,7 +213,8 @@ def _seeded_pairs(params, radius, count, seed):
 
 
 @pytest.mark.parametrize(
-    "d,q,radius,count", [(3, 2, 3, 30), (2, 2, 4, 60), (2, 3, 3, 40), (4, 2, 2, 15)]
+    "d,q,radius,count",
+    [(3, 2, 3, 30), (2, 2, 4, 60), (2, 3, 3, 40), (4, 2, 2, 15), (2, 4, 3, 40), (5, 2, 2, 10)],
 )
 def test_bfs_distance_matches_one_way_oracle(d, q, radius, count):
     # the meet-in-the-middle search against the plain one-way queue search
@@ -282,7 +283,7 @@ def test_bfs_distance_rejects_bad_limits(params, origin):
 # every other VERIFIED_CONFIGS entry draws seeded pairs from the ball of
 # the radius given here
 BFS_ACCEPTANCE_CONFIG = (3, 2)
-BFS_CONFIG_RADIUS = {(2, 2): 4, (4, 2): 3, (3, 3): 3, (2, 3): 4}
+BFS_CONFIG_RADIUS = {(2, 2): 4, (4, 2): 3, (3, 3): 3, (2, 3): 4, (5, 2): 3}
 
 
 def test_every_verified_config_has_a_bfs_run():
