@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -139,28 +140,32 @@ def neighbors(v: DLVertex) -> list[DLVertex]:
 
 
 class _VertexCoder:
-    """Packs the vertices of one search into ints.
+    """Packs the vertices of the searches of one graph into ints.
 
-    Each tree coordinate the search meets gets the next int code from an
+    Each tree coordinate a search meets gets the next int code from an
     intern table, and a vertex becomes the key sum of code_t << (bits * t)
     over its trees.  A code's q up moves and its down move (_tree_moves)
     are interned once, and kept per tree as the change they make to a
     key, so neighbor (i, j, a) of a key is the key plus tree j's down
-    change plus tree i's label-a up change.
+    change plus tree i's label-a up change.  Searches take their coder
+    from _kept_coder, so codes and changes carry over to the next search
+    of the same graph and memory cap.
 
-    bits fits every code as long as the search expands a vertex only
+    bits fits every code as long as a search expands a vertex only
     while it holds at most max_vertices vertices, or just its start
-    vertices.  A new code appears only among the moves of an expanded
-    vertex, and so in a neighbor that no held vertex equals, which the
-    search inserts unless it stops within that expansion.  So when an
-    expansion starts every code belongs to a held vertex, at most
-    d * (max_vertices + 2) codes, and the expansion adds at most
-    d * (q + 1).
+    vertices, and starts from a coder of at most _KEPT_CODES codes.  A
+    new code appears only among the moves of an expanded vertex, and so
+    in a neighbor that no held vertex equals, which the search inserts
+    unless it stops within that expansion.  So when an expansion starts
+    every code the search added belongs to a held vertex: with the codes
+    it started with, at most d * (max_vertices + 2) + _KEPT_CODES codes,
+    and the expansion adds at most d * (q + 1).  All fit below
+    d * (max_vertices + _KEPT_CODES + q + 3).
     """
 
     def __init__(self, d: int, q: int, max_vertices: int):
         self.q = q
-        bits = (d * (max_vertices + q + 3)).bit_length()
+        bits = (d * (max_vertices + _KEPT_CODES + q + 3)).bit_length()
         self.mask = (1 << bits) - 1
         self.shifts = [bits * t for t in range(d)]
         self.coords: list[TreeVertex] = []
@@ -213,33 +218,57 @@ class _VertexCoder:
         ]
 
 
+# A search leaves its coder here, keyed by (d, q, max_vertices), for the
+# next search of the same graph and memory cap, if the coder holds at
+# most _KEPT_CODES codes.
+_KEPT_CODES = 1 << 12
+_kept_coders: dict[tuple[int, int, int], _VertexCoder] = {}
+
+
+@contextmanager
+def _kept_coder(d: int, q: int, max_vertices: int):
+    """The coder the last search of this graph and cap left, or a new one.
+
+    The search owns it until it ends, by a result or an exception; then
+    the coder is left for the next search if it holds at most
+    _KEPT_CODES codes, and dropped otherwise.
+    """
+    key = (d, q, max_vertices)
+    coder = _kept_coders.pop(key, None) or _VertexCoder(d, q, max_vertices)
+    try:
+        yield coder
+    finally:
+        if len(coder.coords) <= _KEPT_CODES:
+            _kept_coders[key] = coder
+
+
 def ball_distances(params: DLParams, radius: int) -> dict[DLVertex, int]:
     """Breadth-first distances from the identity out to the given radius.
 
     Returns vertices in discovery order mapped to their graph distance.
-    The search runs on the packed int keys of one _VertexCoder, whose
-    field width is sized from DEFAULT_MEMORY_CAP, and decodes them once
-    at the end.  The coder's intern table holds one object per distinct
-    tree coordinate, shared by every vertex that has it, which about
-    halves the ball's memory.  Raises MemoryCapExceeded once more than
-    DEFAULT_MEMORY_CAP are visited.
+    The search runs on the packed int keys of the _VertexCoder kept for
+    this graph and DEFAULT_MEMORY_CAP (_kept_coder), and decodes them
+    once at the end.  The coder's intern table holds one object per
+    distinct tree coordinate, shared by every vertex that has it, which
+    about halves the ball's memory.  Raises MemoryCapExceeded once more
+    than DEFAULT_MEMORY_CAP are visited.
     """
     _require_int(radius, "radius", 0)
     limit = DEFAULT_MEMORY_CAP
-    coder = _VertexCoder(params.d, params.q, limit)
-    dist = {coder.encode(identity(params)): 0}
-    frontier = list(dist)
-    for layer in range(1, radius + 1):
-        nxt: list[int] = []
-        for v in frontier:
-            for w in coder.neighbor_keys(v):
-                if w not in dist:
-                    dist[w] = layer
-                    nxt.append(w)
-            if len(dist) > limit:
-                raise MemoryCapExceeded("ball enumeration too large", len(dist))
-        frontier = nxt
-    return {coder.decode(k): r for k, r in dist.items()}
+    with _kept_coder(params.d, params.q, limit) as coder:
+        dist = {coder.encode(identity(params)): 0}
+        frontier = list(dist)
+        for layer in range(1, radius + 1):
+            nxt: list[int] = []
+            for v in frontier:
+                for w in coder.neighbor_keys(v):
+                    if w not in dist:
+                        dist[w] = layer
+                        nxt.append(w)
+                if len(dist) > limit:
+                    raise MemoryCapExceeded("ball enumeration too large", len(dist))
+            frontier = nxt
+        return {coder.decode(k): r for k, r in dist.items()}
 
 
 def balanced_vertices(params: DLParams, depths: Sequence[range]) -> tuple[DLVertex, ...]:

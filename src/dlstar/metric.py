@@ -16,7 +16,9 @@ literally as the reference for both.  bfs_distance is the independent
 oracle for the same quantity: a meet-in-the-middle breadth-first search
 whose two balls together may hold DEFAULT_MEMORY_CAP vertices.  It runs
 on the packed int keys of dlgraph._VertexCoder, whose neighbor keys
-follow neighbors, and builds no vertex past its two inputs.
+follow neighbors, and builds no vertex past its two inputs.  Searches
+of one graph and cap share a coder (dlgraph._kept_coder), so its codes
+and key changes are computed once across them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .dlgraph import DEFAULT_MEMORY_CAP, DLVertex, _VertexCoder, identity
+from .dlgraph import DEFAULT_MEMORY_CAP, DLVertex, _kept_coder, identity
 from .errors import DimensionMismatch, MemoryCapExceeded, NotBalanced
 from .treecoord import _require_int, pair_stats
 
@@ -34,7 +36,7 @@ from .treecoord import _require_int, pair_stats
 # the breadth-first oracle; others get a verified=false advisory in the CLI.
 # test_every_verified_config_has_a_bfs_run (tests/test_metric.py) ties
 # this set to the tests that check each entry's seeded pairs against BFS.
-VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3), (5, 2)})
+VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3), (5, 2), (6, 2)})
 
 
 class PairProfile(NamedTuple):
@@ -169,12 +171,16 @@ def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None
     length at most depth_a + 1 + depth_b, hence exactly that: the
     first hit is the distance.
 
-    Vertices are held as the packed int keys of one per-call coder
+    Vertices are held as the packed int keys of a coder
     (dlgraph._VertexCoder), whose neighbor keys are those of neighbors
-    in the same order.  Each tree coordinate takes B bits of a key, B
-    sized from DEFAULT_MEMORY_CAP: new coordinate codes appear only in
-    inserted vertices, so at most d * (DEFAULT_MEMORY_CAP + 2) exist
-    when a vertex is expanded, and the expansion adds at most d (q + 1).
+    in the same order.  The coder is the one the last search of this
+    graph and DEFAULT_MEMORY_CAP left behind, holding at most
+    K = dlgraph._KEPT_CODES codes, or a new one (dlgraph._kept_coder).
+    Each tree coordinate takes B bits of a key, B sized from
+    DEFAULT_MEMORY_CAP + K: new coordinate codes appear only in
+    inserted vertices, so at most d * (DEFAULT_MEMORY_CAP + 2) + K
+    exist when a vertex is expanded, and the expansion adds at most
+    d (q + 1).
 
     Returns None when the distance exceeds cap, i.e. once depth_a +
     depth_b reaches cap without a meeting.  cap defaults to twice the
@@ -196,36 +202,36 @@ def _bfs_search(x: DLVertex, y: DLVertex, cap: int | None) -> tuple[int | None, 
     limit = DEFAULT_MEMORY_CAP
     if x == y:
         return 0, 0
-    coder = _VertexCoder(len(x.coords), x.q, limit)
-    near, far = {coder.encode(x): 0}, {coder.encode(y): 0}
-    near_front, far_front = list(near), list(far)
-    near_depth = far_depth = 0
-    expanded = 0
-    while near_depth + far_depth < cap:
-        if len(far_front) < len(near_front):
-            near, far = far, near
-            near_front, far_front = far_front, near_front
-            near_depth, far_depth = far_depth, near_depth
-        layer = near_depth + 1
-        nxt = []
-        for v in near_front:
-            expanded += 1
-            for w in coder.neighbor_keys(v):
-                if w in near:
-                    continue
-                met = far.get(w)
-                if met is not None:
-                    return layer + met, expanded
-                near[w] = layer
-                nxt.append(w)
-            if len(near) + len(far) > limit:
-                raise MemoryCapExceeded(
-                    "breadth-first search too large", len(near) + len(far)
-                )
-        if not nxt:
-            return None, expanded
-        near_front, near_depth = nxt, layer
-    return None, expanded
+    with _kept_coder(len(x.coords), x.q, limit) as coder:
+        near, far = {coder.encode(x): 0}, {coder.encode(y): 0}
+        near_front, far_front = list(near), list(far)
+        near_depth = far_depth = 0
+        expanded = 0
+        while near_depth + far_depth < cap:
+            if len(far_front) < len(near_front):
+                near, far = far, near
+                near_front, far_front = far_front, near_front
+                near_depth, far_depth = far_depth, near_depth
+            layer = near_depth + 1
+            nxt = []
+            for v in near_front:
+                expanded += 1
+                for w in coder.neighbor_keys(v):
+                    if w in near:
+                        continue
+                    met = far.get(w)
+                    if met is not None:
+                        return layer + met, expanded
+                    near[w] = layer
+                    nxt.append(w)
+                if len(near) + len(far) > limit:
+                    raise MemoryCapExceeded(
+                        "breadth-first search too large", len(near) + len(far)
+                    )
+            if not nxt:
+                return None, expanded
+            near_front, near_depth = nxt, layer
+        return None, expanded
 
 
 # ── comparison reports ──────────────────────────────────────────────────────

@@ -44,6 +44,15 @@ def test_distance_csv(capsys):
     assert lines[1] == "2,True"
 
 
+def test_d6_distance_is_verified(capsys):
+    code, out, _ = run(
+        capsys, "--d", "6", "distance", "0:|0:|0:|0:|0:|0:", "1:1|0:|0:|0:|0:|0:"
+    )
+    assert code == 0
+    assert "distance: 2" in out
+    assert "formula_verified: True" in out
+
+
 def test_unverified_config_advisory(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "--d", "4", "--q", "3",

@@ -140,6 +140,42 @@ def test_ball_matches_queue_search(d, q, radius):
     )
 
 
+@pytest.mark.parametrize("d,q,radius", [(3, 2, 4), (4, 2, 3), (2, 3, 4)])
+def test_ball_on_warm_coder_matches_cold(d, q, radius, monkeypatch):
+    # a ball grown on a coder that earlier searches left behind has the
+    # same distances in the same discovery order as one on a new coder
+    params = DLParams(d, q)
+    monkeypatch.setattr(dlgraph_mod, "_kept_coders", {})
+    cold = list(ball_distances(params, radius).items())
+    key = (d, q, DEFAULT_MEMORY_CAP)
+    ball_distances(params, radius + 1)
+    warm_codes = len(dlgraph_mod._kept_coders[key].coords)
+    assert list(ball_distances(params, radius).items()) == cold
+    assert len(dlgraph_mod._kept_coders[key].coords) == warm_codes
+
+
+def test_coder_kept_only_up_to_kept_codes(params, monkeypatch):
+    monkeypatch.setattr(dlgraph_mod, "_kept_coders", {})
+    key = (3, 2, DEFAULT_MEMORY_CAP)
+    ball_distances(params, 2)
+    small = dlgraph_mod._kept_coders[key]
+    assert 0 < len(small.coords) <= dlgraph_mod._KEPT_CODES
+    # the next search of the same graph and cap takes that coder
+    ball_distances(params, 3)
+    assert dlgraph_mod._kept_coders[key] is small
+    # a search that leaves more codes than _KEPT_CODES keeps no coder
+    monkeypatch.setattr(dlgraph_mod, "_KEPT_CODES", len(small.coords))
+    ball_distances(params, 4)
+    assert len(small.coords) > dlgraph_mod._KEPT_CODES
+    assert dlgraph_mod._kept_coders == {}
+    # nor does a search stopped by the memory cap, once it holds as many
+    monkeypatch.setattr(dlgraph_mod, "_KEPT_CODES", 10)
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 100)
+    with pytest.raises(MemoryCapExceeded):
+        ball_distances(params, 3)
+    assert dlgraph_mod._kept_coders == {}
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_balanced_vertices_order_and_size(q):
     # one coordinate at depth 0 and (q-1) q^(j-1) at depth j >= 1 per tree

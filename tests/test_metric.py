@@ -34,6 +34,9 @@ from dlstar import (
     profile_distance,
     zeta_point,
 )
+import dlstar.dlgraph as dlgraph_mod
+import dlstar.metric as metric_mod
+from dlstar.metric import _bfs_search
 
 
 def bfs_oracle(x, y, limit=40):
@@ -235,8 +238,6 @@ def test_bfs_distance_cap_edge(params, ball3):
 
 
 def test_bfs_distance_memory_cap(params, origin, monkeypatch):
-    import dlstar.metric as metric_mod
-
     far = beta_family(params).at(5)
     monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 50)
     with pytest.raises(MemoryCapExceeded) as e:
@@ -252,9 +253,58 @@ def test_bfs_distance_memory_cap(params, origin, monkeypatch):
     assert bfs_distance(origin, far) == 10
 
 
-def test_bfs_distance_reads_formula_only_for_default_cap(params, origin, monkeypatch):
-    import dlstar.metric as metric_mod
+@pytest.mark.parametrize("d,q,radius", [(3, 2, 3), (4, 2, 2), (2, 3, 3)])
+def test_bfs_search_on_warm_coder_matches_cold(d, q, radius, monkeypatch):
+    # the same distances and expansion counts whether each search starts
+    # from a new coder or from the one the previous search left behind
+    pairs = _seeded_pairs(DLParams(d, q), radius, 40, seed=d * 10 + q + 1)
+    kept = {}
+    monkeypatch.setattr(dlgraph_mod, "_kept_coders", kept)
+    cold = []
+    for x, y in pairs:
+        kept.clear()
+        cold.append(_bfs_search(x, y, None))
+    warm = [_bfs_search(x, y, None) for x, y in pairs]
+    assert warm == cold
+    assert len(kept[d, q, metric_mod.DEFAULT_MEMORY_CAP].coords) > 0
 
+
+def test_warm_coder_fits_its_field_under_a_small_cap(params, origin, monkeypatch):
+    # searches under cap 50 each hold few codes, but the coder they share
+    # gathers more than a field sized from the cap alone could hold
+    monkeypatch.setattr(dlgraph_mod, "_kept_coders", {})
+    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 50)
+    rng = random.Random(3)
+
+    def walk(v, steps):
+        for _ in range(steps):
+            v = rng.choice(neighbors(v))
+        return v
+
+    for _ in range(100):
+        x = walk(origin, 20)
+        y = walk(x, 2)
+        assert bfs_distance(x, y) == distance(x, y)
+    coder = dlgraph_mod._kept_coders[3, 2, 50]
+    assert len(coder.coords) > 1 << (3 * (50 + 2 + 3)).bit_length()
+
+
+def test_bfs_exact_after_memory_cap(params, origin, ball3, monkeypatch):
+    monkeypatch.setattr(dlgraph_mod, "_kept_coders", {})
+    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 2000)
+    with pytest.raises(MemoryCapExceeded):
+        bfs_distance(origin, beta_family(params).at(5))
+    # the stopped search left its coder, and the next searches run on it
+    coder = dlgraph_mod._kept_coders[3, 2, 2000]
+    rng = random.Random(23)
+    verts = sorted(ball3, key=lambda v: v.coords)
+    for _ in range(30):
+        x, y = rng.choice(verts), rng.choice(verts)
+        assert bfs_distance(x, y) == bfs_oracle(x, y)
+    assert dlgraph_mod._kept_coders[3, 2, 2000] is coder
+
+
+def test_bfs_distance_reads_formula_only_for_default_cap(params, origin, monkeypatch):
     def formula(*args):
         raise AssertionError("the oracle read the formula")
 
@@ -283,7 +333,7 @@ def test_bfs_distance_rejects_bad_limits(params, origin):
 # every other VERIFIED_CONFIGS entry draws seeded pairs from the ball of
 # the radius given here
 BFS_ACCEPTANCE_CONFIG = (3, 2)
-BFS_CONFIG_RADIUS = {(2, 2): 4, (4, 2): 3, (3, 3): 3, (2, 3): 4, (5, 2): 3}
+BFS_CONFIG_RADIUS = {(2, 2): 4, (4, 2): 3, (3, 3): 3, (2, 3): 4, (5, 2): 3, (6, 2): 3}
 
 
 def test_every_verified_config_has_a_bfs_run():
