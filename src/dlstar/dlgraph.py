@@ -144,12 +144,12 @@ class _VertexCoder:
 
     Each tree coordinate a search meets gets the next int code from an
     intern table, and a vertex becomes the key sum of code_t << (bits * t)
-    over its trees.  A code's q up moves and its down move (_tree_moves)
-    are interned once, and kept per tree as the change they make to a
-    key, so neighbor (i, j, a) of a key is the key plus tree j's down
-    change plus tree i's label-a up change.  Searches take their coder
-    from _kept_coder, so codes and changes carry over to the next search
-    of the same graph and memory cap.
+    over its trees.  When tree t first holds a code, the code's q up
+    moves and its down move (_tree_moves) are interned and kept for tree
+    t as the change they make to a key, so neighbor (i, j, a) of a key is
+    the key plus tree j's down change plus tree i's label-a up change.
+    Searches take their coder from _kept_coder, so codes and changes
+    carry over to the next search of the same graph and memory cap.
 
     bits fits every code as long as a search expands a vertex only
     while it holds at most max_vertices vertices, or just its start
@@ -170,7 +170,6 @@ class _VertexCoder:
         self.shifts = [bits * t for t in range(d)]
         self.coords: list[TreeVertex] = []
         self._codes: dict[TreeVertex, int] = {}
-        self._moves: dict[int, tuple[list[int], int]] = {}
         self._changes: list[dict[int, tuple[list[int], int]]] = [{} for _ in range(d)]
 
     def code(self, c: TreeVertex) -> int:
@@ -192,13 +191,12 @@ class _VertexCoder:
 
     def _key_changes(self, t: int, c: int) -> tuple[list[int], int]:
         """Up and down changes to a key whose tree t holds code c."""
-        moves = self._moves.get(c)
-        if moves is None:
-            ups, down = _tree_moves(self.coords[c], self.q)
-            moves = self._moves[c] = ([self.code(u) for u in ups], self.code(down))
+        ups, down = _tree_moves(self.coords[c], self.q)
         s = self.shifts[t]
-        ups, down = moves
-        changes = self._changes[t][c] = ([(u - c) << s for u in ups], (down - c) << s)
+        changes = self._changes[t][c] = (
+            [(self.code(u) - c) << s for u in ups],
+            (self.code(down) - c) << s,
+        )
         return changes
 
     def neighbor_keys(self, key: int) -> list[int]:

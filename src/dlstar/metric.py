@@ -228,8 +228,7 @@ def _bfs_search(x: DLVertex, y: DLVertex, cap: int | None) -> tuple[int | None, 
                     raise MemoryCapExceeded(
                         "breadth-first search too large", len(near) + len(far)
                     )
-            if not nxt:
-                return None, expanded
+            # DL_d(q) is infinite and connected, so no layer is empty
             near_front, near_depth = nxt, layer
         return None, expanded
 

@@ -2,19 +2,22 @@
 
 Each suite is a tuple of checks, one per headline property; a check
 takes (params, seed) and returns a VerificationReport.  Exhaustive
-triple screens run on a table of the distinct pair profiles, built from
-the library's own pair_stats, profile_distance and f_rows: every pair
-of distinct profiles that some base vertex sees is screened once, and
-a failing pair counts every triple it stands for.  Sampled calls bind
-the table and the screens to the checker functions they certify.  The
-exhaustive pair checks call their checker once per class of pairs with
-the same inputs, each call weighted by how many pairs share them.  Both
-probe sweeps, balanced_compare against the balanced probes and
-probe_disagreement against the probe sets, build their own cross table
-of the vertices against (id,) + probes and read each vertex's distance
-to the identity from its first column.  The probe screen binds each
-class's measured shifts to its table row and takes both sets' verdicts
-from probe_disagreement itself.
+triple screens run on a table of the distinct pair profiles, built by
+pair_table from the library's own pair_stats, profile_distance and
+f_rows.  pair_table is the one constructor of a table, and it refuses
+any table whose arrays, or the U x U map of its profile pairs, would
+pass PROFILE_PAIR_CAP.  Every pair of distinct profiles that some base
+vertex sees is screened once, and a failing pair counts every triple
+it stands for.  Sampled calls bind the table and the screens to the
+checker functions they certify.  The exhaustive pair checks call their
+checker once per class of pairs with the same inputs, each call
+weighted by how many pairs share them.  Both probe sweeps,
+balanced_compare against the balanced probes and probe_disagreement
+against the probe sets, build their own cross table of the vertices
+against (id,) + probes and read each vertex's distance to the identity
+from its first column.  The probe screen binds each class's measured
+shifts to its table row and takes both sets' verdicts from
+probe_disagreement itself.
 """
 
 from __future__ import annotations
@@ -65,11 +68,11 @@ from .treecoord import ORIGIN, TreeVertex, pair_stats
 
 DEFAULT_SEED = 20260814
 # entries of each array that the lemma tables build over all pairs or
-# all profile pairs, checked before the array is allocated: the int32
-# pair key, which becomes the table's inv (rows x cols); the bool
-# present lookup and int32 rank of _profile_keys (prod(dims) keys); and
-# the bool U x U maps of profile pairs in screen_dominance and _triples
-# (U the distinct profiles).  An int32 array of 2**26 entries is 256 MiB.
+# all profile pairs, each checked by pair_table before it is allocated:
+# the int32 pair key, which becomes the table's inv (rows x cols); the
+# bool present lookup and int32 rank (prod(dims) keys); and the bool
+# U x U maps of profile pairs in screen_dominance and _triples (U the
+# distinct profiles).  An int32 array of 2**26 entries is 256 MiB.
 # The cap is below the int32 maximum, so every key fits in int32.
 # DL_4(2) needs 6552**2 profile pairs, DL_5(2) would need 43681**2.
 PROFILE_PAIR_CAP = 2**26
@@ -184,38 +187,38 @@ def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
     return np.array(tree_stats), code[:, [col_pos[v.coords[t]] for v in cols]], row_pos
 
 
-# pairs per block of rows in pair_table and screen_probes, and per block
-# of profile pairs in screen_dominance, so that the per-block temporaries
-# stay small: a few tens of kB in the tables, up to about 1.5 MB in the
-# screen at d = 4
+# pairs per block of _pair_blocks, of rows in pair_table and screen_probes
+# and of profile pairs in screen_dominance, so that the per-block
+# temporaries stay small: a few tens of kB in the tables, up to about
+# 1.5 MB in the screen at d = 4
 _BLOCK_PAIRS = 2**12
 
 
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    step = max(1, _BLOCK_PAIRS // cols)
-    return [slice(a, a + step) for a in range(0, rows, step)]
-
-
-def _profile_keys(
-    rows: Sequence[DLVertex], cols: Sequence[DLVertex]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct pair profiles of rows x cols: m and l, (U, d) each,
-    in key order, and inv, the table row of every ordered pair.
+def pair_table(
+    rows: Sequence[DLVertex], cols: Sequence[DLVertex] | None = None
+) -> PairTable:
+    """PairTable of rows x cols (cols defaults to rows), from pair_stats
+    on each tree's distinct coordinates and profile_distance on each
+    distinct profile.
 
     The key of a pair combines its per-tree codes, key = key * dims[t] +
-    code_t, built in place in one int32 array, a block of rows at a
-    time, so no other array of every pair is made.  A dense lookup over
-    all prod(dims) keys then ranks the distinct ones, in key order, again
-    a block at a time.  Raises MemoryCapExceeded, before building either,
-    when the key or the lookup would pass PROFILE_PAIR_CAP.
+    code_t, built in place in one int32 array, a block of rows at a time
+    (_pair_blocks), so no other array of every pair is made.  A dense
+    lookup over all prod(dims) keys marks the U distinct ones; their
+    rank in key order, again a block at a time, becomes inv.  Raises
+    MemoryCapExceeded when the key, the lookup or the U x U map of
+    profile pairs would pass PROFILE_PAIR_CAP, each before it is built;
+    U is checked as soon as the lookup gives it, before the rank and
+    profile_distance.
     """
+    cols = rows if cols is None else cols
     _require_entries("pair key", len(rows) * len(cols))
     trees = [_tree_codes(rows, cols, t) for t in range(len(rows[0].coords))]
     dims = [len(tree_stats) for tree_stats, *_ in trees]
     span = math.prod(dims)
     _require_entries("pair key range", span)
     key = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    blocks = _row_blocks(len(rows), len(cols))
+    blocks = list(_pair_blocks(np.full(len(rows), len(cols))))
     present = np.zeros(span, dtype=bool)
     for block in blocks:
         key_block = key[block]
@@ -223,19 +226,15 @@ def _profile_keys(
             key_block *= dim
             key_block += code[[row_pos[v.coords[t]] for v in rows[block]]]
         present[key_block] = True
+    distinct = np.flatnonzero(present)
+    _require_entries("profile pair map", len(distinct) ** 2)
     rank = np.cumsum(present, dtype=np.int32)
     rank -= 1
     for block in blocks:
         key[block] = rank[key[block]]
-    codes = np.unravel_index(np.flatnonzero(present), dims)
-    per_tree = [tree[0][c] for tree, c in zip(trees, codes)]
+    per_tree = [tree[0][c] for tree, c in zip(trees, np.unravel_index(distinct, dims))]
     m = np.stack([ml[:, 0] for ml in per_tree], axis=1)
     l = np.stack([ml[:, 1] for ml in per_tree], axis=1)
-    return m, l, key
-
-
-def _tabulate(m: np.ndarray, l: np.ndarray, inv: np.ndarray) -> PairTable:
-    """PairTable of the profiles (m, l), from profile_distance on each."""
     dist = np.array(
         [
             profile_distance(PairProfile(tuple(a), tuple(b)))
@@ -247,17 +246,7 @@ def _tabulate(m: np.ndarray, l: np.ndarray, inv: np.ndarray) -> PairTable:
         [row for s in all_permutations(m.shape[1]) for row in f_rows(m.T, l.T, [t - 1 for t in s])],
         axis=1,
     )
-    return PairTable(m, l, dist, f, inv)
-
-
-def pair_table(
-    rows: Sequence[DLVertex], cols: Sequence[DLVertex] | None = None
-) -> PairTable:
-    """PairTable of rows x cols (cols defaults to rows), from pair_stats
-    on each tree's distinct coordinates and profile_distance on each
-    distinct profile.  Raises MemoryCapExceeded when its arrays would
-    pass PROFILE_PAIR_CAP."""
-    return _tabulate(*_profile_keys(rows, rows if cols is None else cols))
+    return PairTable(m, l, dist, f, key)
 
 
 def _require_entries(what: str, entries: int) -> None:
@@ -314,13 +303,11 @@ def screen_dominance(
     each.  Every triple counts one case per screen, 2 * rows * cols**2
     in all.  A failing pair counts one failure per triple it stands for,
     the sum over x of count_x[y] * count_x[z].  Returns the most
-    profiles one x sees and the number of pairs screened.  Raises
-    MemoryCapExceeded, before building it, when the map would pass
-    PROFILE_PAIR_CAP.
+    profiles one x sees and the number of pairs screened.  pair_table
+    has already checked the map against PROFILE_PAIR_CAP.
     """
     inv = table.inv
     profiles = len(table.dist)
-    _require_entries("profile pair map", profiles**2)
     seen = np.zeros((profiles, profiles), dtype=bool)
     widest = 0
     for row in inv:
@@ -451,9 +438,8 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     d = params.d
     row_keys = [(s, i) for s in all_permutations(d) for i in range(2, d + 1)]
     width = len(row_keys)
-    m, l, inv = _profile_keys(verts, verts)
-    _require_entries("profile pair map", len(m) ** 2)  # before profile_distance runs
-    table = _tabulate(m, l, inv)
+    table = pair_table(verts)
+    inv = table.inv
 
     tally = Tally()
 
@@ -618,7 +604,7 @@ def screen_probes(
     probes = tuple(dict.fromkeys(symmetric + printed))
     cross = pair_table(verts, (identity(verts[0].params),) + probes)
     classes: dict[tuple[int, ...], list[int]] = {}  # shift row -> [first z, count]
-    for block in _row_blocks(*cross.inv.shape):
+    for block in _pair_blocks(np.full(len(verts), cross.inv.shape[1])):
         dist = cross.dist[cross.inv[block]]
         for a, row in enumerate(map(tuple, (dist[:, 1:] - dist[:, :1]).tolist()), block.start):
             classes.setdefault(row, [a, 0])[1] += 1

@@ -306,6 +306,15 @@ def test_verify_lemmas_refuses_large_pair_key(capsys, d):
     assert err.startswith("error: pair key too large") and "Traceback" not in err
 
 
+def test_verify_lemmas_refuses_large_profile_pair_map(capsys):
+    # DL_5(2)'s pair key fits the cap, but the map of its 43,681**2
+    # profile pairs would not: refused once the key gives their number
+    code, out, err = run(capsys, "--d", "5", "verify", "--suite", "lemmas")
+    assert code == 1 and out == ""
+    assert err.startswith("error: profile pair map too large (at least 1908029761)")
+    assert "Traceback" not in err
+
+
 def test_console_entry_point():
     # the child imports the same dlstar as this process, installed or not
     src = str(Path(dlstar.__file__).resolve().parents[1])

@@ -120,8 +120,9 @@ def test_pair_table_narrow_cross_spans_blocks(ball4, params):
     verts = sorted(ball4, key=vertex_sort_key)
     sets = symmetric_probe_set(params) + printed_probe_set(params)
     probes = (identity(params),) + tuple(dict.fromkeys(sets))
-    step = verify_mod._BLOCK_PAIRS // len(probes)
-    assert len(verts) > 2 * step and len(verts) % step
+    blocks = verify_mod._pair_blocks(np.full(len(verts), len(probes)))
+    sizes = [b.stop - b.start for b in blocks]
+    assert sum(sizes) == len(verts) and len(sizes) > 2 and 0 < sizes[-1] < sizes[0]
     table = pair_table(verts, probes)
     assert table.inv.shape == (1129, 8) and table.inv.dtype == np.int32
     m, l, dist = table.m.tolist(), table.l.tolist(), table.dist.tolist()
@@ -222,24 +223,32 @@ def test_weighted_screens_match_per_triple_screens(d, q, radius):
             assert _fails(tab, *(index[name] for name in named.groups()[:3]))
 
 
-def test_dominance_screen_cap(monkeypatch, params):
-    # the U x U map of profile pairs is checked against the cap before it
-    # is built, and the lemma check refuses before profile_distance runs
-    # on the table; the cap admits DL_4(2) and refuses DL_5(2)
+def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
+    # pair_table checks the U x U map of profile pairs against the cap as
+    # soon as it knows U, on a square table and on a cross one alike,
+    # before profile_distance runs; the cap admits DL_4(2) and refuses
+    # DL_5(2)
     assert 6552**2 <= PROFILE_PAIR_CAP < 43681**2
-    verts = sorted(ball_distances(DLParams(2, 2), 2), key=vertex_sort_key)
-    table = pair_table(verts)
-    entries = len(table.dist) ** 2
-    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", entries)
-    widest, pairs = screen_dominance(Tally(), table, verts)
-    assert pairs <= entries
-    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", entries - 1)
-    with pytest.raises(MemoryCapExceeded) as e:
-        screen_dominance(Tally(), table, verts)
-    assert e.value.size == entries
+    square = sorted(ball_distances(DLParams(2, 2), 2), key=vertex_sort_key)
+    cross = (sorted(ball3, key=vertex_sort_key), symmetric_probe_set(params))
 
     def unreachable(profile):
         raise AssertionError("profile_distance ran before the cap was checked")
+
+    for args in ((square,), cross):
+        table = pair_table(*args)
+        profiles = len(table.dist)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod, "profile_distance", unreachable)
+            patch.setattr(verify_mod, "PROFILE_PAIR_CAP", profiles**2 - 1)
+            with pytest.raises(MemoryCapExceeded, match="profile pair map too large") as e:
+                pair_table(*args)
+        assert e.value.size == profiles**2
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod, "PROFILE_PAIR_CAP", profiles**2)
+            again = pair_table(*args)
+            assert np.array_equal(again.inv, table.inv)
+            assert np.array_equal(again.dist, table.dist)
 
     monkeypatch.setattr(verify_mod, "profile_distance", unreachable)
     monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", 704**2 - 1)
