@@ -220,6 +220,7 @@ def cmd_verify(args, params):
             "cases": r.cases,
             "failures": r.failures,
             "elapsed_s": round(r.elapsed, 3) if r.elapsed is not None else None,
+            "skipped": r.skipped,
             "notes": "; ".join(f"{k}={v}" for k, v in r.details.items()),
         }
         for r in reports

@@ -17,6 +17,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -97,45 +98,57 @@ def identity(params: DLParams) -> DLVertex:
     return DLVertex(tuple(ORIGIN for _ in range(params.d)), params.q)
 
 
-def _tree_moves(c: TreeVertex, q: int) -> tuple[list[TreeVertex], TreeVertex]:
+# tree coordinates whose moves _tree_moves keeps, the most recently used
+_KEPT_MOVES = 1 << 12
+
+
+@lru_cache(maxsize=_KEPT_MOVES)
+def _tree_moves(c: TreeVertex, q: int) -> tuple[tuple[TreeVertex, ...], TreeVertex]:
     """The q up moves of one tree coordinate, by label, and its down move.
 
     Up appends a label, except that label 0 from a spine vertex (m, ())
     with m > 0 lands on (m - 1, ()); down drops the last label, or from
     (m, ()) steps to (m + 1, ()).  Both keep the coordinate canonical.
+    The result is immutable and memoized for the last _KEPT_MOVES
+    distinct (c, q), so every caller shares one copy: neighbors and
+    _VertexCoder take all their moves from here.
     """
     m, path = c
     if path:
-        return [TreeVertex(m, path + (a,)) for a in range(q)], TreeVertex(m, path[:-1])
+        return tuple(TreeVertex(m, path + (a,)) for a in range(q)), TreeVertex(m, path[:-1])
     ups = [TreeVertex(m, (a,)) for a in range(q)]
     if m > 0:
         ups[0] = TreeVertex(m - 1, ())
-    return ups, TreeVertex(m + 1, ())
+    return tuple(ups), TreeVertex(m + 1, ())
 
 
 def neighbors(v: DLVertex) -> list[DLVertex]:
     """All d(d-1)q adjacent vertices, in deterministic (i, j, label) order.
 
     Neighbor i,j,a moves coordinate i up along label a and coordinate j
-    down (_tree_moves).  Every move preserves the zero height sum and
-    canonical form, so results are assembled without re-validation.
+    down, both moves read from the _tree_moves memo.  One working copy
+    of the coordinates serves every neighbor: for each pair (i, j) it
+    takes tree j's down move and then each of tree i's up moves, and
+    tree j is restored before the next pair.  Every move preserves the
+    zero height sum and canonical form, so results are assembled without
+    re-validation.
     """
     coords = v.coords
     q = v.q
-    d = len(coords)
     moves = [_tree_moves(c, q) for c in coords]
-    downs = [down for _, down in moves]
     new = tuple.__new__  # DLVertex(...) less the namedtuple constructor's frame
     out: list[DLVertex] = []
+    base = list(coords)
     for i, (ups, _) in enumerate(moves):
-        for j in range(d):
+        for j, (_, down) in enumerate(moves):
             if i == j:
                 continue
-            base = list(coords)
-            base[j] = downs[j]
+            base[j] = down
             for up in ups:
                 base[i] = up
                 out.append(new(DLVertex, (tuple(base), q)))
+            base[j] = coords[j]
+        base[i] = coords[i]
     return out
 
 
@@ -145,9 +158,10 @@ class _VertexCoder:
     Each tree coordinate a search meets gets the next int code from an
     intern table, and a vertex becomes the key sum of code_t << (bits * t)
     over its trees.  When tree t first holds a code, the code's q up
-    moves and its down move (_tree_moves) are interned and kept for tree
-    t as the change they make to a key, so neighbor (i, j, a) of a key is
-    the key plus tree j's down change plus tree i's label-a up change.
+    moves and its down move, read from the same _tree_moves memo that
+    neighbors reads, are interned and kept for tree t as the change they
+    make to a key, so neighbor (i, j, a) of a key is the key plus tree
+    j's down change plus tree i's label-a up change.
     Searches take their coder from _kept_coder, so codes and changes
     carry over to the next search of the same graph and memory cap.
 
@@ -296,8 +310,9 @@ def balanced_vertices(params: DLParams, depths: Sequence[range]) -> tuple[DLVert
 
 
 def vertex_sort_key(v: DLVertex):
-    """Lexicographic key on (m, path) per coordinate, for stable output."""
-    return tuple((c.m, c.path) for c in v.coords)
+    """Lexicographic key on (m, path) per coordinate, for stable output:
+    the coordinates themselves, as each TreeVertex is an (m, path) tuple."""
+    return v.coords
 
 
 def format_vertex(v: DLVertex) -> str:

@@ -75,7 +75,11 @@ def nk_beta_truncation(params: DLParams, k: int, depth: int) -> tuple[DLVertex, 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Pass/fail evidence for a property checked over an enumerated domain."""
+    """Pass/fail evidence for a property checked over an enumerated domain.
+
+    skipped is None when the check ran, else why it does not run on the
+    graph it was asked about; a skipped report has no cases and passes.
+    """
 
     name: str
     cases: int
@@ -83,12 +87,15 @@ class VerificationReport:
     first_failure: str | None = None
     details: dict = field(default_factory=dict)
     elapsed: float | None = None
+    skipped: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
     def line(self) -> str:
+        if self.skipped:
+            return f"SKIP {self.name}: {self.skipped}"
         verdict = "PASS" if self.passed else "FAIL"
         extras = ", ".join(f"{k}={v}" for k, v in self.details.items())
         tail = f" [{extras}]" if extras else ""

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .dlgraph import (
+    MAX_DIMENSION,
     DLParams,
     DLVertex,
     alpha_family,
@@ -682,8 +683,54 @@ SUITES: dict[str, tuple[Check, ...]] = {
 }
 
 
+@dataclass(frozen=True)
+class Domain:
+    """The graphs DL_d(q) that the check of this name runs on: d in d
+    and q >= q_min.  why says what rules out the others."""
+
+    name: str
+    d: range
+    q_min: int
+    why: str
+
+    def skip_reason(self, params: DLParams) -> str | None:
+        """None on a graph of the domain, else the reason to skip it."""
+        if params.d in self.d and params.q >= self.q_min:
+            return None
+        dims = f"d = {self.d.start}" if len(self.d) == 1 else f"d >= {self.d.start}"
+        return f"runs on {dims} and q >= {self.q_min} only: {self.why}"
+
+
+_D3 = range(3, 4)
+# the checks of SUITES that run only on some graphs; the others run on
+# every DL_d(q)
+DOMAINS: dict[Check, Domain] = {
+    _check_beta_ray: Domain(
+        "beta-ray-identities", range(3, MAX_DIMENSION + 1), 2,
+        "beta moves tree 3, and alpha and beta climb label-1 edges",
+    ),
+    _check_beta_closed_form: Domain(
+        "beta-closed-form", _D3, 2, "beta_value is the closed form of DL_3(q)"
+    ),
+    _check_growth_table: Domain(
+        "growth-table", _D3, 2, "the table pins the six tree orderings of DL_3(q)"
+    ),
+    _check_probe_exclusion: Domain(
+        "probe-exclusion", _D3, 2, "the probe sets are defined on DL_3(q)"
+    ),
+    _check_asymmetry: Domain(
+        "asymmetry-certificates", _D3, 2, "the beta neighborhood is defined on DL_3(q)"
+    ),
+}
+
+
 def run_check(check: Check, params: DLParams, seed: int) -> VerificationReport:
-    """check(params, seed), with its wall time recorded in the report."""
+    """check(params, seed), with its wall time recorded in the report, or
+    a skipped report when params lie outside the check's DOMAINS entry."""
+    domain = DOMAINS.get(check)
+    reason = domain and domain.skip_reason(params)
+    if reason:
+        return VerificationReport(domain.name, 0, 0, skipped=reason)
     t0 = time.perf_counter()
     report = check(params, seed)
     return replace(report, elapsed=time.perf_counter() - t0)

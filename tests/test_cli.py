@@ -297,6 +297,27 @@ def test_verify_suite(capsys):
     assert names == ["beta-closed-form", "growth-table"]
 
 
+def test_verify_skips_checks_outside_their_graphs(capsys):
+    # every horofn check is defined on DL_3(q) only: each row is skipped
+    # with its reason, and the run passes
+    code, out, _ = run(capsys, "--d", "4", "--format", "json", "verify", "--suite", "horofn")
+    assert code == 0
+    rows = json.loads(out)["result"]["rows"]
+    assert [r["check"] for r in rows] == ["beta-closed-form", "growth-table"]
+    for r in rows:
+        assert r["skipped"].startswith("runs on d = 3 and q >= 2 only: ")
+        assert r["cases"] == 0 and r["elapsed_s"] is None
+    # DL_2(2) keeps the rows that run on every graph and skips the ray
+    code, out, _ = run(capsys, "--d", "2", "--format", "json", "verify", "--suite", "conformance")
+    assert code == 0
+    rows = {r["check"]: r for r in json.loads(out)["result"]["rows"]}
+    assert list(rows) == ["word-metric-conformance", "beta-ray-identities", "metric-axioms"]
+    for name in ("word-metric-conformance", "metric-axioms"):
+        assert rows[name]["skipped"] is None and rows[name]["cases"] > 0
+        assert rows[name]["passed"] is True
+    assert rows["beta-ray-identities"]["skipped"].startswith("runs on d >= 3 and q >= 2 only: ")
+
+
 @pytest.mark.parametrize("d", ["6", "7"])
 def test_verify_lemmas_refuses_large_pair_key(capsys, d):
     # the radius-3 ball's pair key would pass the cap, so the lemma check

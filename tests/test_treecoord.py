@@ -28,6 +28,7 @@ from dlstar import (
     parse_tree,
     tree_distance,
 )
+from dlstar.dlgraph import _tree_moves
 
 
 def all_strings(q, max_len):
@@ -64,13 +65,17 @@ def test_pair_stats_matches_string_model(q, anchor, max_len):
     assert n == len(strings) ** 2
 
 
-@pytest.mark.parametrize("d,q,anchor,max_len", [(3, 2, 3, 4), (2, 3, 2, 3)])
+@pytest.mark.parametrize(
+    "d,q,anchor,max_len", [(3, 2, 3, 4), (2, 3, 2, 3), (4, 2, 2, 3), (3, 1, 2, 4)]
+)
 def test_neighbors_match_string_model(d, q, anchor, max_len):
     # every vertex of DL_d(q) whose coordinate strings have length
     # 1..max_len: nonempty strings keep each descent inside the model,
     # and heights len(s) - anchor summing to zero keep the vertex in the
     # graph.  Neighbor (i, j, a) appends a to string i and drops the
-    # last character of string j, in neighbors' (i, j, a) order.
+    # last character of string j, in neighbors' (i, j, a) order.  Each
+    # vertex is asked twice, so the second call reads tree moves that
+    # the memo already holds.
     strings = [s for s in all_strings(q, max_len) if s]
     spine_climbs = origin_descents = 0
     for tup in itertools.product(strings, repeat=d):
@@ -85,10 +90,20 @@ def test_neighbors_match_string_model(d, q, anchor, max_len):
                 moved[j] = moved[j][:-1]
                 want.append(DLVertex(tuple(string_to_vertex(s, anchor) for s in moved), q))
         assert neighbors(v) == want
+        assert neighbors(v) == want
         # a label-0 climb from (m, ()) with m > 0 collapses to (m - 1, ())
         spine_climbs += sum(c.m > 0 and not c.path for c in v.coords)
         origin_descents += v.coords.count(ORIGIN)
     assert spine_climbs > 0 and origin_descents > 0
+
+
+def test_tree_moves_are_immutable():
+    # one memoized result is shared by every caller, so it is made of tuples
+    for c in (ORIGIN, TreeVertex(2, ()), TreeVertex(1, (1, 0))):
+        ups, down = _tree_moves(c, 3)
+        assert isinstance(ups, tuple) and len(ups) == 3
+        assert isinstance(down, TreeVertex)
+        assert _tree_moves(c, 3) is _tree_moves(c, 3)
 
 
 def test_canonicalize_cases():

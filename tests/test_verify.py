@@ -77,6 +77,30 @@ def test_single_suite_runs(params):
     assert all(r.elapsed is not None for r in reports)
 
 
+def test_checks_run_only_on_their_domain(monkeypatch):
+    # a check outside its domain is skipped without being called; inside
+    # it, its exceptions surface and are not turned into skips
+    calls = []
+
+    def broken(p, seed):
+        calls.append(p)
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(verify_mod, "SUITES", {"horofn": (broken,)})
+    monkeypatch.setattr(
+        verify_mod, "DOMAINS", {broken: verify_mod.Domain("broken", range(3, 4), 2, "why")}
+    )
+    for p in (DLParams(4, 2), DLParams(3, 1), DLParams(2, 3)):
+        (report,) = run_suites(["horofn"], p)
+        assert report.name == "broken" and report.passed and report.cases == 0
+        assert report.skipped == "runs on d = 3 and q >= 2 only: why"
+        assert report.line() == "SKIP broken: runs on d = 3 and q >= 2 only: why"
+    assert calls == []
+    with pytest.raises(ValueError, match="broken check"):
+        run_suites(["horofn"], DLParams(3, 2))
+    assert calls == [DLParams(3, 2)]
+
+
 def test_run_suites_rejects_workers(params):
     # the benchmark harness still passes workers=1; nothing else is accepted
     assert run_suites([], params, workers=1) == []
