@@ -57,6 +57,7 @@ from .horofn import (
     beta_value,
     betandist_table,
     limit_value,
+    limit_values,
     printed_probe_set,
     probe_disagreement,
     shifts,
@@ -150,6 +151,7 @@ __all__ = [
     "identity",
     "is_canonical",
     "limit_value",
+    "limit_values",
     "lower_bounds",
     "make_vertex",
     "neighbors",

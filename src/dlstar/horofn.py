@@ -5,9 +5,12 @@ The horofunction of a family (x_n) at a probe z is the limit of
 distance(x_n, z) - distance(x_n, id), which shifts computes at one x_n.
 From n = weight(z) + 1 on (the weight is the sum of all m_i + l_i of z)
 every meet statistic of x_n against z or id is affine in n, so
-limit_value runs the distance kernels over Z[n] and reads the limit off
-exactly.  For the beta family (balanced down-then-up excursions in
-tree 3) the limit has the closed form
+limit_values runs the distance kernels over Z[n] and reads the limits
+off exactly.  The identity side of a limit depends only on the family
+and from_n, so limit_values computes it once for all the targets that
+share a from_n; limit_value is its one-target call.  For the beta
+family (balanced down-then-up excursions in tree 3) the limit has the
+closed form
 
     m1 + m2 + min over j in {1, 2} of { m_j + h3, h_j + h3, l_j }
 
@@ -19,7 +22,7 @@ functions of n; the distance it finds is 2n plus that closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .dlgraph import (
     DLParams,
@@ -74,10 +77,11 @@ def _param_weight(z: DLVertex) -> int:
 
 
 def _profile_in_n(
-    family: PointFamily, y: DLVertex, from_n: int
+    window: tuple[DLVertex, DLVertex], y: DLVertex, from_n: int
 ) -> tuple[PairProfile, PairProfile]:
     """pair_profile(x_n, y) for n >= from_n >= weight(y) + 1, with
-    AffineInN entries, and its integer value at n = from_n.
+    AffineInN entries, and its integer value at n = from_n; window is
+    (x_{from_n}, x_{from_n + 1}).
 
     Per tree, pair_stats of (x_n, y) is, with (m_y, l_y) y's coordinate:
     a descending tree (n, ...) gives (l_x, n + l_y - m_y) once n > m_y;
@@ -87,8 +91,7 @@ def _profile_in_n(
     is affine from from_n on, and its values at from_n and from_n + 1
     fix it.
     """
-    p0 = pair_profile(family.at(from_n), y)
-    p1 = pair_profile(family.at(from_n + 1), y)
+    p0, p1 = (pair_profile(x, y) for x in window)
     exact = PairProfile(*(
         tuple(AffineInN(b - a, a - (b - a) * from_n) for a, b in zip(r0, r1))
         for r0, r1 in zip(p0, p1)
@@ -96,11 +99,48 @@ def _profile_in_n(
     return exact, p0
 
 
+def _window(family: PointFamily, from_n: int) -> tuple[DLVertex, DLVertex]:
+    return family.at(from_n), family.at(from_n + 1)
+
+
 def shifts(x: DLVertex, targets: tuple[DLVertex, ...]) -> tuple[int, ...]:
     """distance(x, w) - distance(x, id) for each target w: the finite-n
     term whose limit along a family limit_value takes."""
     base = distance(x, identity(x.params))
     return tuple(distance(x, w) - base for w in targets)
+
+
+def limit_values(
+    family: PointFamily, targets: Iterable[DLVertex]
+) -> tuple[HorofunctionValue, ...]:
+    """limit_value(family, z) for each target z, in order.
+
+    The identity side of a limit depends only on the family and from_n.
+    It is the window (x_{from_n}, x_{from_n + 1}) and the exact and
+    from_n distances of x_n to id.  So it is computed once per distinct
+    from_n among the targets, and each target adds only its own side.
+    Raises TableMismatch at the first target whose integer difference
+    at from_n is not its limit.
+    """
+    base = identity(family.params)
+    sides: dict[int, tuple[tuple[DLVertex, DLVertex], AffineInN, int]] = {}
+    values = []
+    for z in targets:
+        from_n = _param_weight(z) + 1
+        if from_n not in sides:
+            window = _window(family, from_n)
+            to_id, at_id = _profile_in_n(window, base, from_n)
+            sides[from_n] = window, profile_distance(to_id), profile_distance(at_id)
+        window, exact_id, measured_id = sides[from_n]
+        to_z, at_z = _profile_in_n(window, z, from_n)
+        value = (profile_distance(to_z) - exact_id).intercept
+        measured = profile_distance(at_z) - measured_id
+        if measured != value:
+            raise TableMismatch(
+                f"{family.name} at {z}: limit {value}, difference {measured} at n = {from_n}"
+            )
+        values.append(HorofunctionValue(value, from_n))
+    return tuple(values)
 
 
 def limit_value(family: PointFamily, z: DLVertex) -> HorofunctionValue:
@@ -113,16 +153,7 @@ def limit_value(family: PointFamily, z: DLVertex) -> HorofunctionValue:
     the difference of the intercepts.  Raises TableMismatch unless the
     integer difference at n = from_n already equals it.
     """
-    from_n = _param_weight(z) + 1
-    to_z, at_z = _profile_in_n(family, z, from_n)
-    to_id, at_id = _profile_in_n(family, identity(z.params), from_n)
-    value = (profile_distance(to_z) - profile_distance(to_id)).intercept
-    measured = profile_distance(at_z) - profile_distance(at_id)
-    if measured != value:
-        raise TableMismatch(
-            f"{family.name} at {z}: limit {value}, difference {measured} at n = {from_n}"
-        )
-    return HorofunctionValue(value, from_n)
+    return limit_values(family, (z,))[0]
 
 
 def beta_value(z: DLVertex) -> int:
@@ -178,7 +209,7 @@ def betandist_table(z: DLVertex) -> BetaDistTable:
     if len(z.coords) != 3:
         raise WrongDimension("growth table needs exactly 3 tree coordinates")
     from_n = _param_weight(z) + 1
-    profile, at_from = _profile_in_n(beta_family(z.params), z, from_n)
+    profile, at_from = _profile_in_n(_window(beta_family(z.params), from_n), z, from_n)
     rows: dict[tuple[int, ...], BetaDistRow] = {}
     for sigma in all_permutations(3):
         f2, f3 = f_rows(profile.m, profile.l, [t - 1 for t in sigma])

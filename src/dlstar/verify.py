@@ -45,7 +45,7 @@ from .errors import MemoryCapExceeded
 from .horofn import (
     beta_value,
     betandist_table,
-    limit_value,
+    limit_values,
     printed_probe_set,
     probe_disagreement,
     symmetric_probe_set,
@@ -513,10 +513,9 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
     beta = beta_family(params)
     probes = _sorted_ball(params, 5)
     tally = Tally()
-    max_from_n = 0
-    for z in probes:
-        (got, from_n), want = limit_value(beta, z), beta_value(z)
-        max_from_n = max(max_from_n, from_n)
+    limits = limit_values(beta, probes)
+    for z, (got, _) in zip(probes, limits):
+        want = beta_value(z)
         tally.check(got == want, lambda: f"{z}: limit {got}, closed form {want}")
     # the identity, then the four unit slides that end either probe set
     spot = [(identity(params), 0)] + [(f, -1) for f in symmetric_probe_set(params)[2:]]
@@ -525,7 +524,13 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
         tally.check(got == want, lambda: f"{z}: closed form {got}, want {want}")
     return tally.report(
         "beta-closed-form",
-        {"ball_radius": 5, "probes": len(probes), "max_from_n": max_from_n},
+        {
+            "ball_radius": 5,
+            "probes": len(probes),
+            "max_from_n": max(from_n for _, from_n in limits),
+            # one identity side per distinct from_n, shared by its probes
+            "identity_sides": len({from_n for _, from_n in limits}),
+        },
     )
 
 

@@ -65,11 +65,22 @@ def test_metric_axioms(params, capsys):
 
 
 def test_beta_closed_form_matches_limits(params, capsys):
-    rep = _run(capsys, _check_beta_closed_form, params, budget=120)
+    rep = _run(capsys, _check_beta_closed_form, params, budget=10)
     assert rep.details["ball_radius"] == 5
     assert rep.details["probes"] == 3590
     assert rep.details["max_from_n"] == 11  # weight 10 at radius 5, plus one
+    # one identity side per distinct from_n: the odd ones from 1 to 11
+    assert rep.details["identity_sides"] == 6
     assert rep.cases == 3595  # every probe + 5 spot values
+
+
+def test_beta_closed_form_at_q3(capsys):
+    rep = _run(capsys, _check_beta_closed_form, DLParams(3, 3), budget=10)
+    assert rep.details["ball_radius"] == 5
+    assert rep.details["probes"] == 26595
+    assert rep.details["max_from_n"] == 11
+    assert rep.details["identity_sides"] == 6
+    assert rep.cases == 26600  # every probe + 5 spot values
 
 
 def test_growth_table_reproduction(params, capsys):

@@ -1,12 +1,14 @@
 """Boundary values: exact limits, the closed form, growth tables."""
 
 import random
+import re
 from functools import cache
 
 import pytest
 
 from dlstar import (
     AffineInN,
+    DimensionMismatch,
     DLParams,
     TableMismatch,
     WrongDimension,
@@ -20,6 +22,7 @@ from dlstar import (
     format_vertex,
     identity,
     limit_value,
+    limit_values,
     make_vertex,
     neighbors,
     nu_point,
@@ -118,6 +121,57 @@ def test_limit_holds_from_from_n(d, q, radius, name):
             assert shifts(x, (z,)) == (limit.value,), (name, z, n)
 
 
+def _shuffled_with_repeats(ball, seed):
+    # repeats and a shuffle interleave the from_n classes
+    verts = sorted(ball, key=lambda v: v.coords)
+    rng = random.Random(seed)
+    targets = verts + rng.sample(verts, len(verts) // 10)
+    rng.shuffle(targets)
+    return tuple(targets)
+
+
+@pytest.mark.parametrize("d,q,radius,name", [
+    *((3, 2, 4, name) for name in ("alpha", "beta", "gamma:1,3", "zeta:1,2", "nu:1,1,2")),
+    (4, 2, 2, "beta"),
+])
+def test_limit_values_match_limit_value(d, q, radius, name):
+    params = DLParams(d, q)
+    fam = parse_family(name, params)
+    targets = _shuffled_with_repeats(ball_distances(params, radius), 7)
+    assert len({_param_weight(z) for z in targets[:50]}) > 1
+    assert limit_values(fam, targets) == tuple(limit_value(fam, z) for z in targets)
+
+
+def test_limit_values_edges(params):
+    beta = beta_family(params)
+    assert limit_values(beta, ()) == ()
+    with pytest.raises(DimensionMismatch):
+        limit_values(beta, (identity(params), identity(DLParams(3, 3))))
+    with pytest.raises(DimensionMismatch):
+        limit_values(beta, (identity(DLParams(4, 2)),))
+
+
+def test_limit_values_share_the_identity_side(params, ball3, monkeypatch):
+    # two pair profiles per target for its own side, and two per distinct
+    # from_n for the identity side
+    calls = []
+    real = horofn.pair_profile
+
+    def counted(x, y):
+        calls.append(y)
+        return real(x, y)
+
+    monkeypatch.setattr(horofn, "pair_profile", counted)
+    targets = _shuffled_with_repeats(ball3, 11)
+    limits = limit_values(beta_family(params), targets)
+    classes = {v.from_n for v in limits}
+    assert classes == {1, 3, 5, 7}
+    assert len(calls) == 2 * len(targets) + 2 * len(classes)
+    assert calls.count(identity(params)) == 2 * len(classes) + 2 * targets.count(
+        identity(params)
+    )
+
+
 def test_exact_forms_are_checked_at_from_n(params, monkeypatch):
     # an integer distance at from_n that disagrees with the Z[n] form is
     # reported, not passed over: shift the integer distances by the tree-1
@@ -134,6 +188,9 @@ def test_exact_forms_are_checked_at_from_n(params, monkeypatch):
         limit_value(beta_family(params), z)
     with pytest.raises(TableMismatch):
         betandist_table(z)
+    # the batch passes the identity, which has no tree-1 depth, and names z
+    with pytest.raises(TableMismatch, match=re.escape(f"beta at {z}:")):
+        limit_values(beta_family(params), (identity(params), z))
 
 
 def test_affine_in_n_arithmetic():

@@ -130,4 +130,4 @@ def test_readme_quick_start_runs():
         want = lines[node.end_lineno - 1].partition("#")[2].strip().rsplit(", ", 1)[0]
         assert repr(got).removeprefix(type(got).__name__) == want, lines[node.lineno - 1]
         results.append(want)
-    assert results == ["5", "5", "1", "(value=1, from_n=9)"]
+    assert results == ["5", "5", "1", "(value=1, from_n=9)", "[1, 0]"]
