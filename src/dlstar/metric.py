@@ -9,10 +9,28 @@ set
 
 (the first line for i < d, the second replacing the i = d case).  The
 graph distance is min over s of max over i of f(s, i).  f_rows is the
-kernel every caller reads rows from; at d = 3 profile_distance collapses
-the six orderings to a closed form over the choice of middle tree,
-derived in its docstring.  f_value and f_row_max write the formula out
-literally as the reference for both.  bfs_distance is the independent
+kernel that the bounds, the lemma table and the growth tables read rows
+from.  profile_distance does not read rows: the two end trees of an
+ordering factor out.  With a = s(1), c = s(d), the middle b = (s(2),
+..., s(d - 1)) and M = m_1 + ... + m_d, every row i < d holds m_a (as
+i >= 2) and l_c (as i <= d - 1), and row d is M + m_a + l_c.  So
+
+    max over i of f(s, i) = m_a + l_c + max(M, C(b)),
+    C(b) = max over 1 <= j <= d - 2 of
+           m_{b(1)} + ... + m_{b(j)} + l_{b(j)} + ... + l_{b(d - 2)},
+
+C(b) being the makespan of the middle trees run as jobs with times
+(m, l) on two machines in the order b, a two-machine flow shop (Johnson
+1954).  C(b) does not depend on which end tree comes first, so
+
+    distance = min over end pairs {a, c} of
+               min(m_a + l_c, m_c + l_a) + max(M, min over b of C(b)).
+
+At d = 2 there is no middle tree and the bracket is M.  At d = 3 the
+middle is one tree b with C = m_b + l_b, and profile_distance unrolls
+that case to a closed form over the choice of b.  f_value and f_row_max
+write the formula out literally as the reference for f_rows and both
+distance forms.  bfs_distance is the independent
 oracle for the same quantity: a meet-in-the-middle breadth-first search
 whose two balls together may hold DEFAULT_MEMORY_CAP vertices.  It runs
 on the packed int keys of dlgraph._VertexCoder, whose neighbor keys
@@ -36,7 +54,9 @@ from .treecoord import _require_int, pair_stats
 # the breadth-first oracle; others get a verified=false advisory in the CLI.
 # test_every_verified_config_has_a_bfs_run (tests/test_metric.py) ties
 # this set to the tests that check each entry's seeded pairs against BFS.
-VERIFIED_CONFIGS = frozenset({(3, 2), (2, 2), (4, 2), (3, 3), (2, 3), (5, 2), (6, 2)})
+VERIFIED_CONFIGS = frozenset(
+    {(3, 2), (2, 2), (4, 2), (3, 3), (2, 3), (5, 2), (6, 2), (7, 2)}
+)
 
 
 class PairProfile(NamedTuple):
@@ -114,23 +134,83 @@ def f_row_max(profile: PairProfile, sigma: Sequence[int]) -> int:
     return max(f_value(profile, sigma, i) for i in range(2, len(profile.m) + 1))
 
 
-def profile_distance(profile: PairProfile) -> int:
-    """min over orderings s of max over i of f(s, i).
+@lru_cache(maxsize=8)
+def _end_pairs(d: int) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
+    """(a, c, every ordering of the other trees) per end pair a < c, 0-based."""
+    return tuple(
+        (a, c, tuple(itertools.permutations(t for t in range(d) if t not in (a, c))))
+        for a, c in itertools.combinations(range(d), 2)
+    )
 
-    d = 3 in closed form.  With M = m_1 + m_2 + m_3, an ordering
-    s = (a, b, c) has rows
+
+def _end_pair_distance(m, l):
+    """min over end pairs {a, c} of min(m_a + l_c, m_c + l_a) +
+    max(M, least middle makespan); the module docstring derives it.
+
+    Each middle ordering's makespan is one pass with a running prefix
+    sum of m and a suffix sum of l, as in f_rows, and every ordering is
+    visited.  Only +, -, comparisons and sum() touch the entries, so
+    they may be ints or horofn.AffineInN values.
+    """
+    big = sum(m)
+    climb = sum(l)
+    best = None
+    for a, c, middles in _end_pairs(len(m)):
+        ends = m[a] + l[c]
+        other = m[c] + l[a]
+        if other < ends:
+            ends = other
+        span = big
+        if middles[0]:
+            rest = climb - l[a] - l[c]
+            least = None
+            for b in middles:
+                up = 0                  # m_{b(1)} + ... + m_{b(j)}
+                down = rest             # l_{b(j)} + ... + l_{b(d - 2)}
+                worst = None
+                for t in b:
+                    up = up + m[t]
+                    row = up + down
+                    if worst is None or row > worst:
+                        worst = row
+                    down = down - l[t]
+                if least is None or worst < least:
+                    least = worst
+            if least > span:
+                span = least
+        total = ends + span
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def profile_distance(profile: PairProfile) -> int:
+    """min over orderings s of max over i of f(s, i), by its end pairs.
+
+    An ordering s with ends a = s(1), c = s(d) and middle b has rows
+
+        f(s, i) = m_a + l_c + m_{b(1)} + ... + m_{b(i-1)}
+                            + l_{b(i-1)} + ... + l_{b(d-2)}    (i < d)
+        f(s, d) = m_a + l_c + M,
+
+    so its maximum is m_a + l_c + max(M, C(b)) with C(b) the middle
+    makespan, and swapping the ends changes only the first term:
+
+        distance = min over {a, c} of min(m_a + l_c, m_c + l_a)
+                                      + max(M, min over b of C(b)).
+
+    At d = 3 the middle is one tree b with C = m_b + l_b.  For
+    s = (a, b, c) the rows are
 
         f(s, 2) = m_a + m_b + l_b + l_c
         f(s, 3) = 2 m_a + m_b + m_c + l_c = m_a + M + l_c,
 
-    so its maximum is m_a + l_c + max(M, m_b + l_b).  The middle tree b
-    fixes the second term, and its two orderings (a, b, c), (c, b, a)
-    differ only in the first:
+    and the three end pairs, one per middle tree, unroll to
 
-        d = min over b of max(M, m_b + l_b) + min(m_a + l_c, m_c + l_a).
+        distance = min over b of max(M, m_b + l_b) + min(m_a + l_c, m_c + l_a).
 
-    Every other d takes the minimum of the f_rows maxima over all
-    orderings.
+    Every other d runs _end_pair_distance: C(d, 2) end pairs, each with
+    the (d - 2)! orderings of its middle, and no f_rows call.
     """
     m, l = profile.m, profile.l
     d = len(m)
@@ -150,7 +230,7 @@ def profile_distance(profile: PairProfile) -> int:
     # d = 3 is checked by the unpacking above
     if len(l) != d or d < 2:
         raise ValueError(f"malformed profile: {d} spine depths, {len(l)} climbs")
-    return min(max(f_rows(m, l, s)) for s in _perms0(d))
+    return _end_pair_distance(m, l)
 
 
 def distance(x: DLVertex, y: DLVertex) -> int:

@@ -44,10 +44,10 @@ def test_distance_csv(capsys):
     assert lines[1] == "2,True"
 
 
-def test_d6_distance_is_verified(capsys):
-    code, out, _ = run(
-        capsys, "--d", "6", "distance", "0:|0:|0:|0:|0:|0:", "1:1|0:|0:|0:|0:|0:"
-    )
+@pytest.mark.parametrize("d", [6, 7])
+def test_d6_distance_is_verified(capsys, d):
+    rest = "|0:" * (d - 1)
+    code, out, _ = run(capsys, "--d", str(d), "distance", "0:" + rest, "1:1" + rest)
     assert code == 0
     assert "distance: 2" in out
     assert "formula_verified: True" in out

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlstar import (
+    AffineInN,
     DLParams,
     DimensionMismatch,
     MemoryCapExceeded,
@@ -36,7 +37,7 @@ from dlstar import (
 )
 import dlstar.dlgraph as dlgraph_mod
 import dlstar.metric as metric_mod
-from dlstar.metric import _bfs_search
+from dlstar.metric import _bfs_search, _end_pair_distance, _perms0
 
 
 def bfs_oracle(x, y, limit=40):
@@ -139,13 +140,43 @@ def test_distance_minimizes_over_orderings(params, ball3):
 
 def test_d3_closed_form_matches_orderings_exhaustively():
     # the closed three-pair form of profile_distance against the minimum
-    # of the reference row maxima, on all 5**6 = 15,625 d = 3 profiles
-    # with entries 0..4
+    # of the reference row maxima and against the general end-pair form
+    # it unrolls, on all 5**6 = 15,625 d = 3 profiles with entries 0..4
     orderings = all_permutations(3)
     for m in itertools.product(range(5), repeat=3):
         for l in itertools.product(range(5), repeat=3):
             prof = PairProfile(m, l)
-            assert profile_distance(prof) == min(f_row_max(prof, s) for s in orderings)
+            dist = profile_distance(prof)
+            assert dist == min(f_row_max(prof, s) for s in orderings)
+            assert dist == _end_pair_distance(m, l)
+
+
+def _orderings_distance(m, l):
+    # the reference: min over every ordering of its largest f row
+    return min(max(f_rows(m, l, s)) for s in _perms0(len(m)))
+
+
+def test_d4_end_pair_form_matches_orderings_exhaustively():
+    # every d = 4 profile with entries 0..2: 3**8 = 6,561 profiles
+    for m in itertools.product(range(3), repeat=4):
+        for l in itertools.product(range(3), repeat=4):
+            assert profile_distance(PairProfile(m, l)) == _orderings_distance(m, l)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_end_pair_form_runs_on_affine_entries(d):
+    # limit_value runs profile_distance on AffineInN entries at d >= 4;
+    # tuple order is their order at every large n
+    rng = random.Random(20261020 + d)
+
+    def entries():
+        return tuple(AffineInN(rng.randint(0, 2), rng.randint(-4, 6)) for _ in range(d))
+
+    for _ in range(40 if d < 6 else 10):
+        m, l = entries(), entries()
+        dist = profile_distance(PairProfile(m, l))
+        assert isinstance(dist, AffineInN)
+        assert dist == _orderings_distance(m, l)
 
 
 def _profiles_and_ordering(d):
@@ -175,10 +206,11 @@ def test_f_rows_matches_reference(case):
     assert np.array_equal(np.array(got).T, np.array(want))
 
 
-@pytest.mark.parametrize("d,count", [(5, 6), (6, 4), (7, 2)])
+@pytest.mark.parametrize("d,count", [(2, 6), (4, 6), (5, 6), (6, 4), (7, 2)])
 def test_generic_profile_distance_matches_brute_force(d, count):
-    # the kernel branch of profile_distance (d != 3) against the minimum
-    # of the reference row maxima over every ordering, on random walks
+    # the end-pair branch of profile_distance (d != 3) against the
+    # minimum of the reference row maxima over every ordering, on random
+    # walks
     params = DLParams(d, 2)
     rng = random.Random(20260814 + d)
 
@@ -333,7 +365,9 @@ def test_bfs_distance_rejects_bad_limits(params, origin):
 # every other VERIFIED_CONFIGS entry draws seeded pairs from the ball of
 # the radius given here
 BFS_ACCEPTANCE_CONFIG = (3, 2)
-BFS_CONFIG_RADIUS = {(2, 2): 4, (4, 2): 3, (3, 3): 3, (2, 3): 4, (5, 2): 3, (6, 2): 3}
+BFS_CONFIG_RADIUS = {
+    (2, 2): 4, (4, 2): 3, (3, 3): 3, (2, 3): 4, (5, 2): 3, (6, 2): 3, (7, 2): 2,
+}
 
 
 def test_every_verified_config_has_a_bfs_run():
