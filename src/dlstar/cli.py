@@ -359,6 +359,3 @@ def main(argv=None) -> int:
     emit(args.format, args.command, params, result, passed)
     return 0 if passed is None or passed else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

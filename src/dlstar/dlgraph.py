@@ -1,9 +1,12 @@
-"""Diestel-Leader graphs: vertices, adjacency, balls, point families.
+"""Diestel-Leader graphs: vertices, adjacency, searches, point families.
 
 A vertex of DL_d(q) is a d-tuple of tree coordinates whose heights sum
 to zero.  An edge moves up by one label in one coordinate and down by
 one in another, so the graph is d(d-1)q regular.  Vertex literals join
 the per-tree literals with '|', e.g. "0:0|2:1,0|2:1" for d = 3.
+
+Both breadth-first searches live here: ball_distances and _bfs_search,
+which metric.bfs_distance runs.  No other module reads the vertex coder.
 
 A point family x_n is given by its shape: a base vertex, the trees that
 walk n down the spine and the trees that climb n label-1 edges.
@@ -162,8 +165,9 @@ class _VertexCoder:
     neighbors reads, are interned and kept for tree t as the change they
     make to a key, so neighbor (i, j, a) of a key is the key plus tree
     j's down change plus tree i's label-a up change.
-    Searches take their coder from _kept_coder, so codes and changes
-    carry over to the next search of the same graph and memory cap.
+    Searches (ball_distances, _bfs_search) take their coder from
+    _kept_coder, so codes and changes carry over to the next search of
+    the same graph and memory cap.
 
     bits fits every code as long as a search expands a vertex only
     while it holds at most max_vertices vertices, or just its start
@@ -281,6 +285,56 @@ def ball_distances(params: DLParams, radius: int) -> dict[DLVertex, int]:
                     raise MemoryCapExceeded("ball enumeration too large", len(dist))
             frontier = nxt
         return {coder.decode(k): r for k, r in dist.items()}
+
+
+def _bfs_search(x: DLVertex, y: DLVertex, cap: int) -> tuple[int | None, int]:
+    """The distance of x and y, or None past cap, and the number of
+    vertices expanded; metric.bfs_distance checks the inputs.
+
+    Meet-in-the-middle search (Pohl 1971): one ball grows around x and
+    one around y.  Every step expands one whole layer of whichever
+    frontier is smaller, so both balls stay near radius distance / 2.
+    Before a step the balls hold every vertex within depth_a of x and
+    within depth_b of y and share no vertex, so the distance exceeds
+    depth_a + depth_b.  A new vertex at depth_a + 1 that the other ball
+    already holds closes a path of length at most depth_a + 1 + depth_b,
+    hence exactly that: the first hit is the distance.  This module
+    imports nothing from metric, so the search cannot read the formula.
+    Raises MemoryCapExceeded once the balls hold more than
+    DEFAULT_MEMORY_CAP vertices.
+    """
+    limit = DEFAULT_MEMORY_CAP
+    if x == y:
+        return 0, 0
+    with _kept_coder(len(x.coords), x.q, limit) as coder:
+        near, far = {coder.encode(x): 0}, {coder.encode(y): 0}
+        near_front, far_front = list(near), list(far)
+        near_depth = far_depth = 0
+        expanded = 0
+        while near_depth + far_depth < cap:
+            if len(far_front) < len(near_front):
+                near, far = far, near
+                near_front, far_front = far_front, near_front
+                near_depth, far_depth = far_depth, near_depth
+            layer = near_depth + 1
+            nxt = []
+            for v in near_front:
+                expanded += 1
+                for w in coder.neighbor_keys(v):
+                    if w in near:
+                        continue
+                    met = far.get(w)
+                    if met is not None:
+                        return layer + met, expanded
+                    near[w] = layer
+                    nxt.append(w)
+                if len(near) + len(far) > limit:
+                    raise MemoryCapExceeded(
+                        "breadth-first search too large", len(near) + len(far)
+                    )
+            # DL_d(q) is infinite and connected, so no layer is empty
+            near_front, near_depth = nxt, layer
+        return None, expanded
 
 
 def balanced_vertices(params: DLParams, depths: Sequence[range]) -> tuple[DLVertex, ...]:

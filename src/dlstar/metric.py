@@ -31,12 +31,10 @@ middle is one tree b with C = m_b + l_b, and profile_distance unrolls
 that case to a closed form over the choice of b.  f_value and f_row_max
 write the formula out literally as the reference for f_rows and both
 distance forms.  bfs_distance is the independent
-oracle for the same quantity: a meet-in-the-middle breadth-first search
-whose two balls together may hold DEFAULT_MEMORY_CAP vertices.  It runs
-on the packed int keys of dlgraph._VertexCoder, whose neighbor keys
-follow neighbors, and builds no vertex past its two inputs.  Searches
-of one graph and cap share a coder (dlgraph._kept_coder), so its codes
-and key changes are computed once across them.
+oracle for the same quantity.  It checks its inputs, picks the default
+search cap, the only use of the formula, and runs the
+meet-in-the-middle breadth-first search of dlgraph, which imports
+nothing from this module.
 """
 
 from __future__ import annotations
@@ -46,8 +44,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .dlgraph import DEFAULT_MEMORY_CAP, DLVertex, _kept_coder, identity
-from .errors import DimensionMismatch, MemoryCapExceeded, NotBalanced
+from . import dlgraph
+from .dlgraph import DLVertex, identity
+from .errors import DimensionMismatch, NotBalanced
 from .treecoord import _require_int, pair_stats
 
 # configurations whose formula distances have been bulk-checked against
@@ -241,76 +240,19 @@ def distance(x: DLVertex, y: DLVertex) -> int:
 def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None:
     """Breadth-first graph distance, independent of the formula.
 
-    Meet-in-the-middle search (Pohl 1971): one ball grows around x and
-    one around y, each kept as a vertex -> depth map.  Every step
-    expands one whole layer of whichever frontier is smaller, so both
-    balls stay near radius distance / 2.  Before a step the balls hold
-    every vertex within depth_a of x and within depth_b of y and share
-    no vertex, so the distance exceeds depth_a + depth_b.  A new vertex
-    at depth_a + 1 that the other ball already holds closes a path of
-    length at most depth_a + 1 + depth_b, hence exactly that: the
-    first hit is the distance.
-
-    Vertices are held as the packed int keys of a coder
-    (dlgraph._VertexCoder), whose neighbor keys are those of neighbors
-    in the same order.  The coder is the one the last search of this
-    graph and DEFAULT_MEMORY_CAP left behind, holding at most
-    K = dlgraph._KEPT_CODES codes, or a new one (dlgraph._kept_coder).
-    Each tree coordinate takes B bits of a key, B sized from
-    DEFAULT_MEMORY_CAP + K: new coordinate codes appear only in
-    inserted vertices, so at most d * (DEFAULT_MEMORY_CAP + 2) + K
-    exist when a vertex is expanded, and the expansion adds at most
-    d (q + 1).
-
-    Returns None when the distance exceeds cap, i.e. once depth_a +
-    depth_b reaches cap without a meeting.  cap defaults to twice the
-    formula distance plus two, so a discrepancy in either direction is
-    caught; it is the only use of the formula here.  Raises
-    MemoryCapExceeded once the two balls together hold more than
-    DEFAULT_MEMORY_CAP vertices, and ValueError for a cap that is not
-    an int or is negative.
+    Runs dlgraph._bfs_search, a meet-in-the-middle search whose docstring
+    and dlgraph._VertexCoder's prove it exact.  Returns None when the
+    distance exceeds cap.  cap defaults to twice the formula distance
+    plus two, so a discrepancy in either direction is caught; it is the
+    only use of the formula here.  Raises MemoryCapExceeded once the two
+    balls together hold more than dlgraph.DEFAULT_MEMORY_CAP vertices,
+    and ValueError for a cap that is not an int or is negative.
     """
-    return _bfs_search(x, y, cap)[0]
-
-
-def _bfs_search(x: DLVertex, y: DLVertex, cap: int | None) -> tuple[int | None, int]:
-    """bfs_distance and the number of vertices the search expanded."""
     _check_same_graph(x, y)
     if cap is None:
         cap = 2 * distance(x, y) + 2
     _require_int(cap, "cap", 0)
-    limit = DEFAULT_MEMORY_CAP
-    if x == y:
-        return 0, 0
-    with _kept_coder(len(x.coords), x.q, limit) as coder:
-        near, far = {coder.encode(x): 0}, {coder.encode(y): 0}
-        near_front, far_front = list(near), list(far)
-        near_depth = far_depth = 0
-        expanded = 0
-        while near_depth + far_depth < cap:
-            if len(far_front) < len(near_front):
-                near, far = far, near
-                near_front, far_front = far_front, near_front
-                near_depth, far_depth = far_depth, near_depth
-            layer = near_depth + 1
-            nxt = []
-            for v in near_front:
-                expanded += 1
-                for w in coder.neighbor_keys(v):
-                    if w in near:
-                        continue
-                    met = far.get(w)
-                    if met is not None:
-                        return layer + met, expanded
-                    near[w] = layer
-                    nxt.append(w)
-                if len(near) + len(far) > limit:
-                    raise MemoryCapExceeded(
-                        "breadth-first search too large", len(near) + len(far)
-                    )
-            # DL_d(q) is infinite and connected, so no layer is empty
-            near_front, near_depth = nxt, layer
-        return None, expanded
+    return dlgraph._bfs_search(x, y, cap)[0]
 
 
 # ── comparison reports ──────────────────────────────────────────────────────

@@ -34,6 +34,7 @@ from .dlgraph import (
     MAX_DIMENSION,
     DLParams,
     DLVertex,
+    _bfs_search,
     alpha_family,
     ball_distances,
     balanced_vertices,
@@ -52,7 +53,6 @@ from .horofn import (
 )
 from .metric import (
     PairProfile,
-    _bfs_search,
     all_permutations,
     balanced_compare,
     check_coord_dominance,
@@ -100,7 +100,7 @@ def _check_word_metric(params: DLParams, seed: int) -> VerificationReport:
     expanded = 0
     for x, y in pairs:
         want = distance(x, y)
-        got, cost = _bfs_search(x, y, None)
+        got, cost = _bfs_search(x, y, 2 * want + 2)  # bfs_distance's default cap
         expanded += cost
         tally.check(got == want, lambda: f"{x} vs {y}: formula {want}, bfs {got}")
     return tally.report(

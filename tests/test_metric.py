@@ -37,7 +37,8 @@ from dlstar import (
 )
 import dlstar.dlgraph as dlgraph_mod
 import dlstar.metric as metric_mod
-from dlstar.metric import _bfs_search, _end_pair_distance, _perms0
+from dlstar.dlgraph import _bfs_search
+from dlstar.metric import _end_pair_distance, _perms0
 
 
 def bfs_oracle(x, y, limit=40):
@@ -101,6 +102,27 @@ def test_metric_axioms(params, ball3):
         assert dxy == distance(y, x)
         assert (dxy == 0) == (x == y)
         assert dxy <= distance(x, z) + distance(z, y)
+
+
+def _walk(v, steps, rng):
+    for _ in range(steps):
+        v = rng.choice(neighbors(v))
+    return v
+
+
+# a d = 8 distance takes about 10 ms, and an example makes six
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_metric_axioms_at_every_dimension(d, q, seed):
+    # symmetry and the triangle inequality on three vertices of DL_d(q),
+    # each a seeded walk of up to 8 steps from the last
+    rng = random.Random(seed)
+    x = _walk(identity(DLParams(d, q)), rng.randint(0, 8), rng)
+    y = _walk(x, rng.randint(0, 8), rng)
+    z = _walk(y, rng.randint(0, 8), rng)
+    dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
+    assert (dxy, dyz, dxz) == (distance(y, x), distance(z, y), distance(z, x))
+    assert dxz <= dxy + dyz and dxy <= dxz + dyz and dyz <= dxy + dxz
 
 
 def test_pair_profile_and_f_values(params, origin):
@@ -213,15 +235,9 @@ def test_generic_profile_distance_matches_brute_force(d, count):
     # walks
     params = DLParams(d, 2)
     rng = random.Random(20260814 + d)
-
-    def walk(v, steps=8):
-        for _ in range(steps):
-            v = rng.choice(neighbors(v))
-        return v
-
     for _ in range(count):
-        x = walk(identity(params))
-        prof = pair_profile(x, walk(x))
+        x = _walk(identity(params), 8, rng)
+        prof = pair_profile(x, _walk(x, 8, rng))
         brute = min(f_row_max(prof, s) for s in all_permutations(d))
         assert profile_distance(prof) == brute
 
@@ -271,17 +287,17 @@ def test_bfs_distance_cap_edge(params, ball3):
 
 def test_bfs_distance_memory_cap(params, origin, monkeypatch):
     far = beta_family(params).at(5)
-    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 50)
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 50)
     with pytest.raises(MemoryCapExceeded) as e:
         bfs_distance(origin, far)
     assert e.value.size > 50
     # after the first layer the ball around origin holds 13 vertices and
     # the one around far holds 1: the cap counts both
-    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 13)
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 13)
     with pytest.raises(MemoryCapExceeded) as e:
         bfs_distance(origin, far)
     assert e.value.size == 14
-    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 100_000)
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 100_000)
     assert bfs_distance(origin, far) == 10
 
 
@@ -295,27 +311,21 @@ def test_bfs_search_on_warm_coder_matches_cold(d, q, radius, monkeypatch):
     cold = []
     for x, y in pairs:
         kept.clear()
-        cold.append(_bfs_search(x, y, None))
-    warm = [_bfs_search(x, y, None) for x, y in pairs]
+        cold.append(_bfs_search(x, y, 2 * distance(x, y) + 2))
+    warm = [_bfs_search(x, y, 2 * distance(x, y) + 2) for x, y in pairs]
     assert warm == cold
-    assert len(kept[d, q, metric_mod.DEFAULT_MEMORY_CAP].coords) > 0
+    assert len(kept[d, q, dlgraph_mod.DEFAULT_MEMORY_CAP].coords) > 0
 
 
 def test_warm_coder_fits_its_field_under_a_small_cap(params, origin, monkeypatch):
     # searches under cap 50 each hold few codes, but the coder they share
     # gathers more than a field sized from the cap alone could hold
     monkeypatch.setattr(dlgraph_mod, "_kept_coders", {})
-    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 50)
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 50)
     rng = random.Random(3)
-
-    def walk(v, steps):
-        for _ in range(steps):
-            v = rng.choice(neighbors(v))
-        return v
-
     for _ in range(100):
-        x = walk(origin, 20)
-        y = walk(x, 2)
+        x = _walk(origin, 20, rng)
+        y = _walk(x, 2, rng)
         assert bfs_distance(x, y) == distance(x, y)
     coder = dlgraph_mod._kept_coders[3, 2, 50]
     assert len(coder.coords) > 1 << (3 * (50 + 2 + 3)).bit_length()
@@ -323,7 +333,7 @@ def test_warm_coder_fits_its_field_under_a_small_cap(params, origin, monkeypatch
 
 def test_bfs_exact_after_memory_cap(params, origin, ball3, monkeypatch):
     monkeypatch.setattr(dlgraph_mod, "_kept_coders", {})
-    monkeypatch.setattr(metric_mod, "DEFAULT_MEMORY_CAP", 2000)
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 2000)
     with pytest.raises(MemoryCapExceeded):
         bfs_distance(origin, beta_family(params).at(5))
     # the stopped search left its coder, and the next searches run on it

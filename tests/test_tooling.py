@@ -84,6 +84,40 @@ def test_no_unread_private_names():
     assert unread_private_names([p.read_text() for p in PACKAGE.glob("*.py")]) == []
 
 
+# the vertex coder, its kept copies and the memory cap that sizes it;
+# both searches that use them live in dlgraph
+CODER_NAMES = {
+    "_VertexCoder", "_kept_coder", "_kept_coders", "_KEPT_CODES", "DEFAULT_MEMORY_CAP",
+}
+
+
+def names_read(source: str, names: set[str]) -> list[str]:
+    """Which of names a source reads, as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return sorted(read & names)
+
+
+def test_names_read_are_found():
+    source = "from .g import _A, b\nimport g\nprint(g._B + c, '_D')\n"
+    assert names_read(source, {"_A", "_B", "c", "_D", "e"}) == ["_A", "_B", "c"]
+
+
+def test_only_dlgraph_reads_the_coder():
+    # the package re-exports the cap; no other module touches these names
+    found = {p.name: names_read(p.read_text(), CODER_NAMES) for p in PACKAGE.glob("*.py")}
+    del found["dlgraph.py"]
+    assert {name: read for name, read in found.items() if read} == {
+        "__init__.py": ["DEFAULT_MEMORY_CAP"]
+    }
+
+
 def test_all_lists_the_package_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     imported = [

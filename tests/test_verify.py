@@ -1,6 +1,7 @@
 """Suite plumbing, and the profile table and screens of the lemma suite."""
 
 import math
+import random
 import re
 from dataclasses import replace
 
@@ -36,6 +37,8 @@ from dlstar.verify import (
     SUITES,
     _check_asymmetry,
     _check_comparison_lemmas,
+    _check_growth_table,
+    _check_metric_axioms,
     _check_probe_exclusion,
     pair_table,
     screen_balanced,
@@ -471,3 +474,65 @@ def test_asymmetry_counts_every_failing_case(params, monkeypatch):
     assert broken.cases == clean.cases == 4680
     assert broken.failures == 5
     assert broken.first_failure == "inclusion margin 1 at n=1, want 0"
+
+
+def test_metric_axioms_report_a_broken_triangle(params, monkeypatch):
+    # the squared distance is symmetric and zero only on the diagonal, but
+    # not a metric: the first triple it breaks is the first failure
+    real = verify_mod.distance
+    monkeypatch.setattr(verify_mod, "distance", lambda x, y: real(x, y) ** 2)
+    report = _check_metric_axioms(params, DEFAULT_SEED)
+    pool = sorted(ball_distances(params, 4), key=vertex_sort_key)
+    rng = random.Random(DEFAULT_SEED + 1)
+    broken = []
+    for _ in range(1000):
+        x, y, z = (rng.choice(pool) for _ in range(3))
+        dxy, dyz, dxz = real(x, y) ** 2, real(y, z) ** 2, real(x, z) ** 2
+        if dxz > dxy + dyz or dxy > dxz + dyz or dyz > dxy + dxz:
+            broken.append((x, y, z))
+    assert 0 < report.failures == len(broken)
+    x, y, z = broken[0]
+    assert report.first_failure == f"triangle broken on {x}, {y}, {z}"
+
+
+def test_growth_table_reports_a_wrong_intercept(params, monkeypatch):
+    # one ordering's total one too high on every sample: each sample fails
+    # once, and the first names the first sample's total and its pin
+    real = verify_mod.betandist_table
+    samples = []
+
+    def one_too_high(z):
+        table = real(z)
+        row = table.rows[1, 2, 3]
+        samples.append((z, row.total))
+        total = row.total._replace(intercept=row.total.intercept + 1)
+        return replace(table, rows={**table.rows, (1, 2, 3): row._replace(total=total)})
+
+    clean = _check_growth_table(params, DEFAULT_SEED)
+    samples.clear()
+    monkeypatch.setattr(verify_mod, "betandist_table", one_too_high)
+    report = _check_growth_table(params, DEFAULT_SEED)
+    assert report.cases == clean.cases and clean.failures == 0
+    assert report.failures == len(samples) == 50
+    z, total = samples[0]
+    assert report.first_failure == (
+        f"{z} (1, 2, 3): total {total._replace(intercept=total.intercept + 1)}, "
+        f"want slope 2 intercept {total.intercept}"
+    )
+
+
+def test_asymmetry_requires_a_zero_minimum_slack(params, monkeypatch):
+    # every separation report passes, but with each minimum slack one
+    # higher the slack 0 the certificate needs is never reached
+    real = verify_mod.separation_evidence
+
+    def raised(a, k, n_max, depth):
+        report = real(a, k, n_max, depth)
+        details = {**report.details, "min_slack": report.details["min_slack"] + 1}
+        return replace(report, details=details)
+
+    monkeypatch.setattr(verify_mod, "separation_evidence", raised)
+    report = _check_asymmetry(params, DEFAULT_SEED)
+    assert not report.passed and report.failures == 1
+    assert report.details["min_slacks"] == [1, 1, 1, 1, 1]
+    assert report.first_failure == "minimum separation slack 1, want exactly 0"
