@@ -13,7 +13,9 @@ Examples:
     dlstar verify --suite stars
 
 Exit status: 0 on success, 1 when a verification-style command fails or
-a computation gives up, 2 on usage errors (bad flags, bad literals).
+a computation gives up, 2 on usage errors (bad flags, bad literals).  A
+reader that closes standard output early ends the output quietly, with
+the command's own exit status.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .dlgraph import (
@@ -356,6 +359,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit(args.format, args.command, params, result, passed)
+    try:
+        emit(args.format, args.command, params, result, passed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: point stdout at devnull so that the
+        # interpreter's last flush of what is still buffered succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if passed is None or passed else 1
 

@@ -125,6 +125,14 @@ def _tree_moves(c: TreeVertex, q: int) -> tuple[tuple[TreeVertex, ...], TreeVert
     return tuple(ups), TreeVertex(m + 1, ())
 
 
+def _require_degree_within_cap(d: int, q: int) -> None:
+    """Raise MemoryCapExceeded when the d(d-1)q neighbors of one vertex
+    alone pass DEFAULT_MEMORY_CAP; callers check before building any."""
+    degree = d * (d - 1) * q
+    if degree > DEFAULT_MEMORY_CAP:
+        raise MemoryCapExceeded(f"DL_{d}({q}) has too many neighbors per vertex", degree)
+
+
 def neighbors(v: DLVertex) -> list[DLVertex]:
     """All d(d-1)q adjacent vertices, in deterministic (i, j, label) order.
 
@@ -134,10 +142,12 @@ def neighbors(v: DLVertex) -> list[DLVertex]:
     takes tree j's down move and then each of tree i's up moves, and
     tree j is restored before the next pair.  Every move preserves the
     zero height sum and canonical form, so results are assembled without
-    re-validation.
+    re-validation.  Raises MemoryCapExceeded, before building any, when
+    there are more than DEFAULT_MEMORY_CAP of them.
     """
     coords = v.coords
     q = v.q
+    _require_degree_within_cap(len(coords), q)
     moves = [_tree_moves(c, q) for c in coords]
     new = tuple.__new__  # DLVertex(...) less the namedtuple constructor's frame
     out: list[DLVertex] = []
@@ -267,9 +277,12 @@ def ball_distances(params: DLParams, radius: int) -> dict[DLVertex, int]:
     once at the end.  The coder's intern table holds one object per
     distinct tree coordinate, shared by every vertex that has it, which
     about halves the ball's memory.  Raises MemoryCapExceeded once more
-    than DEFAULT_MEMORY_CAP are visited.
+    than DEFAULT_MEMORY_CAP are visited, or at radius >= 1 before the
+    first expansion when one vertex has more neighbors than that.
     """
     _require_int(radius, "radius", 0)
+    if radius:
+        _require_degree_within_cap(params.d, params.q)
     limit = DEFAULT_MEMORY_CAP
     with _kept_coder(params.d, params.q, limit) as coder:
         dist = {coder.encode(identity(params)): 0}
@@ -301,11 +314,14 @@ def _bfs_search(x: DLVertex, y: DLVertex, cap: int) -> tuple[int | None, int]:
     hence exactly that: the first hit is the distance.  This module
     imports nothing from metric, so the search cannot read the formula.
     Raises MemoryCapExceeded once the balls hold more than
-    DEFAULT_MEMORY_CAP vertices.
+    DEFAULT_MEMORY_CAP vertices, or at cap >= 1 before the first
+    expansion when one vertex has more neighbors than that.
     """
     limit = DEFAULT_MEMORY_CAP
     if x == y:
         return 0, 0
+    if cap:
+        _require_degree_within_cap(len(x.coords), x.q)
     with _kept_coder(len(x.coords), x.q, limit) as coder:
         near, far = {coder.encode(x): 0}, {coder.encode(y): 0}
         near_front, far_front = list(near), list(far)

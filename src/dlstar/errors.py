@@ -15,7 +15,8 @@ class DimensionMismatch(ValueError):
 
 
 class WrongDimension(ValueError):
-    """Operation is only defined for three tree coordinates."""
+    """Operation is not defined for this number of tree coordinates
+    (most need exactly three; beta_family needs at least three)."""
 
 
 class VertexSyntax(ValueError):

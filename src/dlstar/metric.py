@@ -26,9 +26,12 @@ C(b) being the makespan of the middle trees run as jobs with times
     distance = min over end pairs {a, c} of
                min(m_a + l_c, m_c + l_a) + max(M, min over b of C(b)).
 
-At d = 2 there is no middle tree and the bracket is M.  At d = 3 the
-middle is one tree b with C = m_b + l_b, and profile_distance unrolls
-that case to a closed form over the choice of b.  f_value and f_row_max
+At d = 2 the middle is empty and the bracket is M.  At d = 3 the middle
+is one tree b with C = m_b + l_b, so with a, c the other two trees
+
+    distance = min over b of max(M, m_b + l_b) + min(m_a + l_c, m_c + l_a),
+
+the closed form profile_distance computes there.  f_value and f_row_max
 write the formula out literally as the reference for f_rows and both
 distance forms.  bfs_distance is the independent
 oracle for the same quantity.  It checks its inputs, picks the default
@@ -146,10 +149,14 @@ def _end_pair_distance(m, l):
     """min over end pairs {a, c} of min(m_a + l_c, m_c + l_a) +
     max(M, least middle makespan); the module docstring derives it.
 
-    Each middle ordering's makespan is one pass with a running prefix
-    sum of m and a suffix sum of l, as in f_rows, and every ordering is
-    visited.  Only +, -, comparisons and sum() touch the entries, so
-    they may be ints or horofn.AffineInN values.
+    Each middle ordering b is one pass with a running prefix sum of m
+    and a suffix sum of l, as in f_rows, and its running maximum starts
+    at M, so the pass gives max(M, C(b)).  The least of these over b is
+    the end pair's whole bracket: max(M, .) is non-decreasing, so
+    min over b of max(M, C(b)) = max(M, min over b of C(b)) in any total
+    order, as ints and AffineInN's tuple order are.  At d = 2 the one
+    middle is empty and gives M.  Only +, -, comparisons and sum() touch
+    the entries, so they may be ints or horofn.AffineInN values.
     """
     big = sum(m)
     climb = sum(l)
@@ -159,25 +166,21 @@ def _end_pair_distance(m, l):
         other = m[c] + l[a]
         if other < ends:
             ends = other
-        span = big
-        if middles[0]:
-            rest = climb - l[a] - l[c]
-            least = None
-            for b in middles:
-                up = 0                  # m_{b(1)} + ... + m_{b(j)}
-                down = rest             # l_{b(j)} + ... + l_{b(d - 2)}
-                worst = None
-                for t in b:
-                    up = up + m[t]
-                    row = up + down
-                    if worst is None or row > worst:
-                        worst = row
-                    down = down - l[t]
-                if least is None or worst < least:
-                    least = worst
-            if least > span:
-                span = least
-        total = ends + span
+        rest = climb - l[a] - l[c]
+        least = None
+        for b in middles:
+            up = 0                      # m_{b(1)} + ... + m_{b(j)}
+            down = rest                 # l_{b(j)} + ... + l_{b(d - 2)}
+            worst = big
+            for t in b:
+                up = up + m[t]
+                row = up + down
+                if row > worst:
+                    worst = row
+                down = down - l[t]
+            if least is None or worst < least:
+                least = worst
+        total = ends + least
         if best is None or total < best:
             best = total
     return best
@@ -186,30 +189,10 @@ def _end_pair_distance(m, l):
 def profile_distance(profile: PairProfile) -> int:
     """min over orderings s of max over i of f(s, i), by its end pairs.
 
-    An ordering s with ends a = s(1), c = s(d) and middle b has rows
-
-        f(s, i) = m_a + l_c + m_{b(1)} + ... + m_{b(i-1)}
-                            + l_{b(i-1)} + ... + l_{b(d-2)}    (i < d)
-        f(s, d) = m_a + l_c + M,
-
-    so its maximum is m_a + l_c + max(M, C(b)) with C(b) the middle
-    makespan, and swapping the ends changes only the first term:
-
-        distance = min over {a, c} of min(m_a + l_c, m_c + l_a)
-                                      + max(M, min over b of C(b)).
-
-    At d = 3 the middle is one tree b with C = m_b + l_b.  For
-    s = (a, b, c) the rows are
-
-        f(s, 2) = m_a + m_b + l_b + l_c
-        f(s, 3) = 2 m_a + m_b + m_c + l_c = m_a + M + l_c,
-
-    and the three end pairs, one per middle tree, unroll to
-
-        distance = min over b of max(M, m_b + l_b) + min(m_a + l_c, m_c + l_a).
-
-    Every other d runs _end_pair_distance: C(d, 2) end pairs, each with
-    the (d - 2)! orderings of its middle, and no f_rows call.
+    The entries may be ints or horofn.AffineInN values; the result has
+    their type.  The d = 3 branch is _end_pair_distance unrolled over
+    its three one-tree middles; every other d runs that loop.  Raises
+    ValueError for fewer than two trees or m and l of unequal length.
     """
     m, l = profile.m, profile.l
     d = len(m)
@@ -246,6 +229,7 @@ def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None
     plus two, so a discrepancy in either direction is caught; it is the
     only use of the formula here.  Raises MemoryCapExceeded once the two
     balls together hold more than dlgraph.DEFAULT_MEMORY_CAP vertices,
+    or before the first step when one vertex's neighbors alone would,
     and ValueError for a cap that is not an int or is negative.
     """
     _check_same_graph(x, y)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dlstar
+import dlstar.dlgraph as dlgraph_mod
 from dlstar.cli import main
 
 
@@ -86,6 +87,14 @@ def test_neighbors_count(capsys):
     doc = json.loads(out)
     assert doc["result"]["count"] == 12
     assert len(doc["result"]["rows"]) == 12
+
+
+def test_neighbors_past_the_memory_cap_exits_1(capsys, monkeypatch):
+    # the 300 neighbors of one DL_3(50) vertex pass a cap of 100
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 100)
+    code, out, err = run(capsys, "--q", "50", "neighbors", "0:|0:|0:")
+    assert code == 1 and out == ""
+    assert err.startswith("error: DL_3(50) has too many neighbors per vertex (at least 300)")
 
 
 def test_ball_rows(capsys):
@@ -336,15 +345,40 @@ def test_verify_lemmas_refuses_large_profile_pair_map(capsys):
     assert "Traceback" not in err
 
 
-def test_console_entry_point():
+def _child_env():
     # the child imports the same dlstar as this process, installed or not
     src = str(Path(dlstar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dlstar", "--format", "json", "distance",
          "0:|0:|0:", "0:0|2:1,0|2:1"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["distance"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--radius", "2"],
+    ["--format", "json", "distance", "0:|0:|0:", "1:1|0:|0:"],
+    ["--format", "csv", "ball", "--radius", "1"],
+])
+def test_closed_stdout_ends_quietly(argv):
+    # the read end of the child's stdout is closed before the child
+    # writes, as when `dlstar ... | head` exits early: exit 0, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dlstar", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -21,6 +21,7 @@ from dlstar import (
     alpha_family,
     ball_distances,
     beta_family,
+    bfs_distance,
     format_vertex,
     gamma_family,
     identity,
@@ -97,6 +98,32 @@ def test_ball_memory_cap(params, monkeypatch):
     for radius in (True, 1.0, 1.5):
         with pytest.raises(ValueError, match="must be an int"):
             ball_distances(params, radius)
+
+
+def test_searches_refuse_a_degree_past_the_cap(monkeypatch):
+    # one vertex of DL_3(50) has 300 neighbors, past a cap of 100: every
+    # search and neighbors refuse before any tree move is taken
+    params = DLParams(3, 50)
+    origin = identity(params)
+    far = parse_vertex("0:0|2:1,0|2:1", params)
+
+    def no_moves(c, q):
+        raise AssertionError("a tree move was taken")
+
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", 100)
+    monkeypatch.setattr(dlgraph_mod, "_tree_moves", no_moves)
+    for refused in (
+        lambda: ball_distances(params, 1),
+        lambda: bfs_distance(origin, far),
+        lambda: neighbors(origin),
+    ):
+        with pytest.raises(MemoryCapExceeded) as e:
+            refused()
+        assert e.value.size == 300
+    # radius 0, cap 0 and x == y take no step and still answer
+    assert ball_distances(params, 0) == {origin: 0}
+    assert bfs_distance(origin, far, cap=0) is None
+    assert bfs_distance(far, far) == 0
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (3, 3), (4, 2), (5, 2), (2, 5)])

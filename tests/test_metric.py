@@ -179,15 +179,18 @@ def _orderings_distance(m, l):
 
 
 def test_d4_end_pair_form_matches_orderings_exhaustively():
-    # every d = 4 profile with entries 0..2: 3**8 = 6,561 profiles
-    for m in itertools.product(range(3), repeat=4):
-        for l in itertools.product(range(3), repeat=4):
-            assert profile_distance(PairProfile(m, l)) == _orderings_distance(m, l)
+    # every d = 4 profile with entries 0..2 (3**8 = 6,561 profiles) and
+    # every d = 2 profile, whose one middle is empty, with entries 0..4
+    # (5**4 = 625 profiles)
+    for d, entries in ((4, range(3)), (2, range(5))):
+        for m in itertools.product(entries, repeat=d):
+            for l in itertools.product(entries, repeat=d):
+                assert profile_distance(PairProfile(m, l)) == _orderings_distance(m, l)
 
 
-@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("d", [2, 4, 5, 6])
 def test_end_pair_form_runs_on_affine_entries(d):
-    # limit_value runs profile_distance on AffineInN entries at d >= 4;
+    # limit_value runs profile_distance on AffineInN entries at d != 3;
     # tuple order is their order at every large n
     rng = random.Random(20261020 + d)
 
