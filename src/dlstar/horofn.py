@@ -6,9 +6,14 @@ distance(x_n, z) - distance(x_n, id), which shifts computes at one x_n.
 From n = weight(z) + 1 on (the weight is the sum of all m_i + l_i of z)
 every meet statistic of x_n against z or id is affine in n, so
 limit_values runs the distance kernels over Z[n] and reads the limits
-off exactly.  The identity side of a limit depends only on the family
-and from_n, so limit_values computes it once for all the targets that
-share a from_n; limit_value is its one-target call.  For the beta
+off exactly.  A limit depends on its target only through from_n and
+the target's pair profile over Z[n], so one limit_values sweep computes,
+per distinct from_n, the window (x_{from_n}, x_{from_n + 1}) and the
+identity side once; per distinct (from_n, tree, coordinate), pair_stats
+against the window once; and per distinct (from_n, profile) class, the
+two profile_distance calls once.  limit_value is its one-target call,
+and shifts shares pair_stats and profile_distance among its targets the
+same way.  For the beta
 family (balanced down-then-up excursions in tree 3) the limit has the
 closed form
 
@@ -36,12 +41,12 @@ from .dlgraph import (
 from .errors import TableMismatch, WrongDimension
 from .metric import (
     PairProfile,
+    _check_same_graph,
     all_permutations,
-    distance,
     f_rows,
-    pair_profile,
     profile_distance,
 )
+from .treecoord import TreeVertex, pair_stats
 
 
 class AffineInN(NamedTuple):
@@ -76,38 +81,135 @@ def _param_weight(z: DLVertex) -> int:
     return sum(c.m + c.l for c in z.coords)
 
 
-def _profile_in_n(
-    window: tuple[DLVertex, DLVertex], y: DLVertex, from_n: int
-) -> tuple[PairProfile, PairProfile]:
-    """pair_profile(x_n, y) for n >= from_n >= weight(y) + 1, with
-    AffineInN entries, and its integer value at n = from_n; window is
-    (x_{from_n}, x_{from_n + 1}).
+def _window_rows(
+    family: PointFamily, from_n: int
+) -> tuple[tuple[TreeVertex, TreeVertex], ...]:
+    """Per tree, the coordinates of the window (x_{from_n}, x_{from_n + 1})."""
+    return tuple(zip(family.at(from_n).coords, family.at(from_n + 1).coords))
 
-    Per tree, pair_stats of (x_n, y) is, with (m_y, l_y) y's coordinate:
-    a descending tree (n, ...) gives (l_x, n + l_y - m_y) once n > m_y;
-    a tree climbing only, (0, 1^n), gives (m_y + n, l_y) when m_y > 0
-    and otherwise (n - s, l_y - s) once n >= l_y, s being the length of
-    y's leading run of 1s; a fixed tree gives a constant.  So each entry
-    is affine from from_n on, and its values at from_n and from_n + 1
-    fix it.
+
+def _entry(row: tuple[TreeVertex, TreeVertex], c: TreeVertex, from_n: int) -> tuple:
+    """One tree's pair_stats of (x_n, y) for n >= from_n >= weight(y) + 1,
+    y having coordinate c there: (m, l) as AffineInN, then (m, l) at
+    n = from_n.  row is the tree's window coordinates.
+
+    With (m_y, l_y) the statistics of c: a descending tree (n, ...)
+    gives (l_x, n + l_y - m_y) once n > m_y; a tree climbing only,
+    (0, 1^n), gives (m_y + n, l_y) when m_y > 0 and otherwise
+    (n - s, l_y - s) once n >= l_y, s being the length of c's leading
+    run of 1s; a fixed tree gives a constant.  So each entry is affine
+    from from_n on, and its values at from_n and from_n + 1 fix it.
     """
-    p0, p1 = (pair_profile(x, y) for x in window)
-    exact = PairProfile(*(
-        tuple(AffineInN(b - a, a - (b - a) * from_n) for a, b in zip(r0, r1))
-        for r0, r1 in zip(p0, p1)
-    ))
-    return exact, p0
+    (m0, l0), (m1, l1) = pair_stats(row[0], c), pair_stats(row[1], c)
+    return (
+        AffineInN(m1 - m0, m0 - (m1 - m0) * from_n),
+        AffineInN(l1 - l0, l0 - (l1 - l0) * from_n),
+        m0,
+        l0,
+    )
 
 
-def _window(family: PointFamily, from_n: int) -> tuple[DLVertex, DLVertex]:
-    return family.at(from_n), family.at(from_n + 1)
+def _profiles(entries: Iterable[tuple]) -> tuple[PairProfile, PairProfile]:
+    """The pair profile over Z[n], and at n = from_n, of one _entry per tree."""
+    m, l, m0, l0 = zip(*entries)
+    return PairProfile(m, l), PairProfile(m0, l0)
+
+
+def _class_key(z: DLVertex, rows: tuple, memos: list[dict], entry) -> tuple:
+    """Per tree, entry(row, c) for z's coordinate c and the tree's row,
+    computed once per distinct coordinate and then read from memos."""
+    key = []
+    for row, seen, c in zip(rows, memos, z.coords):
+        got = seen.get(c)
+        if got is None:
+            got = seen[c] = entry(row, c)
+        key.append(got)
+    return tuple(key)
 
 
 def shifts(x: DLVertex, targets: tuple[DLVertex, ...]) -> tuple[int, ...]:
     """distance(x, w) - distance(x, id) for each target w: the finite-n
-    term whose limit along a family limit_value takes."""
-    base = distance(x, identity(x.params))
-    return tuple(distance(x, w) - base for w in targets)
+    term whose limit along a family limit_value takes.
+
+    A distance depends only on the pair profile, so pair_stats runs once
+    per distinct (tree, coordinate) and profile_distance once per
+    distinct profile among id and the targets.
+    """
+    stats: list[dict] = [{} for _ in x.coords]
+    dists: dict[tuple, int] = {}  # profile as one (m, l) per tree -> distance
+
+    def dist(w: DLVertex) -> int:
+        _check_same_graph(x, w)
+        key = _class_key(w, x.coords, stats, pair_stats)
+        got = dists.get(key)
+        if got is None:
+            got = dists[key] = profile_distance(PairProfile(*zip(*key)))
+        return got
+
+    base = dist(identity(x.params))
+    return tuple(dist(w) - base for w in targets)
+
+
+class _Window:
+    """The limits of one family at the targets of one from_n.
+
+    Per tree, each distinct target coordinate's _entry is read once and
+    interned by value, so a target's class, its tuple of entries, is a
+    tuple of shared objects.  A class's limit and its integer check at
+    from_n depend on its entries alone, so each class runs the two
+    profile_distance calls once; the identity side runs them once more.
+    """
+
+    def __init__(self, family: PointFamily, from_n: int):
+        self.family, self.from_n = family, from_n
+        self.base = identity(family.params)
+        self.rows = _window_rows(family, from_n)
+        self.seen: list[dict[TreeVertex, tuple]] = [{} for _ in self.rows]
+        self.interned: dict[tuple, tuple] = {}
+        self.classes: dict[tuple, HorofunctionValue] = {}
+        exact, at_from = _profiles(self._entries(self.base))
+        self.exact_id, self.at_id = profile_distance(exact), profile_distance(at_from)
+
+    def _entries(self, z: DLVertex) -> tuple:
+        return _class_key(z, self.rows, self.seen, self._interned_entry)
+
+    def _interned_entry(self, row: tuple[TreeVertex, TreeVertex], c: TreeVertex) -> tuple:
+        entry = _entry(row, c, self.from_n)
+        return self.interned.setdefault(entry, entry)
+
+    def limit(self, z: DLVertex) -> HorofunctionValue:
+        """z's limit; raises TableMismatch at the first target of a class
+        whose integer difference at from_n is not its limit."""
+        _check_same_graph(self.base, z)
+        key = self._entries(z)
+        limit = self.classes.get(key)
+        if limit is None:
+            exact, at_from = _profiles(key)
+            value = (profile_distance(exact) - self.exact_id).intercept
+            measured = profile_distance(at_from) - self.at_id
+            if measured != value:
+                raise TableMismatch(
+                    f"{self.family.name} at {z}: limit {value}, "
+                    f"difference {measured} at n = {self.from_n}"
+                )
+            limit = self.classes[key] = HorofunctionValue(value, self.from_n)
+        return limit
+
+
+def _limit_sweep(
+    family: PointFamily, targets: Iterable[DLVertex]
+) -> tuple[tuple[HorofunctionValue, ...], int]:
+    """limit_values' limits, and the number of distinct (from_n, Z[n]
+    profile) classes among the targets."""
+    windows: dict[int, _Window] = {}
+    values = []
+    for z in targets:
+        from_n = _param_weight(z) + 1
+        window = windows.get(from_n)
+        if window is None:
+            window = windows[from_n] = _Window(family, from_n)
+        values.append(window.limit(z))
+    return tuple(values), sum(len(w.classes) for w in windows.values())
 
 
 def limit_values(
@@ -115,32 +217,14 @@ def limit_values(
 ) -> tuple[HorofunctionValue, ...]:
     """limit_value(family, z) for each target z, in order.
 
-    The identity side of a limit depends only on the family and from_n.
-    It is the window (x_{from_n}, x_{from_n + 1}) and the exact and
-    from_n distances of x_n to id.  So it is computed once per distinct
-    from_n among the targets, and each target adds only its own side.
+    Each from_n's window and identity side, each (from_n, tree,
+    coordinate)'s pair_stats and each (from_n, Z[n] profile) class's two
+    profile_distance calls are computed once (module docstring); a
+    class's limit and its check at from_n depend on nothing else.
     Raises TableMismatch at the first target whose integer difference
     at from_n is not its limit.
     """
-    base = identity(family.params)
-    sides: dict[int, tuple[tuple[DLVertex, DLVertex], AffineInN, int]] = {}
-    values = []
-    for z in targets:
-        from_n = _param_weight(z) + 1
-        if from_n not in sides:
-            window = _window(family, from_n)
-            to_id, at_id = _profile_in_n(window, base, from_n)
-            sides[from_n] = window, profile_distance(to_id), profile_distance(at_id)
-        window, exact_id, measured_id = sides[from_n]
-        to_z, at_z = _profile_in_n(window, z, from_n)
-        value = (profile_distance(to_z) - exact_id).intercept
-        measured = profile_distance(at_z) - measured_id
-        if measured != value:
-            raise TableMismatch(
-                f"{family.name} at {z}: limit {value}, difference {measured} at n = {from_n}"
-            )
-        values.append(HorofunctionValue(value, from_n))
-    return tuple(values)
+    return _limit_sweep(family, targets)[0]
 
 
 def limit_value(family: PointFamily, z: DLVertex) -> HorofunctionValue:
@@ -209,7 +293,8 @@ def betandist_table(z: DLVertex) -> BetaDistTable:
     if len(z.coords) != 3:
         raise WrongDimension("growth table needs exactly 3 tree coordinates")
     from_n = _param_weight(z) + 1
-    profile, at_from = _profile_in_n(_window(beta_family(z.params), from_n), z, from_n)
+    window = _window_rows(beta_family(z.params), from_n)
+    profile, at_from = _profiles(_entry(row, c, from_n) for row, c in zip(window, z.coords))
     rows: dict[tuple[int, ...], BetaDistRow] = {}
     for sigma in all_permutations(3):
         f2, f3 = f_rows(profile.m, profile.l, [t - 1 for t in sigma])

@@ -44,9 +44,9 @@ from .dlgraph import (
 )
 from .errors import MemoryCapExceeded
 from .horofn import (
+    _limit_sweep,
     beta_value,
     betandist_table,
-    limit_values,
     printed_probe_set,
     probe_disagreement,
     symmetric_probe_set,
@@ -513,7 +513,7 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
     beta = beta_family(params)
     probes = _sorted_ball(params, 5)
     tally = Tally()
-    limits = limit_values(beta, probes)
+    limits, classes = _limit_sweep(beta, probes)
     for z, (got, _) in zip(probes, limits):
         want = beta_value(z)
         tally.check(got == want, lambda: f"{z}: limit {got}, closed form {want}")
@@ -530,6 +530,9 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
             "max_from_n": max(from_n for _, from_n in limits),
             # one identity side per distinct from_n, shared by its probes
             "identity_sides": len({from_n for _, from_n in limits}),
+            # one pair of profile_distance calls per distinct (from_n,
+            # Z[n] profile), shared by its probes
+            "limit_classes": classes,
         },
     )
 

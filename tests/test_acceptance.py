@@ -71,6 +71,8 @@ def test_beta_closed_form_matches_limits(params, capsys):
     assert rep.details["max_from_n"] == 11  # weight 10 at radius 5, plus one
     # one identity side per distinct from_n: the odd ones from 1 to 11
     assert rep.details["identity_sides"] == 6
+    # one pair of profile_distance calls per distinct (from_n, Z[n] profile)
+    assert rep.details["limit_classes"] == 377
     assert rep.cases == 3595  # every probe + 5 spot values
 
 
@@ -80,6 +82,7 @@ def test_beta_closed_form_at_q3(capsys):
     assert rep.details["probes"] == 26595
     assert rep.details["max_from_n"] == 11
     assert rep.details["identity_sides"] == 6
+    assert rep.details["limit_classes"] == 377
     assert rep.cases == 26600  # every probe + 5 spot values
 
 

@@ -133,6 +133,7 @@ def _shuffled_with_repeats(ball, seed):
 @pytest.mark.parametrize("d,q,radius,name", [
     *((3, 2, 4, name) for name in ("alpha", "beta", "gamma:1,3", "zeta:1,2", "nu:1,1,2")),
     (4, 2, 2, "beta"),
+    *((d, 2, radius, name) for d, radius in ((4, 3), (5, 2)) for name in ("beta", "gamma:3,4")),
 ])
 def test_limit_values_match_limit_value(d, q, radius, name):
     params = DLParams(d, q)
@@ -151,25 +152,104 @@ def test_limit_values_edges(params):
         limit_values(beta, (identity(DLParams(4, 2)),))
 
 
-def test_limit_values_share_the_identity_side(params, ball3, monkeypatch):
-    # two pair profiles per target for its own side, and two per distinct
-    # from_n for the identity side
+def _count_calls(monkeypatch, name):
+    # arguments of every call to horofn's binding of name
     calls = []
-    real = horofn.pair_profile
+    real = getattr(horofn, name)
 
-    def counted(x, y):
-        calls.append(y)
-        return real(x, y)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(horofn, "pair_profile", counted)
+    monkeypatch.setattr(horofn, name, counted)
+    return calls
+
+
+def test_limit_values_share_the_identity_side(params, ball3, monkeypatch):
+    # pair_stats runs on the window (x_{from_n}, x_{from_n + 1}) once per
+    # distinct (from_n, tree, coordinate), the identity's included, and
+    # profile_distance (over Z[n] and at from_n) once per distinct class
+    # and once per from_n for the identity side
+    stats = _count_calls(monkeypatch, "pair_stats")
+    dists = _count_calls(monkeypatch, "profile_distance")
+    beta = beta_family(params)
     targets = _shuffled_with_repeats(ball3, 11)
-    limits = limit_values(beta_family(params), targets)
-    classes = {v.from_n for v in limits}
-    assert classes == {1, 3, 5, 7}
-    assert len(calls) == 2 * len(targets) + 2 * len(classes)
-    assert calls.count(identity(params)) == 2 * len(classes) + 2 * targets.count(
-        identity(params)
+    limits = limit_values(beta, targets)
+    from_ns = {v.from_n for v in limits}
+    assert from_ns == {1, 3, 5, 7}
+    seen = [(v.from_n, z) for z, v in zip(targets, limits)]
+    seen += [(n, identity(params)) for n in from_ns]
+    keys = {(n, t, c) for n, z in seen for t, c in enumerate(z.coords)}
+    # a class is from_n and the Z[n] profile, which the window's two
+    # integer profiles fix
+    classes = {
+        (v.from_n, pair_profile(beta.at(v.from_n), z), pair_profile(beta.at(v.from_n + 1), z))
+        for z, v in zip(targets, limits)
+    }
+    assert len(stats) == 2 * len(keys)
+    assert len(dists) == 2 * (len(classes) + len(from_ns))
+    assert len(classes) < len({z for z in targets})
+    assert horofn._limit_sweep(beta, targets) == (limits, len(classes))
+
+
+def test_limit_values_name_the_first_target_of_a_failing_class(params, ball4, monkeypatch):
+    # profile_distance one too high over Z[n] on one class only: the sweep
+    # reports that class at its first target in input order
+    beta = beta_family(params)
+    targets = _shuffled_with_repeats(ball4, 13)
+    profiles = [
+        _exact_profile(beta, z, _param_weight(z) + 1) for z in targets
+    ]
+    sides = {_exact_profile(beta, identity(params), n) for n in range(1, 12)}
+    weights = {}
+    for p, z in zip(profiles, targets):
+        weights.setdefault(p, set()).add(_param_weight(z))
+    # a class of several targets whose Z[n] profile no other class or
+    # identity side has, and whose first target comes late
+    bad = next(
+        p for p in profiles[len(profiles) // 2:]
+        if len(weights[p]) == 1 and profiles.count(p) > 1 and p not in sides
     )
+    first = targets[profiles.index(bad)]
+    real = horofn.profile_distance
+
+    def off_on_one_class(profile):
+        dist = real(profile)
+        return dist + AffineInN(0, 1) if profile == bad else dist
+
+    monkeypatch.setattr(horofn, "profile_distance", off_on_one_class)
+    with pytest.raises(TableMismatch, match=re.escape(f"beta at {first}:")):
+        limit_values(beta, targets)
+
+
+def _exact_profile(family, z, from_n):
+    # pair_profile(x_n, z) over Z[n], from its values at from_n and from_n + 1
+    p0, p1 = (pair_profile(family.at(n), z) for n in (from_n, from_n + 1))
+    return tuple(
+        tuple(AffineInN(b - a, a - (b - a) * from_n) for a, b in zip(r0, r1))
+        for r0, r1 in zip(p0, p1)
+    )
+
+
+@pytest.mark.parametrize("d,radius", [(3, 4), (4, 2)])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_shifts_match_distance(d, radius, name, monkeypatch):
+    # one pair_stats per distinct (tree, coordinate) and one
+    # profile_distance per distinct profile, id's included
+    params = DLParams(d, 2)
+    fam = parse_family(name, params)
+    base = identity(params)
+    targets = _shuffled_with_repeats(ball_distances(params, radius), 5)
+    keys = {(t, c) for w in targets + (base,) for t, c in enumerate(w.coords)}
+    for n in (1, 2, 5, 9):
+        x = fam.at(n)
+        want = tuple(distance(x, w) - distance(x, base) for w in targets)
+        profiles = {pair_profile(x, w) for w in targets + (base,)}
+        stats = _count_calls(monkeypatch, "pair_stats")
+        dists = _count_calls(monkeypatch, "profile_distance")
+        assert shifts(x, targets) == want, (name, n)
+        monkeypatch.undo()
+        assert len(stats) == len(keys) and len(dists) == len(profiles) < len(targets)
 
 
 def test_exact_forms_are_checked_at_from_n(params, monkeypatch):
