@@ -165,6 +165,15 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _exact_profile(family, z, from_n):
+    # pair_profile(x_n, z) over Z[n], from its values at from_n and from_n + 1
+    p0, p1 = (pair_profile(family.at(n), z) for n in (from_n, from_n + 1))
+    return tuple(
+        tuple(AffineInN(b - a, a - (b - a) * from_n) for a, b in zip(r0, r1))
+        for r0, r1 in zip(p0, p1)
+    )
+
+
 def test_limit_values_share_the_identity_side(params, ball3, monkeypatch):
     # pair_stats runs on the window (x_{from_n}, x_{from_n + 1}) once per
     # distinct (from_n, tree, coordinate), the identity's included, and
@@ -180,15 +189,10 @@ def test_limit_values_share_the_identity_side(params, ball3, monkeypatch):
     seen = [(v.from_n, z) for z, v in zip(targets, limits)]
     seen += [(n, identity(params)) for n in from_ns]
     keys = {(n, t, c) for n, z in seen for t, c in enumerate(z.coords)}
-    # a class is from_n and the Z[n] profile, which the window's two
-    # integer profiles fix
-    classes = {
-        (v.from_n, pair_profile(beta.at(v.from_n), z), pair_profile(beta.at(v.from_n + 1), z))
-        for z, v in zip(targets, limits)
-    }
+    classes = {(v.from_n, _exact_profile(beta, z, v.from_n)) for z, v in zip(targets, limits)}
     assert len(stats) == 2 * len(keys)
     assert len(dists) == 2 * (len(classes) + len(from_ns))
-    assert len(classes) < len({z for z in targets})
+    assert len(classes) < len(set(targets))
     assert horofn._limit_sweep(beta, targets) == (limits, len(classes))
 
 
@@ -197,9 +201,7 @@ def test_limit_values_name_the_first_target_of_a_failing_class(params, ball4, mo
     # reports that class at its first target in input order
     beta = beta_family(params)
     targets = _shuffled_with_repeats(ball4, 13)
-    profiles = [
-        _exact_profile(beta, z, _param_weight(z) + 1) for z in targets
-    ]
+    profiles = [_exact_profile(beta, z, _param_weight(z) + 1) for z in targets]
     sides = {_exact_profile(beta, identity(params), n) for n in range(1, 12)}
     weights = {}
     for p, z in zip(profiles, targets):
@@ -220,15 +222,6 @@ def test_limit_values_name_the_first_target_of_a_failing_class(params, ball4, mo
     monkeypatch.setattr(horofn, "profile_distance", off_on_one_class)
     with pytest.raises(TableMismatch, match=re.escape(f"beta at {first}:")):
         limit_values(beta, targets)
-
-
-def _exact_profile(family, z, from_n):
-    # pair_profile(x_n, z) over Z[n], from its values at from_n and from_n + 1
-    p0, p1 = (pair_profile(family.at(n), z) for n in (from_n, from_n + 1))
-    return tuple(
-        tuple(AffineInN(b - a, a - (b - a) * from_n) for a, b in zip(r0, r1))
-        for r0, r1 in zip(p0, p1)
-    )
 
 
 @pytest.mark.parametrize("d,radius", [(3, 4), (4, 2)])
