@@ -48,9 +48,9 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import dlgraph
-from .dlgraph import DLVertex, identity
+from .dlgraph import DLVertex
 from .errors import DimensionMismatch, NotBalanced
-from .treecoord import _require_int, pair_stats
+from .treecoord import ORIGIN, _require_int, pair_stats
 
 # configurations whose formula distances have been bulk-checked against
 # the breadth-first oracle; others get a verified=false advisory in the CLI.
@@ -333,19 +333,22 @@ def balanced_compare(
                  distance >= distance(x, id) + sum of depth excesses.
     """
     _check_same_graph(x, z)
-    if any(c.h != 0 for c in z.coords):
-        raise NotBalanced(f"heights {z.heights} are not all zero")
-    mx = tuple(c.m for c in x.coords)
-    mz = tuple(c.m for c in z.coords)
-    base = distance(x, identity(x.params))
+    hyp_eq = hyp_leq = hyp_geq = True
+    gain = 0
+    for cx, cz in zip(x.coords, z.coords):
+        if cz.h != 0:
+            raise NotBalanced(f"heights {z.heights} are not all zero")
+        xi, zi = cx.m, cz.m
+        if xi:
+            hyp_eq = hyp_eq and zi < xi
+            hyp_geq = hyp_geq and zi != xi
+        else:
+            hyp_eq = hyp_eq and zi == 0
+        if zi > xi:
+            hyp_leq = False
+            gain += zi - xi
+    base = distance(x, DLVertex((ORIGIN,) * len(x.coords), x.q))
     dxz = distance(x, z)
-
-    hyp_eq = all(
-        (zi < xi) if xi != 0 else (zi == 0) for xi, zi in zip(mx, mz)
-    )
-    hyp_leq = all(zi <= xi for xi, zi in zip(mx, mz))
-    hyp_geq = all(zi != xi or xi == 0 for xi, zi in zip(mx, mz))
-    gain = sum(max(0, zi - xi) for xi, zi in zip(mx, mz))
     return (
         BoundReport("BalancedEq", hyp_eq, base, hyp_eq and dxz == base),
         BoundReport("BalancedLeq", hyp_leq, base, hyp_leq and dxz <= base),

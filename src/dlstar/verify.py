@@ -8,10 +8,14 @@ f_rows.  pair_table is the one constructor of a table, and it refuses
 any table whose arrays, or the U x U map of its profile pairs, would
 pass PROFILE_PAIR_CAP.  Every pair of distinct profiles that some base
 vertex sees is screened once, and a failing pair counts every triple
-it stands for.  Sampled calls bind the table and the screens to the
-checker functions they certify.  The exhaustive pair checks call their
-checker once per class of pairs with the same inputs, each call
-weighted by how many pairs share them.  Both probe sweeps,
+it stands for.  The row screen rejects a pair by one certified column
+of f, which rejects every pair of a correct table, and reads the full
+width only for the pairs it lets through; the coordinate screen
+filters the pairs one tree at a time.  Sampled calls bind the table
+and the screens to the checker functions they certify.  The
+exhaustive pair checks call their checker once per class of pairs
+with the same inputs, each call weighted by how many pairs share
+them, the classes counted without a sort.  Both probe sweeps,
 balanced_compare against the balanced probes and probe_disagreement
 against the probe sets, build their own cross table of the vertices
 against (id,) + probes and read each vertex's distance to the identity
@@ -190,8 +194,9 @@ def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
 
 # pairs per block of _pair_blocks, of rows in pair_table and screen_probes
 # and of profile pairs in screen_dominance, so that the per-block
-# temporaries stay small: a few tens of kB in the tables, up to about
-# 1.5 MB in the screen at d = 4
+# temporaries stay small: a few tens of kB in the tables and the
+# screens; only the pairs the certified column lets through, none on a
+# correct table, take a full-width block of f, up to a few MB at d = 4
 _BLOCK_PAIRS = 2**12
 
 
@@ -292,48 +297,81 @@ def _witness(inv: np.ndarray, y: int, z: int) -> tuple[int, int, int]:
 
 def screen_dominance(
     tally: Tally, table: PairTable, verts: Sequence[DLVertex]
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """Row-wise and coordinatewise domination on every triple (x, y, z).
 
     For each triple, the strongest applicable k (row-wise and
     coordinatewise) must satisfy its concluded bound.  Both verdicts
-    read the triple only through the profiles of (x, y) and (x, z), so
-    each pair of distinct profiles that some x sees is screened once:
-    the pairs are marked in a U x U map, one x at a time, and screened a
-    block of about _BLOCK_PAIRS pairs at a time, one block of y profiles
-    each.  Every triple counts one case per screen, 2 * rows * cols**2
-    in all.  A failing pair counts one failure per triple it stands for,
+    read the triple only through the profiles y = inv[x, y'] and z =
+    inv[x, z'], so each pair of distinct profiles that some x sees is
+    screened once.  The pairs are marked in a U x U map, once per
+    distinct set of profiles a row of inv holds, and screened a block of
+    about _BLOCK_PAIRS pairs at a time, one block of y profiles each.
+
+    The row screen fails (y, z) exactly when every column c has f[z, c]
+    - f[y, c] >= max(gap + 1, 0), gap = dist[z] - dist[y], so one column
+    below that rejects the pair.  Each pair tries one certified column
+    first: the ordering best[z] whose largest row of z is least, and in
+    it y's largest row.  When dist is the min-max of the f rows, z's
+    entry there is at most dist[z] and y's at least dist[y], so the
+    column rejects every pair.  Only the pairs it lets through take the
+    minimum over the full width; there are none on a correct table.
+    The coordinate screen needs m and l of z at least those of y in
+    every tree, so it filters the pairs one tree at a time before the
+    exact test of the sum.
+
+    Every triple counts one case per screen, 2 * rows * cols**2 in all.
+    A failing pair counts one failure for each triple it stands for,
     the sum over x of count_x[y] * count_x[z].  Returns the most
-    profiles one x sees and the number of pairs screened.  pair_table
-    has already checked the map against PROFILE_PAIR_CAP.
+    profiles one x sees, the number of pairs screened and the number
+    that took the full-width row check.  pair_table has already checked
+    the map against PROFILE_PAIR_CAP.
     """
     inv = table.inv
     profiles = len(table.dist)
     seen = np.zeros((profiles, profiles), dtype=bool)
     widest = 0
+    marked = set()
     for row in inv:
         u = np.flatnonzero(np.bincount(row, minlength=profiles))
         widest = max(widest, len(u))
-        seen[u[:, None], u] = True
+        key = u.tobytes()
+        if key not in marked:
+            marked.add(key)
+            seen[u[:, None], u] = True
     per_row = seen.sum(axis=1)
-    dist, m, l = table.dist, table.m, table.l
-    # f is a sum of spine depths and climbs, so it is nonnegative; below
-    # 2**15 its differences fit int16, which keeps the (pairs, width)
-    # temporaries of a block small
-    f = table.f.astype(np.int16) if table.f.max() < 2**15 else table.f
+    dist, f = table.dist, table.f
+    trees = list(zip(table.m.T.copy(), table.l.T.copy()))
+    # f's columns run over the orderings, d - 1 rows each: top[y, s] is
+    # the column of y's largest row in ordering s, best[z] the ordering
+    # whose largest row of z is least
+    by_order = f.reshape(profiles, -1, len(trees) - 1)
+    top = by_order.argmax(axis=2)
+    top += np.arange(by_order.shape[1]) * by_order.shape[2]
+    best = by_order.max(axis=2).argmin(axis=1)
     row_bad, coord_bad = [], []
+    full_width = 0
     for block in _pair_blocks(per_row):
         ys, zs = np.nonzero(seen[block])
         ys += block.start
-        kmax = (f[zs] - f[ys]).min(axis=1)
         gap = dist[zs] - dist[ys]
-        coff = np.minimum(m[zs] - m[ys], l[zs] - l[ys])
-        for bad, found in (
-            ((kmax >= 0) & (gap < kmax), row_bad),
-            ((coff >= 0).all(axis=1) & (gap < coff.sum(axis=1)), coord_bad),
-        ):
+        col = top[ys, best[zs]]
+        through = f[zs, col] - f[ys, col] >= np.maximum(gap + 1, 0)
+        if through.any():
+            y, z, g = ys[through], zs[through], gap[through]
+            full_width += len(y)
+            kmax = (f[z] - f[y]).min(axis=1)
+            bad = (kmax >= 0) & (g < kmax)
             if bad.any():
-                found.append((ys[bad], zs[bad], kmax[bad]))
+                row_bad.append((y[bad], z[bad], kmax[bad]))
+        y, z, g = ys, zs, gap
+        for mt, lt in trees:
+            keep = (mt[z] >= mt[y]) & (lt[z] >= lt[y])
+            y, z, g = y[keep], z[keep], g[keep]
+        coff = sum(np.minimum(mt[z] - mt[y], lt[z] - lt[y]) for mt, lt in trees)
+        bad = g < coff
+        if bad.any():
+            coord_bad.append((y[bad], z[bad], coff[bad]))
     del seen  # failure counts build a map of their own
     tally.cases += 2 * inv.shape[0] * inv.shape[1] ** 2
     for found, what in ((row_bad, "row"), (coord_bad, "coordinate")):
@@ -346,7 +384,7 @@ def screen_dominance(
             lambda: f"{what} domination fails at x={verts[a]}, y={verts[b]}, z={verts[c]}{k}",
             _triples(inv, profiles, ys, zs),
         )
-    return widest, int(per_row.sum())
+    return widest, int(per_row.sum()), full_width
 
 
 def _classes(key_rows: Iterable[np.ndarray], span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,16 +393,23 @@ def _classes(key_rows: Iterable[np.ndarray], span: int) -> tuple[np.ndarray, np.
     key_rows gives, row by row, the class of every pair in the row.
     Returns count (span,) and first (span, 2), the (row, column) of each
     class's first pair in row-major order, or -1 for a class never seen.
+    Raises ValueError on rows of unequal width, whose pairs the flat
+    row-major index that finds first pairs could not tell apart.
     """
     count = np.zeros(span, dtype=np.int64)
-    first = np.full((span, 2), -1)
+    first = np.full(span, np.iinfo(np.int64).max)
+    width = None
     for a, row in enumerate(key_rows):
-        u, j, c = np.unique(row, return_index=True, return_counts=True)
-        count[u] += c
-        new = first[u, 0] < 0
-        first[u[new], 0] = a
-        first[u[new], 1] = j[new]
-    return count, first
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise ValueError(f"row {a} holds {len(row)} pairs, row 0 holds {width}")
+        # ufunc.at costs the row, where bincount would cost the span
+        np.add.at(count, row, 1)
+        np.minimum.at(first, row, np.arange(a * width, (a + 1) * width))
+    seen = count > 0
+    pairs = np.full((span, 2), -1)
+    pairs[seen, 0], pairs[seen, 1] = np.divmod(first[seen], width)
+    return count, pairs
 
 
 def screen_lower_bounds(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) -> None:
@@ -459,7 +504,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             lambda: f"distance table disagrees at {verts[a]}, {verts[b]}",
         )
 
-    widest, profile_pairs = screen_dominance(tally, table, verts)
+    widest, profile_pairs, full_width_pairs = screen_dominance(tally, table, verts)
 
     # the checker functions themselves, on seeded triples at the strongest
     # applicable k and just past it
@@ -503,6 +548,9 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             "distinct_profiles": len(table.dist),
             "max_profiles_per_vertex": widest,
             "profile_pairs": profile_pairs,
+            # pairs the certified column let through to the full-width
+            # row check, 0 on a correct table
+            "full_width_pairs": full_width_pairs,
         },
     )
 

@@ -103,6 +103,8 @@ def test_comparison_lemma_screens(params, capsys):
     assert rep.details["max_profiles_per_vertex"] == 119
     # the domination screens run once per pair of profiles some x sees
     assert rep.details["profile_pairs"] == 155_158
+    # the certified column rejects every pair on its own
+    assert rep.details["full_width_pairs"] == 0
     assert rep.cases == 65_374_896  # 2 * 319**3 screened triples + 451,378 checked calls
 
 
@@ -116,11 +118,12 @@ def test_comparison_lemma_screens_at_q3(capsys):
     assert rep.details["distinct_profiles"] == 704
     assert rep.details["max_profiles_per_vertex"] == 119
     assert rep.details["profile_pairs"] == 155_158
+    assert rep.details["full_width_pairs"] == 0
     assert rep.cases == 2_425_499_899  # 2 * 1063**3 screened triples + 23,185,805 checked calls
 
 
 def test_comparison_lemma_screens_at_d4(capsys):
-    rep = _run(capsys, _check_comparison_lemmas, DLParams(4, 2), budget=45)
+    rep = _run(capsys, _check_comparison_lemmas, DLParams(4, 2), budget=15)
     assert rep.details["ball_radius"] == 3
     assert rep.details["vertices"] == 1539
     assert rep.details["balanced_probes"] == 1024
@@ -128,6 +131,7 @@ def test_comparison_lemma_screens_at_d4(capsys):
     assert rep.details["distinct_profiles"] == 6552
     assert rep.details["max_profiles_per_vertex"] == 589
     assert rep.details["profile_pairs"] == 8_892_112
+    assert rep.details["full_width_pairs"] == 0
     assert rep.cases == 7_299_775_185  # 2 * 1539**3 screened triples + 9,467,547 checked calls
 
 

@@ -30,6 +30,7 @@ from dlstar import (
     f_value,
     identity,
     lower_bounds,
+    make_vertex,
     neighbors,
     pair_profile,
     profile_distance,
@@ -37,7 +38,7 @@ from dlstar import (
 )
 import dlstar.dlgraph as dlgraph_mod
 import dlstar.metric as metric_mod
-from dlstar.dlgraph import _bfs_search
+from dlstar.dlgraph import _bfs_search, balanced_vertices
 from dlstar.metric import _end_pair_distance, _perms0
 
 
@@ -463,6 +464,41 @@ def test_balanced_compare(params):
     assert geq2.bound == 5 + 2
     with pytest.raises(NotBalanced):
         balanced_compare(a5, a5)
+
+
+def _balanced_compare_reference(x, z, base):
+    """balanced_compare as three passes over the spine depths, with base
+    = distance(x, id) given; the reference for its one-loop form."""
+    if any(c.h != 0 for c in z.coords):
+        raise NotBalanced(f"heights {z.heights} are not all zero")
+    mx = tuple(c.m for c in x.coords)
+    mz = tuple(c.m for c in z.coords)
+    dxz = distance(x, z)
+    hyp_eq = all((zi < xi) if xi != 0 else (zi == 0) for xi, zi in zip(mx, mz))
+    hyp_leq = all(zi <= xi for xi, zi in zip(mx, mz))
+    hyp_geq = all(zi != xi or xi == 0 for xi, zi in zip(mx, mz))
+    gain = sum(max(0, zi - xi) for xi, zi in zip(mx, mz))
+    return [
+        ("BalancedEq", hyp_eq, base, hyp_eq and dxz == base),
+        ("BalancedLeq", hyp_leq, base, hyp_leq and dxz <= base),
+        ("BalancedGeq", hyp_geq, base + gain, hyp_geq and dxz >= base + gain),
+    ]
+
+
+def test_balanced_compare_matches_reference(params, ball3):
+    # every pair of the radius-3 ball and the balanced probes of the
+    # comparison-lemmas check
+    probes = balanced_vertices(params, [range(3), range(3), range(5)])
+    for x, base in ball3.items():
+        for z in probes:
+            got = [(r.claim, r.hypothesis_holds, r.bound, r.verified)
+                   for r in balanced_compare(x, z)]
+            assert got == _balanced_compare_reference(x, z, base)
+    # a nonzero height anywhere is refused, also past a balanced tree
+    unbalanced = make_vertex(params, [(0, ()), (1, ()), (0, (1,))])
+    for z in (unbalanced, alpha_family(params).at(2)):
+        with pytest.raises(NotBalanced):
+            balanced_compare(identity(params), z)
 
 
 def test_balanced_compare_exhaustive_small(params, ball3):

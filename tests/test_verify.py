@@ -237,17 +237,60 @@ def test_weighted_screens_match_per_triple_screens(d, q, radius):
     lowered = table.dist.copy()
     lowered[rare] -= 1
     sparse = replace(table, dist=lowered)
+    # f rows lowered on some profiles: as y, each lets pairs past its
+    # certified column to the full-width minimum
+    lowered = table.f.copy()
+    lowered[::3] -= 1
+    low_f = replace(table, f=lowered)
+    # m and l lowered in one tree: as y, each passes more tree filters
+    m, l = table.m.copy(), table.l.copy()
+    m[::4, 0] -= 1
+    l[::4, 0] -= 1
+    low_ml = replace(table, m=m, l=l)
     index = {repr(v): i for i, v in enumerate(verts)}
-    for tab, broken in ((table, False), (mutant, True), (sparse, True)):
+    # (table, the screen its first failure names, whether pairs take the
+    # full-width row check); a correct table needs none
+    for tab, failing, widened in (
+        (table, None, False),
+        (mutant, "", True),
+        (sparse, "", True),
+        (low_f, "row", True),
+        (low_ml, "coordinate", False),
+    ):
         tally = Tally()
-        screen_dominance(tally, tab, verts)
+        full_width = screen_dominance(tally, tab, verts)[2]
         assert (tally.cases, tally.failures) == _per_triple_screens(tab)
         assert tally.cases == 2 * len(verts) ** 3
-        assert (tally.failures > 0) == broken
-        assert (tally.first_failure is not None) == broken
-        if broken:
+        assert (full_width > 0) == widened
+        assert (tally.failures > 0) == (failing is not None)
+        assert (tally.first_failure is not None) == (failing is not None)
+        if failing is not None:
+            assert tally.first_failure.startswith(failing)
             named = re.fullmatch(r".* x=(.*), y=(.*), z=(.*?)(, k=\d+)?", tally.first_failure)
             assert _fails(tab, *(index[name] for name in named.groups()[:3]))
+
+
+def test_classes_match_per_row_unique():
+    # np.unique per row is the reference; classes 0 and 9 of range(12)
+    # never occur, and class 7 first occurs in the last row
+    rng = np.random.default_rng(5)
+    rows = rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 11], size=(6, 8))
+    rows[-1, 3] = 7
+    count, first = verify_mod._classes(iter(rows), 12)
+    want_count = np.zeros(12, dtype=np.int64)
+    want_first = np.full((12, 2), -1)
+    for a, row in enumerate(rows):
+        u, j, c = np.unique(row, return_index=True, return_counts=True)
+        want_count[u] += c
+        new = want_first[u, 0] < 0
+        want_first[u[new]] = np.stack([np.full(new.sum(), a), j[new]], axis=1)
+    assert np.array_equal(count, want_count)
+    assert np.array_equal(first, want_first)
+    assert count[[0, 9]].tolist() == [0, 0] and first[[0, 9]].tolist() == [[-1, -1]] * 2
+    assert first[7].tolist() == [5, 3]
+    # a first pair is a (row, column) of rows of one width
+    with pytest.raises(ValueError, match="row 1 holds 2 pairs"):
+        verify_mod._classes(iter([np.array([0, 1, 2]), np.array([0, 1])]), 3)
 
 
 def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
