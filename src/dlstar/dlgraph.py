@@ -363,6 +363,11 @@ def balanced_vertices(params: DLParams, depths: Sequence[range]) -> tuple[DLVert
     when the product of those counts passes DEFAULT_MEMORY_CAP."""
     if len(depths) != params.d:
         raise DimensionMismatch(f"expected {params.d} depth ranges, got {len(depths)}")
+    for t, r in enumerate(depths, 1):
+        if not isinstance(r, range) or r.step != 1 or r.start < 0:
+            raise ValueError(
+                f"tree {t} depths must be a range of step 1 from a nonnegative start, got {r!r}"
+            )
     q = params.q
     # shallower[j] coordinates have depth < j.  For q >= 2 depth top alone
     # holds more than the cap, and at q = 1 no depth past 0 holds any, so

@@ -7,9 +7,9 @@ From n = weight(z) + 1 on (the weight is the sum of all m_i + l_i of z)
 every meet statistic of x_n against z or id is affine in n, so
 limit_values runs the distance kernels over Z[n] and reads the limits
 off exactly.  A limit depends on its target only through from_n and
-the target's pair profile over Z[n], so one limit_values sweep computes,
-per distinct from_n, the window (x_{from_n}, x_{from_n + 1}) and the
-identity side once; per distinct (from_n, tree, coordinate), pair_stats
+the target's pair profile over Z[n], so limit_values, one loop over the
+targets, computes per distinct from_n the window (x_{from_n},
+x_{from_n + 1}) and the identity side once; per distinct (from_n, tree, coordinate), pair_stats
 against the window once; and per distinct (from_n, profile) class, the
 two profile_distance calls once.  limit_value is its one-target call,
 and shifts shares pair_stats and profile_distance among its targets the
@@ -81,17 +81,17 @@ def _param_weight(z: DLVertex) -> int:
     return sum(c.m + c.l for c in z.coords)
 
 
-def _window_rows(
-    family: PointFamily, from_n: int
-) -> tuple[tuple[TreeVertex, TreeVertex], ...]:
-    """Per tree, the coordinates of the window (x_{from_n}, x_{from_n + 1})."""
-    return tuple(zip(family.at(from_n).coords, family.at(from_n + 1).coords))
+def _window_rows(family: PointFamily, from_n: int) -> tuple[tuple, ...]:
+    """Per tree, the coordinates of the window (x_{from_n}, x_{from_n + 1}),
+    then from_n: the row that _entry reads."""
+    window = zip(family.at(from_n).coords, family.at(from_n + 1).coords)
+    return tuple((a, b, from_n) for a, b in window)
 
 
-def _entry(row: tuple[TreeVertex, TreeVertex], c: TreeVertex, from_n: int) -> tuple:
+def _entry(row: tuple[TreeVertex, TreeVertex, int], c: TreeVertex) -> tuple:
     """One tree's pair_stats of (x_n, y) for n >= from_n >= weight(y) + 1,
     y having coordinate c there: (m, l) as AffineInN, then (m, l) at
-    n = from_n.  row is the tree's window coordinates.
+    n = from_n.  row is the tree's _window_rows entry.
 
     With (m_y, l_y) the statistics of c: a descending tree (n, ...)
     gives (l_x, n + l_y - m_y) once n > m_y; a tree climbing only,
@@ -100,7 +100,8 @@ def _entry(row: tuple[TreeVertex, TreeVertex], c: TreeVertex, from_n: int) -> tu
     run of 1s; a fixed tree gives a constant.  So each entry is affine
     from from_n on, and its values at from_n and from_n + 1 fix it.
     """
-    (m0, l0), (m1, l1) = pair_stats(row[0], c), pair_stats(row[1], c)
+    x0, x1, from_n = row
+    (m0, l0), (m1, l1) = pair_stats(x0, c), pair_stats(x1, c)
     return (
         AffineInN(m1 - m0, m0 - (m1 - m0) * from_n),
         AffineInN(l1 - l0, l0 - (l1 - l0) * from_n),
@@ -150,66 +151,44 @@ def shifts(x: DLVertex, targets: tuple[DLVertex, ...]) -> tuple[int, ...]:
     return tuple(dist(w) - base for w in targets)
 
 
-class _Window:
-    """The limits of one family at the targets of one from_n.
-
-    Per tree, each distinct target coordinate's _entry is read once and
-    interned by value, so a target's class, its tuple of entries, is a
-    tuple of shared objects.  A class's limit and its integer check at
-    from_n depend on its entries alone, so each class runs the two
-    profile_distance calls once; the identity side runs them once more.
-    """
-
-    def __init__(self, family: PointFamily, from_n: int):
-        self.family, self.from_n = family, from_n
-        self.base = identity(family.params)
-        self.rows = _window_rows(family, from_n)
-        self.seen: list[dict[TreeVertex, tuple]] = [{} for _ in self.rows]
-        self.interned: dict[tuple, tuple] = {}
-        self.classes: dict[tuple, HorofunctionValue] = {}
-        exact, at_from = _profiles(self._entries(self.base))
-        self.exact_id, self.at_id = profile_distance(exact), profile_distance(at_from)
-
-    def _entries(self, z: DLVertex) -> tuple:
-        return _class_key(z, self.rows, self.seen, self._interned_entry)
-
-    def _interned_entry(self, row: tuple[TreeVertex, TreeVertex], c: TreeVertex) -> tuple:
-        entry = _entry(row, c, self.from_n)
-        return self.interned.setdefault(entry, entry)
-
-    def limit(self, z: DLVertex) -> HorofunctionValue:
-        """z's limit; raises TableMismatch at the first target of a class
-        whose integer difference at from_n is not its limit."""
-        _check_same_graph(self.base, z)
-        key = self._entries(z)
-        limit = self.classes.get(key)
-        if limit is None:
-            exact, at_from = _profiles(key)
-            value = (profile_distance(exact) - self.exact_id).intercept
-            measured = profile_distance(at_from) - self.at_id
-            if measured != value:
-                raise TableMismatch(
-                    f"{self.family.name} at {z}: limit {value}, "
-                    f"difference {measured} at n = {self.from_n}"
-                )
-            limit = self.classes[key] = HorofunctionValue(value, self.from_n)
-        return limit
-
-
 def _limit_sweep(
     family: PointFamily, targets: Iterable[DLVertex]
 ) -> tuple[tuple[HorofunctionValue, ...], int]:
     """limit_values' limits, and the number of distinct (from_n, Z[n]
-    profile) classes among the targets."""
-    windows: dict[int, _Window] = {}
+    profile) classes among the targets.
+
+    Per from_n it keeps the window rows, one _entry memo per tree, the
+    classes seen and the identity side's two distances.  A class's
+    limit and its integer check at from_n depend on its entries alone.
+    """
+    base = identity(family.params)
+    windows: dict[int, tuple] = {}  # from_n -> (rows, memos, classes, id sides)
     values = []
     for z in targets:
+        _check_same_graph(base, z)
         from_n = _param_weight(z) + 1
         window = windows.get(from_n)
         if window is None:
-            window = windows[from_n] = _Window(family, from_n)
-        values.append(window.limit(z))
-    return tuple(values), sum(len(w.classes) for w in windows.values())
+            rows = _window_rows(family, from_n)
+            memos = [{} for _ in rows]
+            exact, at_from = _profiles(_class_key(base, rows, memos, _entry))
+            sides = profile_distance(exact), profile_distance(at_from)
+            window = windows[from_n] = (rows, memos, {}, sides)
+        rows, memos, classes, (exact_id, at_id) = window
+        key = _class_key(z, rows, memos, _entry)
+        limit = classes.get(key)
+        if limit is None:
+            exact, at_from = _profiles(key)
+            value = (profile_distance(exact) - exact_id).intercept
+            measured = profile_distance(at_from) - at_id
+            if measured != value:
+                raise TableMismatch(
+                    f"{family.name} at {z}: limit {value}, "
+                    f"difference {measured} at n = {from_n}"
+                )
+            limit = classes[key] = HorofunctionValue(value, from_n)
+        values.append(limit)
+    return tuple(values), sum(len(classes) for _, _, classes, _ in windows.values())
 
 
 def limit_values(
@@ -294,7 +273,7 @@ def betandist_table(z: DLVertex) -> BetaDistTable:
         raise WrongDimension("growth table needs exactly 3 tree coordinates")
     from_n = _param_weight(z) + 1
     window = _window_rows(beta_family(z.params), from_n)
-    profile, at_from = _profiles(_entry(row, c, from_n) for row, c in zip(window, z.coords))
+    profile, at_from = _profiles(_entry(row, c) for row, c in zip(window, z.coords))
     rows: dict[tuple[int, ...], BetaDistRow] = {}
     for sigma in all_permutations(3):
         f2, f3 = f_rows(profile.m, profile.l, [t - 1 for t in sigma])

@@ -118,15 +118,18 @@ def tree_distance(x: TreeVertex, y: TreeVertex) -> int:
 
 
 def canonical_paths(length: int, q: int):
-    """Yield every climb of the given length whose address is canonical
+    """Every climb of the given length whose address is canonical
     at positive spine depth, i.e. paths not starting with label 0.
-    There are (q-1) q**(length-1) of them for length >= 1."""
+    There are (q-1) q**(length-1) of them for length >= 1.  The length
+    is checked on the call, before the first path."""
+    _require_int(length, "length", 0)
     if length == 0:
-        yield ()
-        return
-    for first in range(1, q):
-        for rest in itertools.product(range(q), repeat=length - 1):
-            yield (first,) + rest
+        return iter([()])
+    return (
+        (first,) + rest
+        for first in range(1, q)
+        for rest in itertools.product(range(q), repeat=length - 1)
+    )
 
 
 def format_tree(v: TreeVertex) -> str:

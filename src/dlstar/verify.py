@@ -57,6 +57,7 @@ from .horofn import (
 )
 from .metric import (
     PairProfile,
+    _perms0,
     all_permutations,
     balanced_compare,
     check_coord_dominance,
@@ -98,7 +99,7 @@ def _check_word_metric(params: DLParams, seed: int) -> VerificationReport:
     for v, want in reached.items():
         got = distance(base, v)
         tally.check(got == want, lambda: f"{v}: formula {got}, bfs {want}")
-    pool = _sorted_ball(params, 4)
+    pool = sorted((v for v, r in reached.items() if r <= 4), key=vertex_sort_key)
     rng = random.Random(seed)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
     expanded = 0
@@ -134,7 +135,8 @@ def _check_beta_ray(params: DLParams, seed: int) -> VerificationReport:
 
 
 def _check_metric_axioms(params: DLParams, seed: int) -> VerificationReport:
-    pool = _sorted_ball(params, 4)
+    reached = ball_distances(params, 4)
+    pool = sorted(reached, key=vertex_sort_key)
     rng = random.Random(seed + 1)
     tally = Tally()
     for _ in range(1000):
@@ -146,7 +148,7 @@ def _check_metric_axioms(params: DLParams, seed: int) -> VerificationReport:
         )
         if dxz > dxy + dyz or dxy > dxz + dyz or dyz > dxy + dxz:
             tally.fail(lambda: f"triangle broken on {x}, {y}, {z}")
-    small = _sorted_ball(params, 3)
+    small = [v for v in pool if reached[v] <= 3]
     for i, x in enumerate(small):
         tally.check(distance(x, x) == 0, lambda: f"nonzero self-distance at {x}")
         for y in small[i + 1 :]:
@@ -163,9 +165,9 @@ class PairTable:
     """The distinct pair profiles of rows x cols, one table row each.
 
     m, l: (U, d) per-tree meet statistics; dist: (U,) the distance;
-    f: (U, width) the f rows, orderings in all_permutations order and
-    rows 2..d within each; inv: (len(rows), len(cols)) int32, the table
-    row of every ordered pair.
+    f: (U, d!, d - 1) the f rows, f[u, s, i - 2] = f(all_permutations(d)[s],
+    i); inv: (len(rows), len(cols)) int32, the table row of every ordered
+    pair.
     """
 
     m: np.ndarray
@@ -248,10 +250,7 @@ def pair_table(
         ],
         dtype=np.int64,
     )
-    f = np.stack(
-        [row for s in all_permutations(m.shape[1]) for row in f_rows(m.T, l.T, [t - 1 for t in s])],
-        axis=1,
-    )
+    f = np.stack([np.stack(f_rows(m.T, l.T, s), axis=1) for s in _perms0(m.shape[1])], axis=1)
     return PairTable(m, l, dist, f, key)
 
 
@@ -308,14 +307,15 @@ def screen_dominance(
     distinct set of profiles a row of inv holds, and screened a block of
     about _BLOCK_PAIRS pairs at a time, one block of y profiles each.
 
-    The row screen fails (y, z) exactly when every column c has f[z, c]
-    - f[y, c] >= max(gap + 1, 0), gap = dist[z] - dist[y], so one column
-    below that rejects the pair.  Each pair tries one certified column
-    first: the ordering best[z] whose largest row of z is least, and in
-    it y's largest row.  When dist is the min-max of the f rows, z's
-    entry there is at most dist[z] and y's at least dist[y], so the
-    column rejects every pair.  Only the pairs it lets through take the
-    minimum over the full width; there are none on a correct table.
+    The row screen fails (y, z) exactly when every column (s, i) has
+    f[z, s, i] - f[y, s, i] >= max(gap + 1, 0), gap = dist[z] - dist[y],
+    so one column below that rejects the pair.  Each pair tries one
+    certified column first: the ordering s = best[z] whose largest row
+    of z is least, and in it y's largest row i = top[y, s].  When dist
+    is the min-max of the f rows, z's entry there is at most dist[z] and
+    y's at least dist[y], so the column rejects every pair.  Only the
+    pairs it lets through take the minimum over the full width; there
+    are none on a correct table.
     The coordinate screen needs m and l of z at least those of y in
     every tree, so it filters the pairs one tree at a time before the
     exact test of the sum.
@@ -342,25 +342,23 @@ def screen_dominance(
     per_row = seen.sum(axis=1)
     dist, f = table.dist, table.f
     trees = list(zip(table.m.T.copy(), table.l.T.copy()))
-    # f's columns run over the orderings, d - 1 rows each: top[y, s] is
-    # the column of y's largest row in ordering s, best[z] the ordering
+    # top[y, s] is y's largest row in ordering s, best[z] the ordering
     # whose largest row of z is least
-    by_order = f.reshape(profiles, -1, len(trees) - 1)
-    top = by_order.argmax(axis=2)
-    top += np.arange(by_order.shape[1]) * by_order.shape[2]
-    best = by_order.max(axis=2).argmin(axis=1)
+    top = f.argmax(axis=2)
+    best = f.max(axis=2).argmin(axis=1)
     row_bad, coord_bad = [], []
     full_width = 0
     for block in _pair_blocks(per_row):
         ys, zs = np.nonzero(seen[block])
         ys += block.start
         gap = dist[zs] - dist[ys]
-        col = top[ys, best[zs]]
-        through = f[zs, col] - f[ys, col] >= np.maximum(gap + 1, 0)
+        s = best[zs]
+        i = top[ys, s]
+        through = f[zs, s, i] - f[ys, s, i] >= np.maximum(gap + 1, 0)
         if through.any():
             y, z, g = ys[through], zs[through], gap[through]
             full_width += len(y)
-            kmax = (f[z] - f[y]).min(axis=1)
+            kmax = (f[z] - f[y]).min(axis=(1, 2))
             bad = (kmax >= 0) & (g < kmax)
             if bad.any():
                 row_bad.append((y[bad], z[bad], kmax[bad]))
@@ -482,8 +480,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     verts = _sorted_ball(params, 3)
     n = len(verts)
     d = params.d
-    row_keys = [(s, i) for s in all_permutations(d) for i in range(2, d + 1)]
-    width = len(row_keys)
+    perms = all_permutations(d)
     table = pair_table(verts)
     inv = table.inv
 
@@ -493,11 +490,11 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     rng = random.Random(seed + 2)
     for _ in range(500):
         a, b = rng.randrange(n), rng.randrange(n)
-        col = rng.randrange(width)
-        s, i = row_keys[col]
+        s, r = divmod(rng.randrange(len(perms) * (d - 1)), d - 1)
+        sigma, i = perms[s], r + 2
         tally.check(
-            table.f[inv[a, b], col] == f_value(pair_profile(verts[a], verts[b]), s, i),
-            lambda: f"f table disagrees with f_value at {verts[a]}, {verts[b]}, {s}, {i}",
+            table.f[inv[a, b], s, r] == f_value(pair_profile(verts[a], verts[b]), sigma, i),
+            lambda: f"f table disagrees with f_value at {verts[a]}, {verts[b]}, {sigma}, {i}",
         )
         tally.check(
             table.dist[inv[a, b]] == distance(verts[a], verts[b]),

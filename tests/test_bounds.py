@@ -12,6 +12,7 @@ from dlstar import (
     ball_distances,
     beta_family,
     bfs_distance,
+    canonical_paths,
     canonicalize,
     check_coord_dominance,
     f_value,
@@ -58,6 +59,7 @@ BOUNDED = [
      lambda v: separation_evidence(ALPHA, 1, 1, v)),
     ("canonicalize.m", "spine depth", 0, None, lambda v: canonicalize(TreeVertex(v, ()), 2)),
     ("canonicalize.path", "label", 0, 1, lambda v: canonicalize(TreeVertex(0, (v,)), 2)),
+    ("canonical_paths.length", "length", 0, None, lambda v: canonical_paths(v, 2)),
 ]
 
 

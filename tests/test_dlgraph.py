@@ -236,6 +236,14 @@ def test_balanced_vertices_memory_cap(params):
         balanced_vertices(params, (range(3), range(3)))
 
 
+@pytest.mark.parametrize("bad", [range(0, 3, 2), range(3, 0, -1), range(-1, 2), [0, 1, 2]])
+def test_balanced_vertices_rejects_malformed_depths(params, bad):
+    # a step other than 1, a negative start or a list is refused by
+    # name, never read as some other set of depths
+    with pytest.raises(ValueError, match=r"^tree 2 depths must be a range of step 1"):
+        balanced_vertices(params, (range(1), bad, range(1)))
+
+
 def test_make_vertex_strictness(params):
     v = make_vertex(params, [(0, (1,)), (1, ()), (0, ())])
     assert v.heights == (1, -1, 0)

@@ -122,10 +122,24 @@ def test_pair_table_matches_pair_profile(ball3):
             p = table.inv[a, b]
             assert PairProfile(tuple(m[p]), tuple(l[p])) == pair_profile(x, y)
             assert dist[p] == distance(x, y)
-    row_keys = [(s, i) for s in all_permutations(3) for i in (2, 3)]
-    for p, row in enumerate(table.f.tolist()):
+    assert table.f.shape == (704, 6, 2)
+    for p, rows in enumerate(table.f.tolist()):
         profile = PairProfile(tuple(m[p]), tuple(l[p]))
-        assert row == [f_value(profile, s, i) for s, i in row_keys]
+        assert rows == [[f_value(profile, s, i) for i in (2, 3)] for s in all_permutations(3)]
+
+
+def test_pair_table_f_layout_at_d4():
+    # f[u, s, i - 2] = f(s, i) for the ordering all_permutations(4)[s],
+    # on a seeded sample of the DL_4(2) radius-3 table's profiles
+    verts = sorted(ball_distances(DLParams(4, 2), 3), key=vertex_sort_key)
+    table = pair_table(verts)
+    perms = all_permutations(4)
+    assert table.f.shape == (len(table.dist), 24, 3)
+    for u in random.Random(4).sample(range(len(table.dist)), 200):
+        profile = PairProfile(tuple(table.m[u].tolist()), tuple(table.l[u].tolist()))
+        for s, sigma in enumerate(perms):
+            for i in (2, 3, 4):
+                assert table.f[u, s, i - 2] == f_value(profile, sigma, i)
 
 
 def test_pair_table_cross_matches_pair_profile(ball3, params):
@@ -197,7 +211,8 @@ def test_pair_table_cap_precedes_pair_stats(ball3, params, monkeypatch):
 def _per_triple_screens(table):
     """(cases, failures) of both screens on every triple, one array
     element per triple, from the table expanded to one row per pair."""
-    f, dist, m, l = (column[table.inv] for column in (table.f, table.dist, table.m, table.l))
+    flat_f = table.f.reshape(len(table.f), -1)
+    f, dist, m, l = (column[table.inv] for column in (flat_f, table.dist, table.m, table.l))
     cases = failures = 0
     for a in range(len(table.inv)):
         kmax = (f[a][None, :, :] - f[a][:, None, :]).min(axis=2)
