@@ -93,7 +93,9 @@ def _perms0(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def all_permutations(d: int) -> list[tuple[int, ...]]:
-    """All tree orderings as 1-based image tuples, lexicographic."""
+    """All tree orderings as 1-based image tuples, lexicographic, for d in
+    [2, dlgraph.MAX_DIMENSION]."""
+    _require_int(d, "d", 2, dlgraph.MAX_DIMENSION)
     return [tuple(t + 1 for t in s) for s in _perms0(d)]
 
 

@@ -71,12 +71,13 @@ def _require_int(value, what: str, lo: int | None = None, hi: int | None = None)
 def canonicalize(v: TreeVertex, q: int) -> TreeVertex:
     """Rewrite (m, path) to the canonical address of the same vertex.
 
-    Validates that m is a nonnegative int and the labels are ints in
-    [0, q - 1] (bool and float are rejected, not coerced).  Applies
-    (m, (0,)+rest) -> (m-1, rest) until the leading label no longer runs
-    along the spine.
+    Validates that q is a positive int, m a nonnegative int and the
+    labels ints in [0, q - 1] (bool and float are rejected, not
+    coerced).  Applies (m, (0,)+rest) -> (m-1, rest) until the leading
+    label no longer runs along the spine.
     """
     m, path = v[0], tuple(v[1])
+    _require_int(q, "q", 1)
     _require_int(m, "spine depth", 0)
     for a in path:
         _require_int(a, "label", 0, q - 1)
@@ -121,8 +122,9 @@ def canonical_paths(length: int, q: int):
     """Every climb of the given length whose address is canonical
     at positive spine depth, i.e. paths not starting with label 0.
     There are (q-1) q**(length-1) of them for length >= 1.  The length
-    is checked on the call, before the first path."""
+    and q are checked on the call, before the first path."""
     _require_int(length, "length", 0)
+    _require_int(q, "q", 1)
     if length == 0:
         return iter([()])
     return (

@@ -70,7 +70,7 @@ from .metric import (
     profile_distance,
 )
 from .stars import Tally, VerificationReport, separation_evidence, star_witness
-from .treecoord import ORIGIN, TreeVertex, pair_stats
+from .treecoord import ORIGIN, TreeVertex, _require_int, pair_stats
 
 DEFAULT_SEED = 20260814
 # entries of each array that the lemma tables build over all pairs or
@@ -177,21 +177,23 @@ class PairTable:
     inv: np.ndarray
 
 
+def _codes(values: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct values, sorted, and the int32 index into them of each
+    value.  Sorted, because profile ids, and with them first failures,
+    follow the values' order."""
+    distinct = sorted(set(values))
+    index = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.array([index[v] for v in values], np.int32)
+
+
 def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
     """Tree t's distinct (m, l) over rows x cols, a code (into them) for
-    each row coordinate and column, and the index of each row
-    coordinate: rows[a], cols[b] have code[row_pos[rows[a].coords[t]], b]."""
-    row_coords = sorted({v.coords[t] for v in rows})
-    col_coords = sorted({v.coords[t] for v in cols})
-    pairs = [pair_stats(a, b) for a in row_coords for b in col_coords]
-    # sorted(set()) in place of np.unique(axis=0): the boundary checks use
-    # no other numpy sort, whose code would add about 0.4 MB resident
-    tree_stats = sorted(set(pairs))
-    index = {ml: i for i, ml in enumerate(tree_stats)}
-    code = np.array([index[ml] for ml in pairs], np.int32).reshape(len(row_coords), -1)
-    col_pos = {c: i for i, c in enumerate(col_coords)}
-    row_pos = {c: i for i, c in enumerate(row_coords)}
-    return np.array(tree_stats), code[:, [col_pos[v.coords[t]] for v in cols]], row_pos
+    each distinct row coordinate and column, and the index of each row's
+    coordinate: rows[a], cols[b] have code[row_code[a], b]."""
+    row_coords, row_code = _codes([v.coords[t] for v in rows])
+    col_coords, col_code = _codes([v.coords[t] for v in cols])
+    tree_stats, code = _codes([pair_stats(a, b) for a in row_coords for b in col_coords])
+    return np.array(tree_stats), code.reshape(len(row_coords), -1)[:, col_code], row_code
 
 
 # pairs per block of _pair_blocks, of rows in pair_table and screen_probes
@@ -230,9 +232,9 @@ def pair_table(
     present = np.zeros(span, dtype=bool)
     for block in blocks:
         key_block = key[block]
-        for t, (dim, (_, code, row_pos)) in enumerate(zip(dims, trees)):
+        for dim, (_, code, row_code) in zip(dims, trees):
             key_block *= dim
-            key_block += code[[row_pos[v.coords[t]] for v in rows[block]]]
+            key_block += code[row_code[block]]
         present[key_block] = True
     distinct = np.flatnonzero(present)
     _require_entries("profile pair map", len(distinct) ** 2)
@@ -388,19 +390,16 @@ def screen_dominance(
 def _classes(key_rows: Iterable[np.ndarray], span: int) -> tuple[np.ndarray, np.ndarray]:
     """How many pairs each class in range(span) has, and its first pair.
 
-    key_rows gives, row by row, the class of every pair in the row.
-    Returns count (span,) and first (span, 2), the (row, column) of each
-    class's first pair in row-major order, or -1 for a class never seen.
-    Raises ValueError on rows of unequal width, whose pairs the flat
-    row-major index that finds first pairs could not tell apart.
+    key_rows gives, row by row, the class of every pair in the row, every
+    row of one width.  Returns count (span,) and first (span, 2), the
+    (row, column) of each class's first pair in row-major order, or -1
+    for a class never seen.
     """
     count = np.zeros(span, dtype=np.int64)
     first = np.full(span, np.iinfo(np.int64).max)
-    width = None
+    width = 0
     for a, row in enumerate(key_rows):
-        width = len(row) if width is None else width
-        if len(row) != width:
-            raise ValueError(f"row {a} holds {len(row)} pairs, row 0 holds {width}")
+        width = len(row)
         # ufunc.at costs the row, where bincount would cost the span
         np.add.at(count, row, 1)
         np.minimum.at(first, row, np.arange(a * width, (a + 1) * width))
@@ -449,14 +448,12 @@ def screen_balanced(
     """
     cross = pair_table(verts, (identity(verts[0].params), *probes))
     base = cross.dist[cross.inv[:, 0]]
-    xkey = [[c.m for c in x.coords] + [b] for x, b in zip(verts, base.tolist())]
-    xc = np.unique(xkey, axis=0, return_inverse=True)[1].reshape(-1)
-    zkey = [[c.m for c in z.coords] for z in probes]
-    zc = np.unique(zkey, axis=0, return_inverse=True)[1].reshape(-1)
-    nz, span_d = int(zc.max()) + 1, int(cross.dist.max()) + 1
+    xs, xc = _codes([(*(c.m for c in x.coords), b) for x, b in zip(verts, base.tolist())])
+    zs, zc = _codes([tuple(c.m for c in z.coords) for z in probes])
+    nz, span_d = len(zs), int(cross.dist.max()) + 1
     count, first = _classes(
         ((xc[a] * nz + zc) * span_d + cross.dist[row[1:]] for a, row in enumerate(cross.inv)),
-        (int(xc.max()) + 1) * nz * span_d,
+        len(xs) * nz * span_d,
     )
     seen = np.flatnonzero(count)
     pairs = [(verts[a], probes[b]) for a, b in first[seen].tolist()]
@@ -739,19 +736,19 @@ SUITES: dict[str, tuple[Check, ...]] = {
 @dataclass(frozen=True)
 class Domain:
     """The graphs DL_d(q) that the check of this name runs on: d in d
-    and q >= q_min.  why says what rules out the others."""
+    and q >= 2, as every such check climbs label-1 edges.  why says what
+    rules out the others."""
 
     name: str
     d: range
-    q_min: int
     why: str
 
     def skip_reason(self, params: DLParams) -> str | None:
         """None on a graph of the domain, else the reason to skip it."""
-        if params.d in self.d and params.q >= self.q_min:
+        if params.d in self.d and params.q >= 2:
             return None
         dims = f"d = {self.d.start}" if len(self.d) == 1 else f"d >= {self.d.start}"
-        return f"runs on {dims} and q >= {self.q_min} only: {self.why}"
+        return f"runs on {dims} and q >= 2 only: {self.why}"
 
 
 _D3 = range(3, 4)
@@ -759,20 +756,20 @@ _D3 = range(3, 4)
 # every DL_d(q)
 DOMAINS: dict[Check, Domain] = {
     _check_beta_ray: Domain(
-        "beta-ray-identities", range(3, MAX_DIMENSION + 1), 2,
+        "beta-ray-identities", range(3, MAX_DIMENSION + 1),
         "beta moves tree 3, and alpha and beta climb label-1 edges",
     ),
     _check_beta_closed_form: Domain(
-        "beta-closed-form", _D3, 2, "beta_value is the closed form of DL_3(q)"
+        "beta-closed-form", _D3, "beta_value is the closed form of DL_3(q)"
     ),
     _check_growth_table: Domain(
-        "growth-table", _D3, 2, "the table pins the six tree orderings of DL_3(q)"
+        "growth-table", _D3, "the table pins the six tree orderings of DL_3(q)"
     ),
     _check_probe_exclusion: Domain(
-        "probe-exclusion", _D3, 2, "the probe sets are defined on DL_3(q)"
+        "probe-exclusion", _D3, "the probe sets are defined on DL_3(q)"
     ),
     _check_asymmetry: Domain(
-        "asymmetry-certificates", _D3, 2, "the beta neighborhood is defined on DL_3(q)"
+        "asymmetry-certificates", _D3, "the beta neighborhood is defined on DL_3(q)"
     ),
 }
 
@@ -795,10 +792,21 @@ def run_suites(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> list[VerificationReport]:
-    # workers stays only because the benchmark harness passes workers=1;
-    # a later change to the harness drops the keyword
+    """The reports of every check of the named suites, in SUITES order
+    within each suite and in the order the names are given.
+
+    "all" among names runs every suite of SUITES.  params defaults to
+    DLParams(), DL_3(2); seed, an int, seeds every sampled check (the
+    same seed gives the same samples).  Checks outside their DOMAINS
+    entry come back as skipped reports.  Raises ValueError on an unknown
+    suite name, a seed that is not an int, or workers other than 1:
+    suites run in one process, and workers stays only because the
+    benchmark harness passes workers=1, until a change to the harness
+    drops it.
+    """
     if workers != 1:
         raise ValueError(f"suites run in one process; workers must be 1, got {workers!r}")
+    _require_int(seed, "seed")
     params = params or DLParams()
     chosen = list(names)
     if "all" in chosen:

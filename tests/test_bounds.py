@@ -8,6 +8,7 @@ from dlstar import (
     DLParams,
     PairProfile,
     TreeVertex,
+    all_permutations,
     alpha_family,
     ball_distances,
     beta_family,
@@ -59,7 +60,10 @@ BOUNDED = [
      lambda v: separation_evidence(ALPHA, 1, 1, v)),
     ("canonicalize.m", "spine depth", 0, None, lambda v: canonicalize(TreeVertex(v, ()), 2)),
     ("canonicalize.path", "label", 0, 1, lambda v: canonicalize(TreeVertex(0, (v,)), 2)),
+    ("canonicalize.q", "q", 1, None, lambda v: canonicalize(TreeVertex(0, (0,)), v)),
     ("canonical_paths.length", "length", 0, None, lambda v: canonical_paths(v, 2)),
+    ("canonical_paths.q", "q", 1, None, lambda v: canonical_paths(1, v)),
+    ("all_permutations.d", "d", 2, 8, all_permutations),
 ]
 
 

@@ -118,6 +118,28 @@ def test_only_dlgraph_reads_the_coder():
     }
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level packages a source imports, absolute imports only."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import numpy.linalg as la, os\nfrom numpy import array\nfrom . import x\n"
+    assert imported_modules(source) == {"numpy", "os"}
+
+
+def test_only_verify_imports_numpy():
+    # so that importing numpy lazily is a change to one module
+    found = {p.name for p in PACKAGE.glob("*.py") if "numpy" in imported_modules(p.read_text())}
+    assert found == {"verify.py"}
+
+
 def test_all_lists_the_package_imports():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     imported = [

@@ -91,7 +91,7 @@ def test_checks_run_only_on_their_domain(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "SUITES", {"horofn": (broken,)})
     monkeypatch.setattr(
-        verify_mod, "DOMAINS", {broken: verify_mod.Domain("broken", range(3, 4), 2, "why")}
+        verify_mod, "DOMAINS", {broken: verify_mod.Domain("broken", range(3, 4), "why")}
     )
     for p in (DLParams(4, 2), DLParams(3, 1), DLParams(2, 3)):
         (report,) = run_suites(["horofn"], p)
@@ -110,6 +110,17 @@ def test_run_suites_rejects_workers(params):
     for workers in (0, 2):
         with pytest.raises(ValueError, match="workers"):
             run_suites(["horofn"], params, workers=workers)
+
+
+def test_run_suites_rejects_a_non_int_seed(monkeypatch):
+    # checked before any check runs, so no check sees the seed
+    def never(p, seed):
+        pytest.fail(f"a check ran with seed {seed!r}")
+
+    monkeypatch.setattr(verify_mod, "SUITES", {"conformance": (never,)})
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {seed!r}$"):
+            run_suites(["conformance"], DLParams(2, 2), seed=seed)
 
 
 def test_pair_table_matches_pair_profile(ball3):
@@ -303,9 +314,25 @@ def test_classes_match_per_row_unique():
     assert np.array_equal(first, want_first)
     assert count[[0, 9]].tolist() == [0, 0] and first[[0, 9]].tolist() == [[-1, -1]] * 2
     assert first[7].tolist() == [5, 3]
-    # a first pair is a (row, column) of rows of one width
-    with pytest.raises(ValueError, match="row 1 holds 2 pairs"):
-        verify_mod._classes(iter([np.array([0, 1, 2]), np.array([0, 1])]), 3)
+
+
+def test_codes_match_unique_inverse(ball3):
+    # np.unique's sorted rows and inverse are the reference, on seeded int
+    # tuples with repeats and on the tree coordinates of a ball, each
+    # padded with -1 to rows of one width, which keeps tuple order
+    rng = random.Random(11)
+    keys = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(300)]
+    coords = [c for v in ball3 for c in v.coords]
+    width = max(c.l for c in coords)
+    for values, row in (
+        (keys, lambda k: k),
+        (coords, lambda c: (c.m, *c.path) + (-1,) * (width - c.l)),
+    ):
+        distinct, code = verify_mod._codes(values)
+        want, inverse = np.unique([row(v) for v in values], axis=0, return_inverse=True)
+        assert np.array_equal([row(v) for v in distinct], want)
+        assert code.dtype == np.int32 and np.array_equal(code, inverse.reshape(-1))
+        assert [distinct[c] for c in code] == values
 
 
 def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
