@@ -215,7 +215,9 @@ class _VertexCoder:
 
     def decode(self, key: int) -> DLVertex:
         coords, mask = self.coords, self.mask
-        return DLVertex(tuple([coords[key >> s & mask] for s in self.shifts]), self.q)
+        vertex = tuple([coords[key >> s & mask] for s in self.shifts]), self.q
+        # DLVertex(...) less the namedtuple constructor's frame, as in neighbors
+        return tuple.__new__(DLVertex, vertex)
 
     def _key_changes(self, t: int, c: int) -> tuple[list[int], int]:
         """Up and down changes to a key whose tree t holds code c."""

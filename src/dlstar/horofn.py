@@ -78,7 +78,7 @@ class HorofunctionValue(NamedTuple):
 
 
 def _param_weight(z: DLVertex) -> int:
-    return sum(c.m + c.l for c in z.coords)
+    return sum(m + len(path) for m, path in z.coords)
 
 
 def _window_rows(family: PointFamily, from_n: int) -> tuple[tuple, ...]:
@@ -223,12 +223,9 @@ def beta_value(z: DLVertex) -> int:
     """Closed-form beta horofunction value at z (d = 3 only)."""
     if len(z.coords) != 3:
         raise WrongDimension("beta closed form needs exactly 3 tree coordinates")
-    (m1, m2, _), (l1, l2, _) = (
-        tuple(c.m for c in z.coords),
-        tuple(c.l for c in z.coords),
-    )
-    h1, h2, h3 = (c.h for c in z.coords)
-    return m1 + m2 + min(m1 + h3, h1 + h3, l1, m2 + h3, h2 + h3, l2)
+    (m1, p1), (m2, p2), (m3, p3) = z.coords
+    l1, l2, h3 = len(p1), len(p2), len(p3) - m3
+    return m1 + m2 + min(m1 + h3, l1 - m1 + h3, l1, m2 + h3, l2 - m2 + h3, l2)
 
 
 # ── growth table toward beta ────────────────────────────────────────────────

@@ -97,10 +97,11 @@ def pair_stats(x: TreeVertex, y: TreeVertex) -> tuple[int, int]:
     meet is y's branch point, and symmetrically; at equal depth the
     shared climb prefix cancels.
     """
-    if not is_canonical(x) or not is_canonical(y):
-        raise ValueError("pair_stats requires canonical vertices")
     mx, px = x
     my, py = y
+    # is_canonical on both, on the fields already unpacked
+    if (mx and px and px[0] == 0) or (my and py and py[0] == 0):
+        raise ValueError("pair_stats requires canonical vertices")
     if mx < my:
         return my + len(px) - mx, len(py)
     if mx > my:

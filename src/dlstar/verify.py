@@ -196,7 +196,7 @@ def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
     return np.array(tree_stats), code.reshape(len(row_coords), -1)[:, col_code], row_code
 
 
-# pairs per block of _pair_blocks, of rows in pair_table and screen_probes
+# pairs per block of _pair_blocks, of rows in pair_table and _shift_classes
 # and of profile pairs in screen_dominance, so that the per-block
 # temporaries stay small: a few tens of kB in the tables and the
 # screens; only the pairs the certified column lets through, none on a
@@ -632,6 +632,35 @@ def _check_growth_table(params: DLParams, seed: int) -> VerificationReport:
 
 # ── stars ───────────────────────────────────────────────────────────────────
 
+def _shift_classes(cross: PairTable, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of equal shift rows of cross, in the order of their
+    first rows: each class's first row and its number of rows.
+
+    Row a's shifts are its distances in columns 1.. less its distance in
+    column 0, the identity's.  By the triangle inequality shift f lies
+    within bound[f] = distance(id, probe f), so the mixed-radix key, the
+    sum of (shift_f + bound[f]) * place_f in radix 2 * bound[f] + 1,
+    numbers the rows exactly.  A row with a shift outside its bound gets
+    a negative key of its own, so it is a class alone and aliases no
+    other.  The keys are built a block of rows at a time (_pair_blocks).
+    """
+    radix = (2 * bound + 1).tolist()
+    if math.prod(radix) > np.iinfo(np.int64).max:
+        raise ValueError("probe shift keys would overflow int64")
+    place = np.array([math.prod(radix[:f]) for f in range(len(radix))], dtype=np.int64)
+    keys = np.empty(len(cross.inv), dtype=np.int64)
+    for block in _pair_blocks(np.full(len(cross.inv), cross.inv.shape[1])):
+        dist = cross.dist[cross.inv[block]]
+        shift = dist[:, 1:] - dist[:, :1]
+        key = (shift + bound) @ place
+        outside = np.flatnonzero((np.abs(shift) > bound).any(axis=1))
+        key[outside] = -1 - block.start - outside
+        keys[block] = key
+    _, first, count = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], count[order]
+
+
 def screen_probes(
     tally: Tally,
     verts: Sequence[DLVertex],
@@ -645,46 +674,49 @@ def screen_probes(
     (id,) + probes), row z's shifts are its distances to the probes less
     its distance to id, read from the first column.  probe_disagreement(z,
     probes) reads z only through those shifts, so the first z of each
-    class of equal shift rows stands for the class: every shift its two
-    reports measured must match the table row, and their verdicts count
-    for every z of the class.  Every z the symmetric set does not exclude
-    is a failure, one case per z.  Returns the number of z the printed
-    set does not exclude, the number of distinct profiles in the table
-    and the number of classes.
+    class of equal shift rows (_shift_classes) stands for the class:
+    every shift its two reports measured must match the table row, and
+    their verdicts count for every z of the class.  Every z the
+    symmetric set does not exclude, and every z with a shift outside its
+    triangle bound, is a failure, one case per z.  Returns the number of
+    z the printed set does not exclude, the number of distinct profiles
+    in the table and the number of classes.
     """
     probes = tuple(dict.fromkeys(symmetric + printed))
-    cross = pair_table(verts, (identity(verts[0].params),) + probes)
-    classes: dict[tuple[int, ...], list[int]] = {}  # shift row -> [first z, count]
-    for block in _pair_blocks(np.full(len(verts), cross.inv.shape[1])):
-        dist = cross.dist[cross.inv[block]]
-        for a, row in enumerate(map(tuple, (dist[:, 1:] - dist[:, :1]).tolist()), block.start):
-            classes.setdefault(row, [a, 0])[1] += 1
+    base = identity(verts[0].params)
+    bound = np.array([distance(base, f) for f in probes], dtype=np.int64)
+    cross = pair_table(verts, (base,) + probes)
+    first, count = _shift_classes(cross, bound)
+    dist = cross.dist[cross.inv[first]]
+    rows = dist[:, 1:] - dist[:, :1]
+    outside = (np.abs(rows) > bound).any(axis=1)
     profiles = len(cross.dist)
     del cross, dist  # the representatives' calls below need neither
 
-    reps = [(verts[a], dict(zip(probes, row))) for row, (a, _) in classes.items()]
+    reps = [(verts[a], dict(zip(probes, row))) for a, row in zip(first.tolist(), rows.tolist())]
     reports = [[probe_disagreement(z, s) for s in (symmetric, printed)] for z, _ in reps]
     mismatch = [
         any(got != shift[f] for r in rs for f, got, _ in r.rows)
         for (_, shift), rs in zip(reps, reports)
     ]
-    count = np.array([n for _, n in classes.values()])
     missed = np.array([[r.witness is None for r in rs] for rs in reports])
 
     def message(i):
         if mismatch[i]:
             return f"shift table disagrees with probe_disagreement at {reps[i][0]}"
+        if outside[i]:
+            return f"{reps[i][0]} has a shift outside its triangle bound"
         return f"{reps[i][0]} agrees with every symmetric probe"
 
-    tally.screen(np.array(mismatch) | missed[:, 0], message, count)
-    return int(count[missed[:, 1]].sum()), profiles, len(classes)
+    tally.screen(np.array(mismatch) | outside | missed[:, 0], message, count)
+    return int(count[missed[:, 1]].sum()), profiles, len(first)
 
 
 def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
     symmetric = symmetric_probe_set(params)
     printed = printed_probe_set(params)
     reached = ball_distances(params, 6)
-    nontrivial = [z for z in reached if any(c != ORIGIN for c in z.coords[:2])]
+    nontrivial = [z for z in reached if z.coords[:2] != (ORIGIN, ORIGIN)]
     del reached
     tally = Tally()
     misses, profiles, classes = screen_probes(tally, nontrivial, symmetric, printed)

@@ -136,7 +136,7 @@ def test_comparison_lemma_screens_at_d4(capsys):
 
 
 def test_probe_set_exclusion(params, capsys):
-    rep = _run(capsys, _check_probe_exclusion, params, budget=10)
+    rep = _run(capsys, _check_probe_exclusion, params, budget=0.4)
     assert rep.details["ball_radius"] == 6
     assert rep.details["nontrivial_vertices"] == 10584
     # the narrower published listing is reported, not asserted, because
@@ -150,7 +150,7 @@ def test_probe_set_exclusion(params, capsys):
 
 
 def test_probe_set_exclusion_at_q3(capsys):
-    rep = _run(capsys, _check_probe_exclusion, DLParams(3, 3), budget=20)
+    rep = _run(capsys, _check_probe_exclusion, DLParams(3, 3), budget=3)
     assert rep.details["ball_radius"] == 6
     assert rep.details["nontrivial_vertices"] == 116586
     assert rep.details["printed_set_misses"] == 312

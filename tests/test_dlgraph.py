@@ -142,6 +142,21 @@ def test_coded_neighbors_match_neighbors(d, q):
         v = rng.choice(adj)
 
 
+@pytest.mark.parametrize("d,q,radius", [(2, 2, 3), (3, 2, 3), (4, 2, 2)])
+def test_ball_holds_real_vertices(d, q, radius):
+    # the decoder builds vertices without the namedtuple constructor; each
+    # must still be a DLVertex that equals, and hashes as, one built by it
+    params = DLParams(d, q)
+    coder = _VertexCoder(d, q, DEFAULT_MEMORY_CAP)
+    for v in ball_distances(params, radius):
+        assert type(v) is DLVertex
+        built = DLVertex(v.coords, v.q)
+        assert v == built and hash(v) == hash(built)
+        assert v.d == d and v.params == params
+        decoded = coder.decode(coder.encode(v))
+        assert type(decoded) is DLVertex and decoded == v
+
+
 def _queue_ball(params, radius):
     """One-way queue search over neighbors, written apart from the library's."""
     start = identity(params)

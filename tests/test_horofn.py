@@ -37,6 +37,7 @@ from dlstar import (
 from dlstar import horofn
 from dlstar.cli import parse_family
 from dlstar.horofn import _param_weight
+from dlstar.verify import _sample_bounded_vertex
 
 
 def test_beta_value_frozen(params, origin):
@@ -48,8 +49,27 @@ def test_beta_value_frozen(params, origin):
             assert beta_value(nu_point(params, tree, eps, 1)) == -1
     assert beta_value(origin) == 0
     assert beta_value(parse_vertex("0:0|2:1,0|2:1", params)) == 1
-    with pytest.raises(WrongDimension):
-        beta_value(identity(DLParams(4, 2)))
+    for d in (2, 4):
+        with pytest.raises(WrongDimension):
+            beta_value(identity(DLParams(d, 2)))
+
+
+def test_beta_value_matches_its_statistics_form():
+    # the closed form written over the coordinate statistics m, l and h
+    def by_statistics(z):
+        (m1, m2, _), (l1, l2, _) = (
+            tuple(c.m for c in z.coords),
+            tuple(c.l for c in z.coords),
+        )
+        h1, h2, h3 = (c.h for c in z.coords)
+        return m1 + m2 + min(m1 + h3, h1 + h3, l1, m2 + h3, h2 + h3, l2)
+
+    params = DLParams(3, 3)
+    rng = random.Random(30)
+    for _ in range(500):
+        z = _sample_bounded_vertex(params, rng, 4)
+        assert beta_value(z) == by_statistics(z), format_vertex(z)
+        assert _param_weight(z) == sum(c.m + c.l for c in z.coords)
 
 
 def test_beta_value_equals_limit_on_ball(params, ball3):

@@ -152,6 +152,22 @@ def test_pair_stats_rejects_non_canonical():
         pair_stats(TreeVertex(1, (0,)), ORIGIN)
     with pytest.raises(ValueError):
         pair_stats(ORIGIN, TreeVertex(2, (0, 1)))
+    # it raises exactly when is_canonical fails on either side, over every
+    # (m, path) with m <= 3 and a path of length <= 3 over labels 0..2:
+    # (0, (0, ...)) is canonical, (m > 0, (0, ...)) is not
+    verts = [
+        TreeVertex(m, path)
+        for m in range(4)
+        for n in range(4)
+        for path in itertools.product(range(3), repeat=n)
+    ]
+    assert pair_stats(TreeVertex(0, (0, 1)), ORIGIN) == (2, 0)
+    for x, y in itertools.product(verts, repeat=2):
+        if is_canonical(x) and is_canonical(y):
+            pair_stats(x, y)
+        else:
+            with pytest.raises(ValueError, match="^pair_stats requires canonical vertices$"):
+                pair_stats(x, y)
 
 
 def test_canonical_paths_counts():

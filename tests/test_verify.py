@@ -30,7 +30,7 @@ from dlstar import (
 )
 from dlstar.dlgraph import balanced_vertices
 from dlstar.stars import Tally
-from dlstar.treecoord import pair_stats
+from dlstar.treecoord import ORIGIN, pair_stats
 from dlstar.verify import (
     DEFAULT_SEED,
     PROFILE_PAIR_CAP,
@@ -40,6 +40,7 @@ from dlstar.verify import (
     _check_growth_table,
     _check_metric_axioms,
     _check_probe_exclusion,
+    _shift_classes,
     pair_table,
     screen_balanced,
     screen_dominance,
@@ -536,6 +537,103 @@ def test_probe_screen_takes_verdicts_from_probe_disagreement(params, monkeypatch
     assert (report.cases, report.failures) == (10585, 10584)
     assert report.details["printed_set_misses"] == 10584
     assert report.first_failure.endswith("agrees with every symmetric probe")
+
+
+def _probe_columns(params):
+    """Both probe sets, and the probes of either set, each once, in the
+    order screen_probes gives them columns."""
+    sets = (symmetric_probe_set(params), printed_probe_set(params))
+    return sets, tuple(dict.fromkeys(sets[0] + sets[1]))
+
+
+def _nontrivial(ball):
+    return [z for z in ball if z.coords[:2] != (ORIGIN, ORIGIN)]
+
+
+def test_shift_classes_match_per_vertex_dict(params, ball4):
+    # a dict over each vertex's shift row, in ball order, is the reference
+    verts = _nontrivial(ball4)
+    sets, probes = _probe_columns(params)
+    base = identity(params)
+    cross = pair_table(verts, (base,) + probes)
+    dist = cross.dist[cross.inv]
+    classes = {}
+    for a, row in enumerate(map(tuple, (dist[:, 1:] - dist[:, :1]).tolist())):
+        classes.setdefault(row, [a, 0])[1] += 1
+    bound = np.array([distance(base, f) for f in probes])
+    first, count = _shift_classes(cross, bound)
+    assert [[a, n] for a, n in zip(first.tolist(), count.tolist())] == list(classes.values())
+    assert screen_probes(Tally(), verts, *sets)[2] == len(classes) < len(verts)
+    with pytest.raises(ValueError, match="overflow int64"):
+        _shift_classes(cross, np.array([2**31] * len(probes)))
+
+
+def test_probe_screen_fails_a_shift_outside_its_bound(params, ball4, monkeypatch):
+    # a late row whose first shift is 2 * bound + 1 too high and whose
+    # second is one too low has the mixed-radix key of its true row; it
+    # must fail alone, by name, and not pass inside its true class
+    verts = _nontrivial(ball4)
+    sets, probes = _probe_columns(params)
+    bound = [distance(identity(params), f) for f in probes]
+    real = verify_mod.pair_table
+    clean = Tally()
+    clean_classes = screen_probes(clean, verts, *sets)[2]
+    cross = real(verts, (identity(params),) + probes)
+    shift = (cross.dist[cross.inv[:, 1:]] - cross.dist[cross.inv[:, :1]]).tolist()
+    late = next(
+        a
+        for a in reversed(range(len(shift)))
+        if shift[a] in shift[:a] and shift[a][1] > -bound[1]
+    )
+
+    def aliased(rows, cols=None):
+        table = real(rows, cols)
+        u = len(table.dist)
+        inv = table.inv.copy()
+        first, second = table.dist[inv[late, 1:3]].tolist()
+        inv[late, 1:3] = u, u + 1
+        dist = np.append(table.dist, [first + 2 * bound[0] + 1, second - 1])
+        return replace(table, dist=dist, inv=inv)
+
+    monkeypatch.setattr(verify_mod, "pair_table", aliased)
+    broken = Tally()
+    classes = screen_probes(broken, verts, *sets)[2]
+    assert (clean.cases, clean.failures) == (len(verts), 0)
+    assert (broken.cases, broken.failures) == (len(verts), 1)
+    assert str(verts[late]) in broken.first_failure
+    assert classes == clean_classes + 1
+
+
+def test_probe_screen_fails_every_row_outside_its_bound(params, ball4, monkeypatch):
+    # with the last probe's bound one too small, the rows that reach its
+    # true bound fall outside it: each fails alone, though the table and
+    # probe_disagreement agree on its shifts
+    verts = _nontrivial(ball4)
+    sets, probes = _probe_columns(params)
+    base = identity(params)
+    cross = pair_table(verts, (base,) + probes)
+    dist = cross.dist[cross.inv]
+    outside = np.abs(dist[:, -1] - dist[:, 0]) > distance(base, probes[-1]) - 1
+    real = verify_mod.distance
+    monkeypatch.setattr(verify_mod, "distance", lambda x, y: real(x, y) - (y == probes[-1]))
+    tally = Tally()
+    screen_probes(tally, verts, *sets)
+    assert 0 < outside.sum() < len(verts)
+    assert (tally.cases, tally.failures) == (len(verts), int(outside.sum()))
+    first = verts[int(np.flatnonzero(outside)[0])]
+    assert tally.first_failure == f"{first} has a shift outside its triangle bound"
+
+
+def test_probe_screen_names_the_first_vertex_of_the_first_failing_class(params, ball4):
+    # every vertex of the radius-4 ball in ball order, trivial ones
+    # included, so that some classes agree with every symmetric probe
+    verts = list(ball4)
+    sets, _ = _probe_columns(params)
+    first_miss = next(z for z in verts if not probe_disagreement(z, sets[0]).disagrees)
+    tally = Tally()
+    screen_probes(tally, verts, *sets)
+    assert tally.failures > 0
+    assert tally.first_failure == f"{first_miss} agrees with every symmetric probe"
 
 
 def test_asymmetry_counts_every_failing_case(params, monkeypatch):
