@@ -222,6 +222,7 @@ def cmd_verify(args, params):
             "passed": r.passed,
             "cases": r.cases,
             "failures": r.failures,
+            "first_failure": r.first_failure,
             "elapsed_s": round(r.elapsed, 3) if r.elapsed is not None else None,
             "skipped": r.skipped,
             "notes": "; ".join(f"{k}={v}" for k, v in r.details.items()),

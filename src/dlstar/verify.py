@@ -1,19 +1,20 @@
 """Property suites behind `dlstar verify` and the acceptance tests.
 
 Each suite is a tuple of checks, one per headline property; a check
-takes (params, seed) and returns a VerificationReport.  Exhaustive
-triple screens run on a table of the distinct pair profiles, built by
+takes (params, seed) and returns a VerificationReport, and a check
+refused by a memory cap comes back as a failed report.  The domination
+screens run on a table of the distinct pair profiles, built by
 pair_table from the library's own pair_stats, profile_distance and
 f_rows.  pair_table is the one constructor of a table, and it refuses
-any table whose arrays, or the U x U map of its profile pairs, would
-pass PROFILE_PAIR_CAP.  Every pair of distinct profiles that some base
-vertex sees is screened once, and a failing pair counts every triple
-it stands for.  The row screen rejects a pair by one certified column
-of f, which rejects every pair of a correct table, and reads the full
-width only for the pairs it lets through; the coordinate screen
-filters the pairs one tree at a time.  Sampled calls bind the table
-and the screens to the checker functions they certify.  The
-exhaustive pair checks call their checker once per class of pairs
+any table whose arrays, or whose U**2 profile pairs, would pass
+PROFILE_PAIR_CAP.  Both domination lemmas are profile arithmetic, so
+the screens take every ordered pair of distinct profiles once, one
+case per pair and screen.  The row screen rejects a pair by one
+certified column of f, which rejects every pair of a correct table,
+and reads the full width only for the pairs it lets through; the
+coordinate screen filters the pairs one tree at a time.  Sampled calls
+bind the table and the screens to the checker functions they certify.
+The exhaustive pair checks call their checker once per class of pairs
 with the same inputs, each call weighted by how many pairs share
 them, the classes counted without a sort.  Both probe sweeps,
 balanced_compare against the balanced probes and probe_disagreement
@@ -73,14 +74,15 @@ from .stars import Tally, VerificationReport, separation_evidence, star_witness
 from .treecoord import ORIGIN, TreeVertex, _require_int, pair_stats
 
 DEFAULT_SEED = 20260814
-# entries of each array that the lemma tables build over all pairs or
-# all profile pairs, each checked by pair_table before it is allocated:
-# the int32 pair key, which becomes the table's inv (rows x cols); the
-# bool present lookup and int32 rank (prod(dims) keys); and the bool
-# U x U maps of profile pairs in screen_dominance and _triples (U the
-# distinct profiles).  An int32 array of 2**26 entries is 256 MiB.
-# The cap is below the int32 maximum, so every key fits in int32.
-# DL_4(2) needs 6552**2 profile pairs, DL_5(2) would need 43681**2.
+# entries of each array that the lemma tables build over all pairs, each
+# checked by pair_table before it is allocated: the int32 pair key, which
+# becomes the table's inv (rows x cols), and the bool present lookup and
+# int32 rank (prod(dims) keys).  An int32 array of 2**26 entries is
+# 256 MiB.  The cap is below the int32 maximum, so every key fits in
+# int32.  It also bounds the U**2 ordered pairs of distinct profiles
+# that screen_dominance visits, checked as soon as the lookup gives U:
+# DL_4(2) has 6552**2, and DL_5(2), with 43681**2, is refused before
+# profile_distance runs.
 PROFILE_PAIR_CAP = 2**26
 
 Check = Callable[[DLParams, int], VerificationReport]
@@ -92,7 +94,7 @@ def _sorted_ball(params: DLParams, radius: int) -> list[DLVertex]:
 
 # ── conformance ─────────────────────────────────────────────────────────────
 
-def _check_word_metric(params: DLParams, seed: int) -> VerificationReport:
+def _check_word_metric_conformance(params: DLParams, seed: int) -> VerificationReport:
     reached = ball_distances(params, 5)
     base = identity(params)
     tally = Tally()
@@ -119,7 +121,7 @@ def _check_word_metric(params: DLParams, seed: int) -> VerificationReport:
     )
 
 
-def _check_beta_ray(params: DLParams, seed: int) -> VerificationReport:
+def _check_beta_ray_identities(params: DLParams, seed: int) -> VerificationReport:
     beta = beta_family(params)
     alpha = alpha_family(params)
     base = identity(params)
@@ -197,11 +199,12 @@ def _tree_codes(rows: Sequence[DLVertex], cols: Sequence[DLVertex], t: int):
 
 
 # pairs per block of _pair_blocks, of rows in pair_table and _shift_classes
-# and of profile pairs in screen_dominance, so that the per-block
-# temporaries stay small: a few tens of kB in the tables and the
-# screens; only the pairs the certified column lets through, none on a
-# correct table, take a full-width block of f, up to a few MB at d = 4
-_BLOCK_PAIRS = 2**12
+# and of y profiles in screen_dominance: large enough that the screen's
+# per-block overhead does not dominate at d = 3, small enough that the
+# per-block temporaries stay near 1 MB; only the pairs the certified
+# column lets through, none on a correct table, take a full-width block
+# of f, up to about 30 MB at d = 4
+_BLOCK_PAIRS = 2**14
 
 
 def pair_table(
@@ -216,10 +219,10 @@ def pair_table(
     (_pair_blocks), so no other array of every pair is made.  A dense
     lookup over all prod(dims) keys marks the U distinct ones; their
     rank in key order, again a block at a time, becomes inv.  Raises
-    MemoryCapExceeded when the key, the lookup or the U x U map of
-    profile pairs would pass PROFILE_PAIR_CAP, each before it is built;
-    U is checked as soon as the lookup gives it, before the rank and
-    profile_distance.
+    MemoryCapExceeded when the key or the lookup would pass
+    PROFILE_PAIR_CAP, each before it is built, or when the U**2 profile
+    pairs would; U is checked as soon as the lookup gives it, before the
+    rank and profile_distance.
     """
     cols = rows if cols is None else cols
     _require_entries("pair key", len(rows) * len(cols))
@@ -228,7 +231,7 @@ def pair_table(
     span = math.prod(dims)
     _require_entries("pair key range", span)
     key = np.zeros((len(rows), len(cols)), dtype=np.int32)
-    blocks = list(_pair_blocks(np.full(len(rows), len(cols))))
+    blocks = _pair_blocks(len(rows), len(cols))
     present = np.zeros(span, dtype=bool)
     for block in blocks:
         key_block = key[block]
@@ -237,7 +240,7 @@ def pair_table(
             key_block += code[row_code[block]]
         present[key_block] = True
     distinct = np.flatnonzero(present)
-    _require_entries("profile pair map", len(distinct) ** 2)
+    _require_entries("profile pairs", len(distinct) ** 2)
     rank = np.cumsum(present, dtype=np.int32)
     rank -= 1
     for block in blocks:
@@ -257,57 +260,30 @@ def pair_table(
 
 
 def _require_entries(what: str, entries: int) -> None:
-    """Raise MemoryCapExceeded when an array of that many entries would
-    pass PROFILE_PAIR_CAP."""
+    """Raise MemoryCapExceeded when that many entries of what would pass
+    PROFILE_PAIR_CAP."""
     if entries > PROFILE_PAIR_CAP:
         raise MemoryCapExceeded(f"{what} too large", entries)
 
 
-def _pair_blocks(per_row: np.ndarray) -> Iterable[slice]:
-    """Slices of consecutive rows holding about _BLOCK_PAIRS pairs each,
-    per_row[i] pairs in row i."""
-    start = held = 0
-    for i, k in enumerate(per_row.tolist()):
-        held += k
-        if held >= _BLOCK_PAIRS:
-            yield slice(start, i + 1)
-            start, held = i + 1, 0
-    if start < len(per_row):
-        yield slice(start, len(per_row))
+def _pair_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of consecutive rows of width pairs each, about _BLOCK_PAIRS
+    pairs and at least one row a slice."""
+    step = max(1, _BLOCK_PAIRS // width)
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
-def _triples(inv: np.ndarray, profiles: int, ys: np.ndarray, zs: np.ndarray) -> int:
-    """Triples (x, y, z) whose profile pair (inv[x, y], inv[x, z]) is one
-    of the pairs (ys, zs): the sum over x of count_x[y] * count_x[z]."""
-    bad = np.zeros((profiles, profiles), dtype=bool)
-    bad[ys, zs] = True
-    total = 0
-    for row in inv:
-        count = np.bincount(row, minlength=profiles)
-        u = np.flatnonzero(count)
-        total += int(count[u] @ bad[u[:, None], u].astype(np.int64) @ count[u])
-    return total
+def screen_dominance(tally: Tally, table: PairTable) -> int:
+    """Row-wise and coordinatewise domination on every ordered pair (y, z)
+    of the table's distinct profiles.
 
-
-def _witness(inv: np.ndarray, y: int, z: int) -> tuple[int, int, int]:
-    """The first row a holding both profiles y and z, and their first
-    columns in it."""
-    a = int(np.flatnonzero((inv == y).any(axis=1) & (inv == z).any(axis=1))[0])
-    return a, int(np.flatnonzero(inv[a] == y)[0]), int(np.flatnonzero(inv[a] == z)[0])
-
-
-def screen_dominance(
-    tally: Tally, table: PairTable, verts: Sequence[DLVertex]
-) -> tuple[int, int, int]:
-    """Row-wise and coordinatewise domination on every triple (x, y, z).
-
-    For each triple, the strongest applicable k (row-wise and
-    coordinatewise) must satisfy its concluded bound.  Both verdicts
-    read the triple only through the profiles y = inv[x, y'] and z =
-    inv[x, z'], so each pair of distinct profiles that some x sees is
-    screened once.  The pairs are marked in a U x U map, once per
-    distinct set of profiles a row of inv holds, and screened a block of
-    about _BLOCK_PAIRS pairs at a time, one block of y profiles each.
+    For each pair, the strongest applicable k (row-wise and
+    coordinatewise) must satisfy its concluded bound.  Both lemmas are
+    profile arithmetic: a triple (x, y', z') holds them exactly when its
+    profile pair (inv[x, y'], inv[x, z']) does, so the U**2 pairs cover
+    every triple of the table's vertices, and the pairs that no one
+    vertex x sees as well.  The pairs are screened a block of y profiles
+    at a time (_pair_blocks), each against every z.
 
     The row screen fails (y, z) exactly when every column (s, i) has
     f[z, s, i] - f[y, s, i] >= max(gap + 1, 0), gap = dist[z] - dist[y],
@@ -319,72 +295,61 @@ def screen_dominance(
     pairs it lets through take the minimum over the full width; there
     are none on a correct table.
     The coordinate screen needs m and l of z at least those of y in
-    every tree, so it filters the pairs one tree at a time before the
+    every tree, so it keeps those pairs, one tree at a time, before the
     exact test of the sum.
 
-    Every triple counts one case per screen, 2 * rows * cols**2 in all.
-    A failing pair counts one failure for each triple it stands for,
-    the sum over x of count_x[y] * count_x[z].  Returns the most
-    profiles one x sees, the number of pairs screened and the number
-    that took the full-width row check.  pair_table has already checked
-    the map against PROFILE_PAIR_CAP.
+    Every pair counts one case per screen, 2 * U**2 in all, and one
+    failure per screen it fails; the first failure names its two
+    profiles.  Returns the number of pairs that took the full-width row
+    check.  pair_table has already checked U**2 against PROFILE_PAIR_CAP.
     """
-    inv = table.inv
-    profiles = len(table.dist)
-    seen = np.zeros((profiles, profiles), dtype=bool)
-    widest = 0
-    marked = set()
-    for row in inv:
-        u = np.flatnonzero(np.bincount(row, minlength=profiles))
-        widest = max(widest, len(u))
-        key = u.tobytes()
-        if key not in marked:
-            marked.add(key)
-            seen[u[:, None], u] = True
-    per_row = seen.sum(axis=1)
     dist, f = table.dist, table.f
+    profiles = len(dist)
     trees = list(zip(table.m.T.copy(), table.l.T.copy()))
-    # top[y, s] is y's largest row in ordering s, best[z] the ordering
-    # whose largest row of z is least
+    # top[y, s] and fmax[y, s] are y's largest row in ordering s and its
+    # entry, best[z] the ordering whose largest row of z is least, and
+    # certified[at[z] + i] = f[z, best[z], i], flat for a fast take
     top = f.argmax(axis=2)
-    best = f.max(axis=2).argmin(axis=1)
-    row_bad, coord_bad = [], []
+    fmax = f.max(axis=2)
+    best = fmax.argmin(axis=1)
+    certified = f[np.arange(profiles), best].ravel()
+    at = np.arange(0, len(certified), f.shape[2])
+
+    def profile(u):
+        return PairProfile(tuple(table.m[u].tolist()), tuple(table.l[u].tolist()))
+
+    def fail(what, y, z, k=""):
+        # the failing pairs of one block, in (y, z) order
+        a, b = profile(y[0]), profile(z[0])
+        tally.fail(lambda: f"{what} domination fails at y={a}, z={b}{k}", len(y))
+
     full_width = 0
-    for block in _pair_blocks(per_row):
-        ys, zs = np.nonzero(seen[block])
-        ys += block.start
-        gap = dist[zs] - dist[ys]
-        s = best[zs]
-        i = top[ys, s]
-        through = f[zs, s, i] - f[ys, s, i] >= np.maximum(gap + 1, 0)
+    for block in _pair_blocks(profiles, profiles):
+        # (y, z) is at [y - block.start, z] of each block array
+        gap = dist - dist[block, None]
+        i = np.take(top[block], best, axis=1)
+        column = certified[at + i] - np.take(fmax[block], best, axis=1)
+        through = column >= np.maximum(gap + 1, 0)
         if through.any():
-            y, z, g = ys[through], zs[through], gap[through]
+            y, z = np.nonzero(through)
+            y, g = y + block.start, gap[through]
             full_width += len(y)
             kmax = (f[z] - f[y]).min(axis=(1, 2))
             bad = (kmax >= 0) & (g < kmax)
             if bad.any():
-                row_bad.append((y[bad], z[bad], kmax[bad]))
-        y, z, g = ys, zs, gap
+                fail("row", y[bad], z[bad], f", k={kmax[bad][0]}")
+        keep = np.ones(gap.shape, dtype=bool)
         for mt, lt in trees:
-            keep = (mt[z] >= mt[y]) & (lt[z] >= lt[y])
-            y, z, g = y[keep], z[keep], g[keep]
+            keep &= mt >= mt[block, None]
+            keep &= lt >= lt[block, None]
+        y, z = np.nonzero(keep)
+        y, g = y + block.start, gap[keep]
         coff = sum(np.minimum(mt[z] - mt[y], lt[z] - lt[y]) for mt, lt in trees)
         bad = g < coff
         if bad.any():
-            coord_bad.append((y[bad], z[bad], coff[bad]))
-    del seen  # failure counts build a map of their own
-    tally.cases += 2 * inv.shape[0] * inv.shape[1] ** 2
-    for found, what in ((row_bad, "row"), (coord_bad, "coordinate")):
-        if not found:
-            continue
-        ys, zs, ks = (np.concatenate(c) for c in zip(*found))
-        a, b, c = _witness(inv, ys[0], zs[0])
-        k = f", k={ks[0]}" if what == "row" else ""
-        tally.fail(
-            lambda: f"{what} domination fails at x={verts[a]}, y={verts[b]}, z={verts[c]}{k}",
-            _triples(inv, profiles, ys, zs),
-        )
-    return widest, int(per_row.sum()), full_width
+            fail("coordinate", y[bad], z[bad])
+    tally.cases += 2 * profiles**2
+    return full_width
 
 
 def _classes(key_rows: Iterable[np.ndarray], span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -498,7 +463,7 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             lambda: f"distance table disagrees at {verts[a]}, {verts[b]}",
         )
 
-    widest, profile_pairs, full_width_pairs = screen_dominance(tally, table, verts)
+    full_width_pairs = screen_dominance(tally, table)
 
     # the checker functions themselves, on seeded triples at the strongest
     # applicable k and just past it
@@ -540,8 +505,6 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
             "balanced_probes": len(probes),
             "balanced_classes": balanced_classes,
             "distinct_profiles": len(table.dist),
-            "max_profiles_per_vertex": widest,
-            "profile_pairs": profile_pairs,
             # pairs the certified column let through to the full-width
             # row check, 0 on a correct table
             "full_width_pairs": full_width_pairs,
@@ -649,7 +612,7 @@ def _shift_classes(cross: PairTable, bound: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError("probe shift keys would overflow int64")
     place = np.array([math.prod(radix[:f]) for f in range(len(radix))], dtype=np.int64)
     keys = np.empty(len(cross.inv), dtype=np.int64)
-    for block in _pair_blocks(np.full(len(cross.inv), cross.inv.shape[1])):
+    for block in _pair_blocks(*cross.inv.shape):
         dist = cross.dist[cross.inv[block]]
         shift = dist[:, 1:] - dist[:, :1]
         key = (shift + bound) @ place
@@ -736,7 +699,7 @@ def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
     )
 
 
-def _check_asymmetry(params: DLParams, seed: int) -> VerificationReport:
+def _check_asymmetry_certificates(params: DLParams, seed: int) -> VerificationReport:
     tally = Tally()
     alpha = alpha_family(params)
     witness = star_witness(beta_family(params), alpha, 30)
@@ -758,20 +721,21 @@ def _check_asymmetry(params: DLParams, seed: int) -> VerificationReport:
 
 
 SUITES: dict[str, tuple[Check, ...]] = {
-    "conformance": (_check_word_metric, _check_beta_ray, _check_metric_axioms),
+    "conformance": (
+        _check_word_metric_conformance, _check_beta_ray_identities, _check_metric_axioms
+    ),
     "lemmas": (_check_comparison_lemmas,),
     "horofn": (_check_beta_closed_form, _check_growth_table),
-    "stars": (_check_probe_exclusion, _check_asymmetry),
+    "stars": (_check_probe_exclusion, _check_asymmetry_certificates),
 }
 
 
 @dataclass(frozen=True)
 class Domain:
-    """The graphs DL_d(q) that the check of this name runs on: d in d
-    and q >= 2, as every such check climbs label-1 edges.  why says what
-    rules out the others."""
+    """The graphs DL_d(q) that a check runs on: d in d and q >= 2, as
+    every such check climbs label-1 edges.  why says what rules out the
+    others."""
 
-    name: str
     d: range
     why: str
 
@@ -787,34 +751,41 @@ _D3 = range(3, 4)
 # the checks of SUITES that run only on some graphs; the others run on
 # every DL_d(q)
 DOMAINS: dict[Check, Domain] = {
-    _check_beta_ray: Domain(
-        "beta-ray-identities", range(3, MAX_DIMENSION + 1),
+    _check_beta_ray_identities: Domain(
+        range(3, MAX_DIMENSION + 1),
         "beta moves tree 3, and alpha and beta climb label-1 edges",
     ),
-    _check_beta_closed_form: Domain(
-        "beta-closed-form", _D3, "beta_value is the closed form of DL_3(q)"
-    ),
-    _check_growth_table: Domain(
-        "growth-table", _D3, "the table pins the six tree orderings of DL_3(q)"
-    ),
-    _check_probe_exclusion: Domain(
-        "probe-exclusion", _D3, "the probe sets are defined on DL_3(q)"
-    ),
-    _check_asymmetry: Domain(
-        "asymmetry-certificates", _D3, "the beta neighborhood is defined on DL_3(q)"
-    ),
+    _check_beta_closed_form: Domain(_D3, "beta_value is the closed form of DL_3(q)"),
+    _check_growth_table: Domain(_D3, "the table pins the six tree orderings of DL_3(q)"),
+    _check_probe_exclusion: Domain(_D3, "the probe sets are defined on DL_3(q)"),
+    _check_asymmetry_certificates: Domain(_D3, "the beta neighborhood is defined on DL_3(q)"),
 }
+
+
+def _report_name(check: Check) -> str:
+    """The name check reports under: _check_probe_exclusion reports as
+    probe-exclusion."""
+    return check.__name__.removeprefix("_check_").replace("_", "-")
 
 
 def run_check(check: Check, params: DLParams, seed: int) -> VerificationReport:
     """check(params, seed), with its wall time recorded in the report, or
-    a skipped report when params lie outside the check's DOMAINS entry."""
+    a skipped report when params lie outside the check's DOMAINS entry.
+
+    A check that raises MemoryCapExceeded is refused: its report has no
+    cases and one failure, the cap's message, with the size asked for as
+    refused_size in its details.
+    """
     domain = DOMAINS.get(check)
     reason = domain and domain.skip_reason(params)
     if reason:
-        return VerificationReport(domain.name, 0, 0, skipped=reason)
+        return VerificationReport(_report_name(check), 0, 0, skipped=reason)
     t0 = time.perf_counter()
-    report = check(params, seed)
+    try:
+        report = check(params, seed)
+    except MemoryCapExceeded as e:
+        details = {"refused_size": e.size}
+        report = VerificationReport(_report_name(check), 0, 1, str(e), details)
     return replace(report, elapsed=time.perf_counter() - t0)
 
 
@@ -830,7 +801,8 @@ def run_suites(
     "all" among names runs every suite of SUITES.  params defaults to
     DLParams(), DL_3(2); seed, an int, seeds every sampled check (the
     same seed gives the same samples).  Checks outside their DOMAINS
-    entry come back as skipped reports.  Raises ValueError on an unknown
+    entry come back as skipped reports, and refused checks as failed
+    ones (run_check).  Raises ValueError on an unknown
     suite name, a seed that is not an int, or workers other than 1:
     suites run in one process, and workers stays only because the
     benchmark harness passes workers=1, until a change to the harness

@@ -9,15 +9,15 @@ the number of cases checked and, where one applies, the runtime budget.
 from dlstar import DLParams
 from dlstar.verify import (
     DEFAULT_SEED,
-    DOMAINS,
-    _check_asymmetry,
+    _check_asymmetry_certificates,
     _check_beta_closed_form,
-    _check_beta_ray,
+    _check_beta_ray_identities,
     _check_comparison_lemmas,
     _check_growth_table,
     _check_metric_axioms,
     _check_probe_exclusion,
-    _check_word_metric,
+    _check_word_metric_conformance,
+    _report_name,
     run_check,
 )
 
@@ -28,15 +28,15 @@ def _run(capsys, check, params, budget=None):
         print(report.line())
     assert report.passed, report.line()
     assert report.failures == 0 and report.skipped is None
-    if check in DOMAINS:  # a skipped report carries the name the check reports
-        assert DOMAINS[check].name == report.name
+    # a skipped or refused report carries the name the check reports
+    assert report.name == _report_name(check)
     if budget is not None:
         assert report.elapsed < budget, f"{report.name} took {report.elapsed:.1f}s"
     return report
 
 
 def test_word_metric_matches_bfs_oracle(params, capsys):
-    rep = _run(capsys, _check_word_metric, params, budget=10)
+    rep = _run(capsys, _check_word_metric_conformance, params, budget=10)
     assert rep.details["ball_radius"] == 5
     assert rep.details["random_pairs"] == 200
     # vertices the 200 meet-in-the-middle searches expanded
@@ -45,7 +45,7 @@ def test_word_metric_matches_bfs_oracle(params, capsys):
 
 
 def test_word_metric_matches_bfs_oracle_at_d4(capsys):
-    rep = _run(capsys, _check_word_metric, DLParams(4, 2), budget=20)
+    rep = _run(capsys, _check_word_metric_conformance, DLParams(4, 2), budget=20)
     assert rep.details["ball_radius"] == 5
     assert rep.details["random_pairs"] == 200
     assert rep.details["bfs_expanded"] == 130812
@@ -53,7 +53,7 @@ def test_word_metric_matches_bfs_oracle_at_d4(capsys):
 
 
 def test_beta_ray_identities(params, capsys):
-    rep = _run(capsys, _check_beta_ray, params, budget=5)
+    rep = _run(capsys, _check_beta_ray_identities, params, budget=5)
     assert rep.cases == 60  # two identities for each n up to 30
 
 
@@ -100,12 +100,9 @@ def test_comparison_lemma_screens(params, capsys):
     # one balanced_compare call per class of equal inputs
     assert rep.details["balanced_classes"] == 2287
     assert rep.details["distinct_profiles"] == 704
-    assert rep.details["max_profiles_per_vertex"] == 119
-    # the domination screens run once per pair of profiles some x sees
-    assert rep.details["profile_pairs"] == 155_158
     # the certified column rejects every pair on its own
     assert rep.details["full_width_pairs"] == 0
-    assert rep.cases == 65_374_896  # 2 * 319**3 screened triples + 451,378 checked calls
+    assert rep.cases == 1_442_610  # 2 * 704**2 screened profile pairs + 451,378 checked calls
 
 
 def test_comparison_lemma_screens_at_q3(capsys):
@@ -116,10 +113,8 @@ def test_comparison_lemma_screens_at_q3(capsys):
     assert rep.details["balanced_probes"] == 6561
     assert rep.details["balanced_classes"] == 2448
     assert rep.details["distinct_profiles"] == 704
-    assert rep.details["max_profiles_per_vertex"] == 119
-    assert rep.details["profile_pairs"] == 155_158
     assert rep.details["full_width_pairs"] == 0
-    assert rep.cases == 2_425_499_899  # 2 * 1063**3 screened triples + 23,185,805 checked calls
+    assert rep.cases == 24_177_037  # 2 * 704**2 screened profile pairs + 23,185,805 checked calls
 
 
 def test_comparison_lemma_screens_at_d4(capsys):
@@ -129,10 +124,8 @@ def test_comparison_lemma_screens_at_d4(capsys):
     assert rep.details["balanced_probes"] == 1024
     assert rep.details["balanced_classes"] == 14_803
     assert rep.details["distinct_profiles"] == 6552
-    assert rep.details["max_profiles_per_vertex"] == 589
-    assert rep.details["profile_pairs"] == 8_892_112
     assert rep.details["full_width_pairs"] == 0
-    assert rep.cases == 7_299_775_185  # 2 * 1539**3 screened triples + 9,467,547 checked calls
+    assert rep.cases == 95_324_955  # 2 * 6552**2 screened profile pairs + 9,467,547 checked calls
 
 
 def test_probe_set_exclusion(params, capsys):
@@ -160,7 +153,7 @@ def test_probe_set_exclusion_at_q3(capsys):
 
 
 def test_asymmetry_certificates(params, capsys):
-    rep = _run(capsys, _check_asymmetry, params)
+    rep = _run(capsys, _check_asymmetry_certificates, params)
     assert rep.details["witness_n_max"] == 30
     assert rep.details["min_slacks"] == [0, 0, 0, 0, 0]
     assert rep.cases == 4680  # 30 witness indices + 10 * 465 separation pairs

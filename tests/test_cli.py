@@ -327,22 +327,34 @@ def test_verify_skips_checks_outside_their_graphs(capsys):
     assert rows["beta-ray-identities"]["skipped"].startswith("runs on d >= 3 and q >= 2 only: ")
 
 
+def _refused_row(out):
+    """The one row of a JSON verify run whose check was refused."""
+    (row,) = json.loads(out)["result"]["rows"]
+    assert row["check"] == "comparison-lemmas" and row["passed"] is False
+    assert row["cases"] == 0 and row["failures"] == 1 and row["elapsed_s"] is not None
+    return row
+
+
 @pytest.mark.parametrize("d", ["6", "7"])
 def test_verify_lemmas_refuses_large_pair_key(capsys, d):
     # the radius-3 ball's pair key would pass the cap, so the lemma check
-    # is refused before the key is built: a failed run, not a usage error
-    code, out, err = run(capsys, "--d", d, "verify", "--suite", "lemmas")
-    assert code == 1 and out == ""
-    assert err.startswith("error: pair key too large") and "Traceback" not in err
+    # is refused before the key is built: a failed row, not a usage error
+    code, out, err = run(capsys, "--format", "json", "--d", d, "verify", "--suite", "lemmas")
+    assert code == 1 and err == ""
+    row = _refused_row(out)
+    size = row["notes"].removeprefix("refused_size=")
+    assert row["first_failure"] == f"pair key too large (at least {size})"
+    assert int(size) > 2**26
 
 
 def test_verify_lemmas_refuses_large_profile_pair_map(capsys):
-    # DL_5(2)'s pair key fits the cap, but the map of its 43,681**2
-    # profile pairs would not: refused once the key gives their number
-    code, out, err = run(capsys, "--d", "5", "verify", "--suite", "lemmas")
-    assert code == 1 and out == ""
-    assert err.startswith("error: profile pair map too large (at least 1908029761)")
-    assert "Traceback" not in err
+    # DL_5(2)'s pair key fits the cap, but its 43,681**2 profile pairs
+    # would not: refused once the key gives their number
+    code, out, err = run(capsys, "--format", "json", "--d", "5", "verify", "--suite", "lemmas")
+    assert code == 1 and err == ""
+    row = _refused_row(out)
+    assert row["first_failure"] == "profile pairs too large (at least 1908029761)"
+    assert row["notes"] == "refused_size=1908029761"
 
 
 def _child_env():

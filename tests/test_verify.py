@@ -35,7 +35,7 @@ from dlstar.verify import (
     DEFAULT_SEED,
     PROFILE_PAIR_CAP,
     SUITES,
-    _check_asymmetry,
+    _check_asymmetry_certificates,
     _check_comparison_lemmas,
     _check_growth_table,
     _check_metric_axioms,
@@ -92,7 +92,7 @@ def test_checks_run_only_on_their_domain(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "SUITES", {"horofn": (broken,)})
     monkeypatch.setattr(
-        verify_mod, "DOMAINS", {broken: verify_mod.Domain("broken", range(3, 4), "why")}
+        verify_mod, "DOMAINS", {broken: verify_mod.Domain(range(3, 4), "why")}
     )
     for p in (DLParams(4, 2), DLParams(3, 1), DLParams(2, 3)):
         (report,) = run_suites(["horofn"], p)
@@ -167,15 +167,21 @@ def test_pair_table_cross_matches_pair_profile(ball3, params):
             assert dist[p] == distance(x, z)
 
 
-def test_pair_table_narrow_cross_spans_blocks(ball4, params):
+def test_pair_table_narrow_cross_spans_blocks(ball4, params, monkeypatch):
     # many rows and few columns: the key is built and ranked a block of
-    # rows at a time, and the last block is a partial one
+    # rows at a time, and with blocks of 2**12 pairs the last is a
+    # partial one
+    monkeypatch.setattr(verify_mod, "_BLOCK_PAIRS", 2**12)
     verts = sorted(ball4, key=vertex_sort_key)
     sets = symmetric_probe_set(params) + printed_probe_set(params)
     probes = (identity(params),) + tuple(dict.fromkeys(sets))
-    blocks = verify_mod._pair_blocks(np.full(len(verts), len(probes)))
+    blocks = verify_mod._pair_blocks(len(verts), len(probes))
     sizes = [b.stop - b.start for b in blocks]
+    assert [b.start for b in blocks] == list(range(0, len(verts), sizes[0]))
     assert sum(sizes) == len(verts) and len(sizes) > 2 and 0 < sizes[-1] < sizes[0]
+    # a row wider than a block is a block of its own
+    wide = verify_mod._pair_blocks(3, 2**12 + 1)
+    assert wide == [slice(0, 1), slice(1, 2), slice(2, 3)]
     table = pair_table(verts, probes)
     assert table.inv.shape == (1129, 8) and table.inv.dtype == np.int32
     m, l, dist = table.m.tolist(), table.l.tolist(), table.dist.tolist()
@@ -220,50 +226,33 @@ def test_pair_table_cap_precedes_pair_stats(ball3, params, monkeypatch):
     assert e.value.size == entries
 
 
-def _per_triple_screens(table):
-    """(cases, failures) of both screens on every triple, one array
-    element per triple, from the table expanded to one row per pair."""
-    flat_f = table.f.reshape(len(table.f), -1)
-    f, dist, m, l = (column[table.inv] for column in (flat_f, table.dist, table.m, table.l))
-    cases = failures = 0
-    for a in range(len(table.inv)):
-        kmax = (f[a][None, :, :] - f[a][:, None, :]).min(axis=2)
-        gap = dist[a][None, :] - dist[a][:, None]
-        coff = np.minimum(
-            m[a][None, :, :] - m[a][:, None, :], l[a][None, :, :] - l[a][:, None, :]
-        )
-        row_bad = (kmax >= 0) & (gap < kmax)
-        coord_bad = (coff >= 0).all(axis=2) & (gap < coff.sum(axis=2))
-        cases += row_bad.size + coord_bad.size
-        failures += int(row_bad.sum()) + int(coord_bad.sum())
-    return cases, failures
+def _per_pair_screens(table):
+    """(cases, failures) of both screens on every ordered pair of the
+    table's profiles, one array element per pair (y, z) at [y, z]."""
+    kmax = (table.f[None] - table.f[:, None]).min(axis=(2, 3))
+    gap = table.dist[None] - table.dist[:, None]
+    coff = np.minimum(table.m[None] - table.m[:, None], table.l[None] - table.l[:, None])
+    row_bad = (kmax >= 0) & (gap < kmax)
+    coord_bad = (coff >= 0).all(axis=2) & (gap < coff.sum(axis=2))
+    return row_bad.size + coord_bad.size, int(row_bad.sum()) + int(coord_bad.sum())
 
 
-def _fails(table, a, b, c):
-    """Whether the triple of rows a, b, c fails either screen, by the rule
-    of _per_triple_screens."""
-    p, r = table.inv[a, b], table.inv[a, c]
-    kmax = (table.f[r] - table.f[p]).min()
-    gap = table.dist[r] - table.dist[p]
-    coff = np.minimum(table.m[r] - table.m[p], table.l[r] - table.l[p])
+def _fails(table, y, z):
+    """Whether the profile pair (y, z) fails either screen, by the rule of
+    _per_pair_screens."""
+    kmax = (table.f[z] - table.f[y]).min()
+    gap = table.dist[z] - table.dist[y]
+    coff = np.minimum(table.m[z] - table.m[y], table.l[z] - table.l[y])
     return bool((kmax >= 0 and gap < kmax) or ((coff >= 0).all() and gap < coff.sum()))
 
 
 @pytest.mark.parametrize("d,q,radius", [(3, 2, 2), (2, 2, 3)])
-def test_weighted_screens_match_per_triple_screens(d, q, radius):
+def test_dominance_screen_matches_per_pair_screens(d, q, radius):
     verts = sorted(ball_distances(DLParams(d, q), radius), key=vertex_sort_key)
     table = pair_table(verts)
     lowered = table.dist.copy()
     lowered[::5] -= 1
     mutant = replace(table, dist=lowered)
-    # one profile lowered that only a few x see: its failing pairs stand
-    # for triples of those x alone, counted x by x
-    seen_by = (table.inv[:, :, None] == np.arange(len(table.dist))).any(axis=1).sum(axis=0)
-    rare = int(seen_by.argmin())
-    assert 1 < seen_by[rare] < len(verts)
-    lowered = table.dist.copy()
-    lowered[rare] -= 1
-    sparse = replace(table, dist=lowered)
     # f rows lowered on some profiles: as y, each lets pairs past its
     # certified column to the full-width minimum
     lowered = table.f.copy()
@@ -274,27 +263,32 @@ def test_weighted_screens_match_per_triple_screens(d, q, radius):
     m[::4, 0] -= 1
     l[::4, 0] -= 1
     low_ml = replace(table, m=m, l=l)
-    index = {repr(v): i for i, v in enumerate(verts)}
     # (table, the screen its first failure names, whether pairs take the
     # full-width row check); a correct table needs none
     for tab, failing, widened in (
         (table, None, False),
         (mutant, "", True),
-        (sparse, "", True),
         (low_f, "row", True),
         (low_ml, "coordinate", False),
     ):
         tally = Tally()
-        full_width = screen_dominance(tally, tab, verts)[2]
-        assert (tally.cases, tally.failures) == _per_triple_screens(tab)
-        assert tally.cases == 2 * len(verts) ** 3
+        full_width = screen_dominance(tally, tab)
+        assert (tally.cases, tally.failures) == _per_pair_screens(tab)
+        assert tally.cases == 2 * len(tab.dist) ** 2
         assert (full_width > 0) == widened
         assert (tally.failures > 0) == (failing is not None)
         assert (tally.first_failure is not None) == (failing is not None)
         if failing is not None:
+            # the two profiles the first failure names fail by the
+            # reference rule; a lowered profile may repeat another's m, l
             assert tally.first_failure.startswith(failing)
-            named = re.fullmatch(r".* x=(.*), y=(.*), z=(.*?)(, k=\d+)?", tally.first_failure)
-            assert _fails(tab, *(index[name] for name in named.groups()[:3]))
+            named = re.fullmatch(r".* y=(.*), z=(.*?)(, k=\d+)?", tally.first_failure)
+            profiles = [
+                repr(PairProfile(tuple(a), tuple(b)))
+                for a, b in zip(tab.m.tolist(), tab.l.tolist())
+            ]
+            ys, zs = ([u for u, p in enumerate(profiles) if p == n] for n in named.groups()[:2])
+            assert ys and zs and any(_fails(tab, y, z) for y in ys for z in zs)
 
 
 def test_classes_match_per_row_unique():
@@ -337,8 +331,8 @@ def test_codes_match_unique_inverse(ball3):
 
 
 def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
-    # pair_table checks the U x U map of profile pairs against the cap as
-    # soon as it knows U, on a square table and on a cross one alike,
+    # pair_table checks the U**2 profile pairs against the cap as soon as
+    # it knows U, on a square table and on a cross one alike,
     # before profile_distance runs; the cap admits DL_4(2) and refuses
     # DL_5(2)
     assert 6552**2 <= PROFILE_PAIR_CAP < 43681**2
@@ -354,7 +348,7 @@ def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
         with monkeypatch.context() as patch:
             patch.setattr(verify_mod, "profile_distance", unreachable)
             patch.setattr(verify_mod, "PROFILE_PAIR_CAP", profiles**2 - 1)
-            with pytest.raises(MemoryCapExceeded, match="profile pair map too large") as e:
+            with pytest.raises(MemoryCapExceeded, match="profile pairs too large") as e:
                 pair_table(*args)
         assert e.value.size == profiles**2
         with monkeypatch.context() as patch:
@@ -368,6 +362,19 @@ def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
     with pytest.raises(MemoryCapExceeded) as e:
         _check_comparison_lemmas(params, DEFAULT_SEED)
     assert e.value.size == 704**2
+
+
+def test_a_refused_check_is_a_failed_report(monkeypatch):
+    # the lemma table refused by the cap fails its own row, and the
+    # suites after it still run
+    monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", 704**2 - 1)
+    lemmas, *horofn = run_suites(["lemmas", "horofn"], DLParams(3, 2))
+    assert (lemmas.name, lemmas.cases, lemmas.failures) == ("comparison-lemmas", 0, 1)
+    assert lemmas.first_failure == f"profile pairs too large (at least {704**2})"
+    assert lemmas.details == {"refused_size": 704**2}
+    assert lemmas.elapsed is not None and lemmas.line().startswith("FAIL comparison-lemmas")
+    assert [r.name for r in horofn] == ["beta-closed-form", "growth-table"]
+    assert all(r.passed and r.cases > 0 for r in horofn)
 
 
 def _per_pair_sweeps(verts, probes):
@@ -639,7 +646,7 @@ def test_probe_screen_names_the_first_vertex_of_the_first_failing_class(params, 
 def test_asymmetry_counts_every_failing_case(params, monkeypatch):
     # each failing case counts once: two nonzero inclusion margins and a
     # separation report with three failures are five failures
-    clean = _check_asymmetry(params, DEFAULT_SEED)
+    clean = _check_asymmetry_certificates(params, DEFAULT_SEED)
     star, separation = verify_mod.star_witness, verify_mod.separation_evidence
 
     def two_margins_off(a, b, n_max):
@@ -652,7 +659,7 @@ def test_asymmetry_counts_every_failing_case(params, monkeypatch):
 
     monkeypatch.setattr(verify_mod, "star_witness", two_margins_off)
     monkeypatch.setattr(verify_mod, "separation_evidence", three_failures)
-    broken = _check_asymmetry(params, DEFAULT_SEED)
+    broken = _check_asymmetry_certificates(params, DEFAULT_SEED)
     assert clean.failures == 0
     assert broken.cases == clean.cases == 4680
     assert broken.failures == 5
@@ -715,7 +722,7 @@ def test_asymmetry_requires_a_zero_minimum_slack(params, monkeypatch):
         return replace(report, details=details)
 
     monkeypatch.setattr(verify_mod, "separation_evidence", raised)
-    report = _check_asymmetry(params, DEFAULT_SEED)
+    report = _check_asymmetry_certificates(params, DEFAULT_SEED)
     assert not report.passed and report.failures == 1
     assert report.details["min_slacks"] == [1, 1, 1, 1, 1]
     assert report.first_failure == "minimum separation slack 1, want exactly 0"
