@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact word metric and boundary computations on Diestel-Leader graphs.",
     )
     parser.add_argument("--d", type=integer, default=3, help="number of tree factors")
-    parser.add_argument("--q", type=integer, default=2, help="tree branching parameter")
+    parser.add_argument(
+        "--q", type=integer, default=2, help="tree branching parameter, at least 2"
+    )
     parser.add_argument(
         "--format", choices=("table", "json", "csv"), default="table",
         help="output format",

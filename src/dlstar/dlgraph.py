@@ -47,14 +47,15 @@ DEFAULT_MEMORY_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class DLParams:
-    """Graph parameters: d tree factors, trees of valence q+1."""
+    """Graph parameters: d tree factors, trees of valence q+1, where
+    q >= 2 so that the label 1 the point families climb exists."""
 
     d: int = 3
     q: int = 2
 
     def __post_init__(self):
         _require_int(self.d, "d", 2, MAX_DIMENSION)
-        _require_int(self.q, "q", 1)
+        _require_int(self.q, "q", 2)
 
 
 class DLVertex(NamedTuple):
@@ -371,9 +372,8 @@ def balanced_vertices(params: DLParams, depths: Sequence[range]) -> tuple[DLVert
                 f"tree {t} depths must be a range of step 1 from a nonnegative start, got {r!r}"
             )
     q = params.q
-    # shallower[j] coordinates have depth < j.  For q >= 2 depth top alone
-    # holds more than the cap, and at q = 1 no depth past 0 holds any, so
-    # no depth past top is counted or built.
+    # shallower[j] coordinates have depth < j.  Depth top alone holds more
+    # than the cap, so no depth past top is counted or built.
     top = DEFAULT_MEMORY_CAP.bit_length() + 1
     shallower = [0] + [q ** (j - 1) for j in range(1, top + 2)]
     depths = [range(min(r.start, top), min(r.stop, top + 1)) if r else r for r in depths]
@@ -458,8 +458,6 @@ class PointFamily:
             )
         if len(self.down) != len(self.up) or sum(self.base.heights) != 0:
             raise HeightImbalance(f"family {self.name} does not keep heights balanced")
-        if self.up:
-            _require_label_one(self.params, self.name)
 
     @property
     def params(self) -> DLParams:
@@ -473,11 +471,6 @@ class PointFamily:
                 n if t in self.down else 0, (1,) * n if t in self.up else ()
             )
         return DLVertex(tuple(coords), self.base.q)
-
-
-def _require_label_one(params: DLParams, who: str) -> None:
-    if params.q < 2:
-        raise ValueError(f"{who} uses label 1 and needs q >= 2")
 
 
 def alpha_family(params: DLParams) -> PointFamily:
@@ -513,8 +506,6 @@ def zeta_point(params: DLParams, tree: int, k: int) -> DLVertex:
     """Balanced excursion of depth k in one tree, trivial elsewhere."""
     _require_int(tree, "tree index", 1, params.d)
     _require_int(k, "k", 0)
-    if k > 0:
-        _require_label_one(params, "zeta")
     coords = [ORIGIN] * params.d
     coords[tree - 1] = TreeVertex(k, (1,) * k)
     return DLVertex(tuple(coords), params.q)

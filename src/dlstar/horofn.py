@@ -303,8 +303,6 @@ def _probe_set(params: DLParams, excursions: tuple) -> tuple[DLVertex, ...]:
     unit slides nu_point(tree, eps, 1) for tree in (1, 2), eps in (0, 1)."""
     if params.d != 3:
         raise WrongDimension("probe sets are only defined for d = 3")
-    if params.q < 2:
-        raise ValueError("probe sets need q >= 2")
     return tuple(zeta_point(params, tree, k) for tree, k in excursions) + tuple(
         nu_point(params, tree, eps, 1) for tree in (1, 2) for eps in (0, 1)
     )

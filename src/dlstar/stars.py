@@ -162,8 +162,6 @@ def separation_evidence(
     if limit != 0:
         raise ProfileMismatch(f"{a.name} has limiting tree-3 spine depth {limit}, need 0")
     witnesses = nk_beta_truncation(a.params, k, depth)
-    if not witnesses:  # q = 1 has no vertex at depth >= 1
-        raise ValueError(f"no witnesses of depth {k}..{k + depth} at q = {a.params.q}")
     tally = Tally()
     slacks = []
     for n in range(1, n_max + 1):

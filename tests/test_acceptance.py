@@ -89,7 +89,7 @@ def test_beta_closed_form_at_q3(capsys):
 def test_growth_table_reproduction(params, capsys):
     rep = _run(capsys, _check_growth_table, params)
     assert rep.details["samples"] == 50
-    assert rep.cases == 950  # 50 samples * (6 orderings * 3 fits + shift)
+    assert rep.cases == 900  # 50 samples * 6 orderings * 3 fits
 
 
 def test_comparison_lemma_screens(params, capsys):

@@ -34,7 +34,7 @@ PROFILE = PairProfile((1, 0, 0), (0, 1, 0))
 # (entry point, name in the message, lowest, highest or None, call on the value)
 BOUNDED = [
     ("DLParams.d", "d", 2, 8, lambda v: DLParams(v, 2)),
-    ("DLParams.q", "q", 1, None, lambda v: DLParams(3, v)),
+    ("DLParams.q", "q", 2, None, lambda v: DLParams(3, v)),
     ("ball_distances.radius", "radius", 0, None, lambda v: ball_distances(P, v)),
     ("PointFamily.at", "family index", 0, None, lambda v: ALPHA.at(v)),
     # tree 3 is required and may be listed only once

@@ -145,6 +145,17 @@ def test_huge_dimension_exits_2(capsys):
     assert code == 2 and out == "" and "d must be in" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("distance", "0:|0:|0:", "0:|0:|0:"),
+    ("ball", "--radius", "1"),
+    ("verify", "--suite", "all"),
+], ids=lambda argv: argv[0])
+def test_q_below_2_exits_2(capsys, argv):
+    # every graph has label 1, so DL_d(1) is a usage error, whatever the command
+    code, out, err = run(capsys, "--q", "1", *argv)
+    assert (code, out, err) == (2, "", "error: q must be at least 2, got 1\n")
+
+
 # int() would read each of these as an integer; the CLI takes ASCII digits
 # after an optional '-', as vertex literals do
 NOT_INTEGERS = ("+1", " 1", "1_0", "\u0661")
@@ -283,11 +294,11 @@ def test_separation_exit_codes(capsys):
         "--nmax", "0", "--depth", "1",
     )
     assert code == 2 and out == "" and "n_max" in err
-    # at q = 1 the neighborhood is empty, so nothing is checked
+    # DL_3(1) is refused before any family is read
     code, out, err = run(
         capsys, "--q", "1", "separation", "--family", "nu:1,0,0", "--k", "1",
     )
-    assert code == 2 and out == "" and "no witnesses" in err
+    assert code == 2 and out == "" and "q must be at least 2" in err
     # 2^41 - 1 witnesses: refused before any is built
     code, out, err = run(
         capsys, "separation", "--family", "alpha", "--k", "1", "--nmax", "1",
@@ -314,7 +325,7 @@ def test_verify_skips_checks_outside_their_graphs(capsys):
     rows = json.loads(out)["result"]["rows"]
     assert [r["check"] for r in rows] == ["beta-closed-form", "growth-table"]
     for r in rows:
-        assert r["skipped"].startswith("runs on d = 3 and q >= 2 only: ")
+        assert r["skipped"].startswith("runs on d = 3 only: ")
         assert r["cases"] == 0 and r["elapsed_s"] is None
     # DL_2(2) keeps the rows that run on every graph and skips the ray
     code, out, _ = run(capsys, "--d", "2", "--format", "json", "verify", "--suite", "conformance")
@@ -324,7 +335,7 @@ def test_verify_skips_checks_outside_their_graphs(capsys):
     for name in ("word-metric-conformance", "metric-axioms"):
         assert rows[name]["skipped"] is None and rows[name]["cases"] > 0
         assert rows[name]["passed"] is True
-    assert rows["beta-ray-identities"]["skipped"].startswith("runs on d >= 3 and q >= 2 only: ")
+    assert rows["beta-ray-identities"]["skipped"].startswith("runs on d >= 3 only: ")
 
 
 def _refused_row(out):

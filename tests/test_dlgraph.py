@@ -39,7 +39,11 @@ import dlstar.dlgraph as dlgraph_mod
 
 
 def test_params_validation():
-    DLParams(2, 1)
+    # q >= 2 at every d, so that label 1 exists
+    for d in range(2, 9):
+        DLParams(d, 2)
+        with pytest.raises(ValueError, match="^q must be at least 2, got 1$"):
+            DLParams(d, 1)
     with pytest.raises(ValueError):
         DLParams(1, 2)
     with pytest.raises(ValueError):
@@ -242,9 +246,6 @@ def test_balanced_vertices_memory_cap(params):
         assert e.value.size > DEFAULT_MEMORY_CAP
     with pytest.raises(MemoryCapExceeded):
         balanced_vertices(params, (range(1), range(1), range(10**12, 10**12 + 1)))
-    # at q = 1 only depth 0 has a coordinate, however deep the range
-    (only,) = balanced_vertices(DLParams(3, 1), (range(1), range(1), range(10**12)))
-    assert only == identity(DLParams(3, 1))
     # an empty range empties the product without building the others
     assert balanced_vertices(params, (range(1), range(0), range(10**12))) == ()
     with pytest.raises(DimensionMismatch):
@@ -389,15 +390,6 @@ def test_beta_needs_three_trees():
         beta_family(DLParams(2, 2))
 
 
-def test_families_reject_binary_labels():
-    thin = DLParams(3, 1)
-    with pytest.raises(ValueError):
-        alpha_family(thin)
-    with pytest.raises(ValueError):
-        zeta_point(thin, 1, 1)
-    assert zeta_point(thin, 1, 0) == identity(thin)
-
-
 def test_point_family_checks_shape(params, origin):
     ray = PointFamily("ray", origin, frozenset({1}), frozenset({0}))
     assert ray.params == params
@@ -414,8 +406,5 @@ def test_point_family_checks_shape(params, origin):
     tilted = DLVertex((TreeVertex(0, (1,)), TreeVertex(0, ()), TreeVertex(0, ())), 2)
     with pytest.raises(HeightImbalance):
         PointFamily("tilted", tilted)
-    # climbing uses label 1; a constant family needs no q >= 2
-    thin = identity(DLParams(3, 1))
-    with pytest.raises(ValueError, match="needs q >= 2"):
-        PointFamily("thin", thin, frozenset({2}), frozenset({2}))
-    assert PointFamily("still", thin).at(4) == thin
+    # a family with no moving tree is constant
+    assert PointFamily("still", origin).at(4) == origin

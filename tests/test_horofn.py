@@ -353,8 +353,6 @@ def test_probe_sets(params):
     assert printed[2:] == symmetric[2:]
     with pytest.raises(WrongDimension):
         printed_probe_set(DLParams(4, 2))
-    with pytest.raises(ValueError):
-        symmetric_probe_set(DLParams(3, 1))
 
 
 def test_probe_disagreement_frozen(params):

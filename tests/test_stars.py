@@ -101,9 +101,6 @@ def test_separation_rejects_wrong_profile(params):
     # no index checked is no evidence, not a pass
     with pytest.raises(ValueError, match="n_max"):
         separation_evidence(alpha_family(params), 1, 0, 1)
-    # nor is an empty neighborhood: at q = 1 no vertex has depth >= 1
-    with pytest.raises(ValueError, match="no witnesses"):
-        separation_evidence(nu_family(DLParams(3, 1), 1, 0, 0), 1, 4, 2)
     for k, n_max, depth in ((True, 3, 1), (1, 3.0, 1), (1, 3, 1.0), (1.5, 3, 1)):
         with pytest.raises(ValueError, match="must be an int"):
             separation_evidence(alpha_family(params), k, n_max, depth)

@@ -118,6 +118,35 @@ def test_only_dlgraph_reads_the_coder():
     }
 
 
+def q_compared_with_numbers(source: str) -> list[int]:
+    """The lines that compare a name or attribute called q with a number."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(o, ast.Name) and o.id == "q"
+                or isinstance(o, ast.Attribute) and o.attr == "q"
+                for o in operands
+            ) and any(
+                isinstance(o, ast.Constant) and type(o.value) in (int, float)
+                for o in operands
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_q_comparisons_are_found():
+    source = "if p.q < 2: pass\nok = 2 <= q\nx.q != y.q\nq - 1 > n\nq == True\n"
+    assert q_compared_with_numbers(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_q_is_bounded_only_by_dlparams(path):
+    # DLParams refuses q < 2, so no module tests q again
+    assert q_compared_with_numbers(path.read_text()) == []
+
+
 def imported_modules(source: str) -> set[str]:
     """The top-level packages a source imports, absolute imports only."""
     found = set()
