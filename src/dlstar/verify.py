@@ -1,8 +1,10 @@
 """Property suites behind `dlstar verify` and the acceptance tests.
 
 Each suite is a tuple of checks, one per headline property; a check
-takes (params, seed) and returns a VerificationReport, and a check
-refused by a memory cap comes back as a failed report.  The domination
+takes (params, seed, tally), counts its cases and failures on the
+tally and returns its details.  run_check names, times and reports
+each check; a check stopped by a memory cap or a table mismatch comes
+back as a failed report (one more failure on its tally).  The domination
 screens run on a table of the distinct pair profiles, built by
 pair_table from the library's own pair_stats, profile_distance and
 f_rows.  pair_table is the one constructor of a table, and it refuses
@@ -47,7 +49,7 @@ from .dlgraph import (
     identity,
     vertex_sort_key,
 )
-from .errors import MemoryCapExceeded
+from .errors import MemoryCapExceeded, TableMismatch
 from .horofn import (
     _limit_sweep,
     beta_value,
@@ -85,7 +87,8 @@ DEFAULT_SEED = 20260814
 # profile_distance runs.
 PROFILE_PAIR_CAP = 2**26
 
-Check = Callable[[DLParams, int], VerificationReport]
+# a check counts cases and failures on the tally and returns its details
+Check = Callable[[DLParams, int, Tally], dict]
 
 
 def _sorted_ball(params: DLParams, radius: int) -> list[DLVertex]:
@@ -94,10 +97,9 @@ def _sorted_ball(params: DLParams, radius: int) -> list[DLVertex]:
 
 # ── conformance ─────────────────────────────────────────────────────────────
 
-def _check_word_metric_conformance(params: DLParams, seed: int) -> VerificationReport:
+def _check_word_metric_conformance(params: DLParams, seed: int, tally: Tally) -> dict:
     reached = ball_distances(params, 5)
     base = identity(params)
-    tally = Tally()
     for v, want in reached.items():
         got = distance(base, v)
         tally.check(got == want, lambda: f"{v}: formula {got}, bfs {want}")
@@ -110,22 +112,18 @@ def _check_word_metric_conformance(params: DLParams, seed: int) -> VerificationR
         got, cost = _bfs_search(x, y, 2 * want + 2)  # bfs_distance's default cap
         expanded += cost
         tally.check(got == want, lambda: f"{x} vs {y}: formula {want}, bfs {got}")
-    return tally.report(
-        "word-metric-conformance",
-        {
-            "ball_radius": 5,
-            "ball_size": len(reached),
-            "random_pairs": len(pairs),
-            "bfs_expanded": expanded,
-        },
-    )
+    return {
+        "ball_radius": 5,
+        "ball_size": len(reached),
+        "random_pairs": len(pairs),
+        "bfs_expanded": expanded,
+    }
 
 
-def _check_beta_ray_identities(params: DLParams, seed: int) -> VerificationReport:
+def _check_beta_ray_identities(params: DLParams, seed: int, tally: Tally) -> dict:
     beta = beta_family(params)
     alpha = alpha_family(params)
     base = identity(params)
-    tally = Tally()
     for n in range(1, 31):
         bn = beta.at(n)
         for label, got in (
@@ -133,14 +131,13 @@ def _check_beta_ray_identities(params: DLParams, seed: int) -> VerificationRepor
             ("distance to alpha_n", distance(bn, alpha.at(n))),
         ):
             tally.check(got == 2 * n, lambda: f"n={n}: {label} is {got}, want {2 * n}")
-    return tally.report("beta-ray-identities", {"n_max": 30})
+    return {"n_max": 30}
 
 
-def _check_metric_axioms(params: DLParams, seed: int) -> VerificationReport:
+def _check_metric_axioms(params: DLParams, seed: int, tally: Tally) -> dict:
     reached = ball_distances(params, 4)
     pool = sorted(reached, key=vertex_sort_key)
     rng = random.Random(seed + 1)
-    tally = Tally()
     for _ in range(1000):
         x, y, z = (rng.choice(pool) for _ in range(3))
         dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
@@ -157,7 +154,7 @@ def _check_metric_axioms(params: DLParams, seed: int) -> VerificationReport:
             tally.check(
                 distance(x, y) != 0, lambda: f"zero distance between distinct {x}, {y}"
             )
-    return tally.report("metric-axioms", {"triples": 1000, "identity_ball_radius": 3})
+    return {"triples": 1000, "identity_ball_radius": 3}
 
 
 # ── comparison lemmas ───────────────────────────────────────────────────────
@@ -438,15 +435,13 @@ def screen_balanced(
     return len(seen)
 
 
-def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
+def _check_comparison_lemmas(params: DLParams, seed: int, tally: Tally) -> dict:
     verts = _sorted_ball(params, 3)
     n = len(verts)
     d = params.d
     perms = all_permutations(d)
     table = pair_table(verts)
     inv = table.inv
-
-    tally = Tally()
 
     # bind the profile table to the library row values on a sample
     rng = random.Random(seed + 2)
@@ -497,27 +492,23 @@ def _check_comparison_lemmas(params: DLParams, seed: int) -> VerificationReport:
     balanced_classes = screen_balanced(tally, verts, probes)
     screen_lower_bounds(tally, table, verts)
 
-    return tally.report(
-        "comparison-lemmas",
-        {
-            "ball_radius": 3,
-            "vertices": n,
-            "balanced_probes": len(probes),
-            "balanced_classes": balanced_classes,
-            "distinct_profiles": len(table.dist),
-            # pairs the certified column let through to the full-width
-            # row check, 0 on a correct table
-            "full_width_pairs": full_width_pairs,
-        },
-    )
+    return {
+        "ball_radius": 3,
+        "vertices": n,
+        "balanced_probes": len(probes),
+        "balanced_classes": balanced_classes,
+        "distinct_profiles": len(table.dist),
+        # pairs the certified column let through to the full-width row
+        # check, 0 on a correct table
+        "full_width_pairs": full_width_pairs,
+    }
 
 
 # ── horofunctions ───────────────────────────────────────────────────────────
 
-def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
+def _check_beta_closed_form(params: DLParams, seed: int, tally: Tally) -> dict:
     beta = beta_family(params)
     probes = _sorted_ball(params, 5)
-    tally = Tally()
     limits, classes = _limit_sweep(beta, probes)
     for z, (got, _) in zip(probes, limits):
         want = beta_value(z)
@@ -527,19 +518,16 @@ def _check_beta_closed_form(params: DLParams, seed: int) -> VerificationReport:
     for z, want in spot:
         got = beta_value(z)
         tally.check(got == want, lambda: f"{z}: closed form {got}, want {want}")
-    return tally.report(
-        "beta-closed-form",
-        {
-            "ball_radius": 5,
-            "probes": len(probes),
-            "max_from_n": max(from_n for _, from_n in limits),
-            # one identity side per distinct from_n, shared by its probes
-            "identity_sides": len({from_n for _, from_n in limits}),
-            # one pair of profile_distance calls per distinct (from_n,
-            # Z[n] profile), shared by its probes
-            "limit_classes": classes,
-        },
-    )
+    return {
+        "ball_radius": 5,
+        "probes": len(probes),
+        "max_from_n": max(from_n for _, from_n in limits),
+        # one identity side per distinct from_n, shared by its probes
+        "identity_sides": len({from_n for _, from_n in limits}),
+        # one pair of profile_distance calls per distinct (from_n, Z[n]
+        # profile), shared by its probes
+        "limit_classes": classes,
+    }
 
 
 def _sample_bounded_vertex(
@@ -562,9 +550,8 @@ def _sample_bounded_vertex(
             return DLVertex(tuple(coords), params.q)
 
 
-def _check_growth_table(params: DLParams, seed: int) -> VerificationReport:
+def _check_growth_table(params: DLParams, seed: int, tally: Tally) -> dict:
     rng = random.Random(seed + 3)
-    tally = Tally()
     for _ in range(50):
         z = _sample_bounded_vertex(params, rng, 4)
         m1, m2, _ = (c.m for c in z.coords)
@@ -589,7 +576,7 @@ def _check_growth_table(params: DLParams, seed: int) -> VerificationReport:
                 lambda: f"{z} {sigma}: total {row.total}, want slope 2 "
                 f"intercept {expected[sigma]}",
             )
-    return tally.report("growth-table", {"samples": 50})
+    return {"samples": 50}
 
 
 # ── stars ───────────────────────────────────────────────────────────────────
@@ -674,32 +661,27 @@ def screen_probes(
     return int(count[missed[:, 1]].sum()), profiles, len(first)
 
 
-def _check_probe_exclusion(params: DLParams, seed: int) -> VerificationReport:
+def _check_probe_exclusion(params: DLParams, seed: int, tally: Tally) -> dict:
     symmetric = symmetric_probe_set(params)
     printed = printed_probe_set(params)
     reached = ball_distances(params, 6)
     nontrivial = [z for z in reached if z.coords[:2] != (ORIGIN, ORIGIN)]
     del reached
-    tally = Tally()
     misses, profiles, classes = screen_probes(tally, nontrivial, symmetric, printed)
     tally.check(
         not probe_disagreement(beta_family(params).at(5), symmetric).disagrees,
         lambda: "beta_5 unexpectedly disagrees with a symmetric probe",
     )
-    return tally.report(
-        "probe-exclusion",
-        {
-            "ball_radius": 6,
-            "nontrivial_vertices": len(nontrivial),
-            "printed_set_misses": misses,
-            "distinct_profiles": profiles,
-            "probe_classes": classes,
-        },
-    )
+    return {
+        "ball_radius": 6,
+        "nontrivial_vertices": len(nontrivial),
+        "printed_set_misses": misses,
+        "distinct_profiles": profiles,
+        "probe_classes": classes,
+    }
 
 
-def _check_asymmetry_certificates(params: DLParams, seed: int) -> VerificationReport:
-    tally = Tally()
+def _check_asymmetry_certificates(params: DLParams, seed: int, tally: Tally) -> dict:
     alpha = alpha_family(params)
     witness = star_witness(beta_family(params), alpha, 30)
     for n, margin in enumerate(witness.margins, 1):
@@ -713,10 +695,7 @@ def _check_asymmetry_certificates(params: DLParams, seed: int) -> VerificationRe
             tally.fail(lambda: f"{report.name}: {report.first_failure}", report.failures)
     if min(min_slacks) != 0:
         tally.fail(lambda: f"minimum separation slack {min(min_slacks)}, want exactly 0")
-    return tally.report(
-        "asymmetry-certificates",
-        {"witness_n_max": 30, "separation_k": "1..5", "min_slacks": min_slacks},
-    )
+    return {"witness_n_max": 30, "separation_k": "1..5", "min_slacks": min_slacks}
 
 
 SUITES: dict[str, tuple[Check, ...]] = {
@@ -764,23 +743,28 @@ def _report_name(check: Check) -> str:
 
 
 def run_check(check: Check, params: DLParams, seed: int) -> VerificationReport:
-    """check(params, seed), with its wall time recorded in the report, or
-    a skipped report when params lie outside the check's DOMAINS entry.
+    """The report of check(params, seed, tally) on a new Tally, named by
+    _report_name and with its wall time, or a skipped report when params
+    lie outside the check's DOMAINS entry.
 
-    A check that raises MemoryCapExceeded is refused: its report has no
-    cases and one failure, the cap's message, with the size asked for as
-    refused_size in its details.
+    A check that raises MemoryCapExceeded or TableMismatch fails: the
+    error is one more failure on its tally, the first failure unless a
+    case already failed, and the report keeps the cases counted before
+    it.  A cap error puts the size asked for in the details as
+    refused_size.
     """
     domain = DOMAINS.get(check)
     reason = domain and domain.skip_reason(params)
     if reason:
         return VerificationReport(_report_name(check), 0, 0, skipped=reason)
     t0 = time.perf_counter()
+    tally = Tally()
     try:
-        report = check(params, seed)
-    except MemoryCapExceeded as e:
-        details = {"refused_size": e.size}
-        report = VerificationReport(_report_name(check), 0, 1, str(e), details)
+        details = check(params, seed, tally)
+    except (MemoryCapExceeded, TableMismatch) as e:
+        tally.fail(lambda: str(e))
+        details = {"refused_size": e.size} if isinstance(e, MemoryCapExceeded) else {}
+    report = tally.report(_report_name(check), details)
     return replace(report, elapsed=time.perf_counter() - t0)
 
 
@@ -796,12 +780,12 @@ def run_suites(
     "all" among names runs every suite of SUITES.  params defaults to
     DLParams(), DL_3(2); seed, an int, seeds every sampled check (the
     same seed gives the same samples).  Checks outside their DOMAINS
-    entry come back as skipped reports, and refused checks as failed
-    ones (run_check).  Raises ValueError on an unknown
-    suite name, a seed that is not an int, or workers other than 1:
-    suites run in one process, and workers stays only because the
-    benchmark harness passes workers=1, until a change to the harness
-    drops it.
+    entry come back as skipped reports, and checks stopped by a cap or
+    a table mismatch as failed ones (run_check).  Raises ValueError on
+    an unknown suite name, a seed that is not an int, or workers other
+    than 1: suites run in one process, and workers stays only because
+    the benchmark harness passes workers=1, until a change to the
+    harness drops it.
     """
     if workers != 1:
         raise ValueError(f"suites run in one process; workers must be 1, got {workers!r}")

@@ -17,7 +17,6 @@ from dlstar.verify import (
     _check_metric_axioms,
     _check_probe_exclusion,
     _check_word_metric_conformance,
-    _report_name,
     run_check,
 )
 
@@ -28,8 +27,6 @@ def _run(capsys, check, params, budget=None):
         print(report.line())
     assert report.passed, report.line()
     assert report.failures == 0 and report.skipped is None
-    # a skipped or refused report carries the name the check reports
-    assert report.name == _report_name(check)
     if budget is not None:
         assert report.elapsed < budget, f"{report.name} took {report.elapsed:.1f}s"
     return report
@@ -58,7 +55,7 @@ def test_beta_ray_identities(params, capsys):
 
 
 def test_metric_axioms(params, capsys):
-    rep = _run(capsys, _check_metric_axioms, params)
+    rep = _run(capsys, _check_metric_axioms, params, budget=2)
     assert rep.details["triples"] == 1000
     assert rep.details["identity_ball_radius"] == 3
     assert rep.cases == 52040  # 1000 triples + 319 self + 319 * 318 / 2 pairs
@@ -87,7 +84,7 @@ def test_beta_closed_form_at_q3(capsys):
 
 
 def test_growth_table_reproduction(params, capsys):
-    rep = _run(capsys, _check_growth_table, params)
+    rep = _run(capsys, _check_growth_table, params, budget=0.5)
     assert rep.details["samples"] == 50
     assert rep.cases == 900  # 50 samples * 6 orderings * 3 fits
 
@@ -153,7 +150,7 @@ def test_probe_set_exclusion_at_q3(capsys):
 
 
 def test_asymmetry_certificates(params, capsys):
-    rep = _run(capsys, _check_asymmetry_certificates, params)
+    rep = _run(capsys, _check_asymmetry_certificates, params, budget=0.5)
     assert rep.details["witness_n_max"] == 30
     assert rep.details["min_slacks"] == [0, 0, 0, 0, 0]
     assert rep.cases == 4680  # 30 witness indices + 10 * 465 separation pairs

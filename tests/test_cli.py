@@ -317,6 +317,20 @@ def test_verify_suite(capsys):
     assert names == ["beta-closed-form", "growth-table"]
 
 
+def test_verify_reports_a_table_mismatch_as_a_row(capsys, wrong_beta_value):
+    # a wrong closed form fails both horofn rows and ends nothing: exit 1,
+    # every row on stdout, nothing on stderr
+    code, out, err = run(capsys, "--format", "json", "verify", "--suite", "horofn")
+    assert code == 1 and err == ""
+    rows = json.loads(out)["result"]["rows"]
+    assert [r["check"] for r in rows] == ["beta-closed-form", "growth-table"]
+    assert not any(r["passed"] for r in rows)
+    assert rows[1]["failures"] == 1
+    assert rows[1]["first_failure"].startswith(
+        "distance AffineInN(slope=2, intercept=4) in n, closed form 5"
+    )
+
+
 def test_verify_skips_checks_outside_their_graphs(capsys):
     # every horofn check is defined on DL_3(q) only: each row is skipped
     # with its reason, and the run passes

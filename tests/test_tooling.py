@@ -3,6 +3,7 @@ private top-level name is read, the package exports exactly what its
 __init__ imports, and README's examples run as printed."""
 
 import ast
+import inspect
 import shlex
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 import dlstar
 from dlstar.cli import main
+from dlstar.verify import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dlstar"
@@ -145,6 +147,41 @@ def test_q_comparisons_are_found():
 def test_q_is_bounded_only_by_dlparams(path):
     # DLParams refuses q < 2, so no module tests q again
     assert q_compared_with_numbers(path.read_text()) == []
+
+
+def checks_that_report(source: str) -> list[str]:
+    """The _check_* functions of a source that call Tally() or .report(."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
+            if any(
+                isinstance(c, ast.Call)
+                and (
+                    isinstance(c.func, ast.Name) and c.func.id == "Tally"
+                    or isinstance(c.func, ast.Attribute) and c.func.attr == "report"
+                )
+                for c in ast.walk(node)
+            ):
+                found.append(node.name)
+    return found
+
+
+def test_checks_that_report_are_found():
+    source = (
+        "def _check_a(p, s, t):\n    return Tally().cases\n"
+        "def _check_b(p, s, t):\n    return t.report('b', {})\n"
+        "def _check_c(p, s, t):\n    return {'report': t.cases, 'tally': Tally}\n"
+        "def run_check(c):\n    return Tally().report('x', {})\n"
+    )
+    assert checks_that_report(source) == ["_check_a", "_check_b"]
+
+
+def test_run_check_makes_every_report():
+    # each check fills the tally run_check hands it and returns its
+    # details; run_check alone builds and names the report
+    for check in (check for suite in SUITES.values() for check in suite):
+        assert list(inspect.signature(check).parameters) == ["params", "seed", "tally"]
+    assert checks_that_report((PACKAGE / "verify.py").read_text()) == []
 
 
 def imported_modules(source: str) -> set[str]:

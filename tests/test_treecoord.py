@@ -66,7 +66,7 @@ def test_pair_stats_matches_string_model(q, anchor, max_len):
 
 
 @pytest.mark.parametrize(
-    "d,q,anchor,max_len", [(3, 2, 3, 4), (2, 3, 2, 3), (4, 2, 2, 3), (3, 1, 2, 4)]
+    "d,q,anchor,max_len", [(3, 2, 3, 4), (2, 3, 2, 3), (4, 2, 2, 3), (3, 3, 2, 3)]
 )
 def test_neighbors_match_string_model(d, q, anchor, max_len):
     # every vertex of DL_d(q) whose coordinate strings have length

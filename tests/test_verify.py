@@ -13,7 +13,7 @@ from dlstar import (
     MemoryCapExceeded,
     PairProfile,
     ProbeReport,
-    VerificationReport,
+    TableMismatch,
     all_permutations,
     ball_distances,
     distance,
@@ -42,6 +42,7 @@ from dlstar.verify import (
     _check_probe_exclusion,
     _shift_classes,
     pair_table,
+    run_check,
     screen_balanced,
     screen_dominance,
     screen_lower_bounds,
@@ -60,9 +61,10 @@ def test_all_expands_to_every_suite(params, monkeypatch):
     ran = []
 
     def stub(name):
-        def check(p, seed):
+        def check(p, seed, tally):
             ran.append((name, seed))
-            return VerificationReport(name, 1, 0)
+            return {}
+        check.__name__ = f"_check_{name}"  # reports as the suite's name
         return (check,)
 
     monkeypatch.setattr(
@@ -86,7 +88,7 @@ def test_checks_run_only_on_their_domain(monkeypatch):
     # it, its exceptions surface and are not turned into skips
     calls = []
 
-    def broken(p, seed):
+    def broken(p, seed, tally):
         calls.append(p)
         raise ValueError("broken check")
 
@@ -115,7 +117,7 @@ def test_run_suites_rejects_workers(params):
 
 def test_run_suites_rejects_a_non_int_seed(monkeypatch):
     # checked before any check runs, so no check sees the seed
-    def never(p, seed):
+    def never(p, seed, tally):
         pytest.fail(f"a check ran with seed {seed!r}")
 
     monkeypatch.setattr(verify_mod, "SUITES", {"conformance": (never,)})
@@ -360,7 +362,7 @@ def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
     monkeypatch.setattr(verify_mod, "profile_distance", unreachable)
     monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", 704**2 - 1)
     with pytest.raises(MemoryCapExceeded) as e:
-        _check_comparison_lemmas(params, DEFAULT_SEED)
+        _check_comparison_lemmas(params, DEFAULT_SEED, Tally())
     assert e.value.size == 704**2
 
 
@@ -375,6 +377,25 @@ def test_a_refused_check_is_a_failed_report(monkeypatch):
     assert lemmas.elapsed is not None and lemmas.line().startswith("FAIL comparison-lemmas")
     assert [r.name for r in horofn] == ["beta-closed-form", "growth-table"]
     assert all(r.passed and r.cases > 0 for r in horofn)
+
+
+def test_a_table_mismatch_is_a_failed_row(wrong_beta_value):
+    # betandist_table refuses the wrong closed form part way through the
+    # growth table: the mismatch is that row's first failure, after the
+    # cases already counted, and every row of both suites comes back
+    params = DLParams(3, 2)
+    reports = run_suites(["horofn", "stars"], params)
+    assert [r.name for r in reports] == [
+        "beta-closed-form", "growth-table", "probe-exclusion", "asymmetry-certificates"
+    ]
+    closed_form, growth = reports[:2]
+    assert closed_form.failures > 0
+    with pytest.raises(TableMismatch) as e:
+        _check_growth_table(params, DEFAULT_SEED, Tally())
+    assert growth.failures == 1 and growth.first_failure == str(e.value)
+    # the five samples before the first with m1 = 1, 18 cases each
+    assert growth.cases == 90 and growth.details == {}
+    assert all(r.elapsed is not None for r in reports)
 
 
 def _per_pair_sweeps(verts, probes):
@@ -514,7 +535,7 @@ def test_probe_screen_fails_on_a_wrong_table(params, monkeypatch):
     # a representative checks its shifts and witnesses against
     # probe_disagreement: one profile one too high fails its class, and
     # the case count stays one per vertex
-    clean = _check_probe_exclusion(params, DEFAULT_SEED)
+    clean = run_check(_check_probe_exclusion, params, DEFAULT_SEED)
     real = verify_mod.pair_table
 
     def one_too_high(rows, cols=None):
@@ -524,7 +545,7 @@ def test_probe_screen_fails_on_a_wrong_table(params, monkeypatch):
         return replace(table, dist=raised)
 
     monkeypatch.setattr(verify_mod, "pair_table", one_too_high)
-    broken = _check_probe_exclusion(params, DEFAULT_SEED)
+    broken = run_check(_check_probe_exclusion, params, DEFAULT_SEED)
     assert clean.failures == 0
     assert broken.cases == clean.cases == 10585
     assert broken.failures > 0
@@ -540,7 +561,7 @@ def test_probe_screen_takes_verdicts_from_probe_disagreement(params, monkeypatch
         return ProbeReport(None, real(z, probes).rows)
 
     monkeypatch.setattr(verify_mod, "probe_disagreement", no_witness)
-    report = _check_probe_exclusion(params, DEFAULT_SEED)
+    report = run_check(_check_probe_exclusion, params, DEFAULT_SEED)
     assert (report.cases, report.failures) == (10585, 10584)
     assert report.details["printed_set_misses"] == 10584
     assert report.first_failure.endswith("agrees with every symmetric probe")
@@ -646,7 +667,7 @@ def test_probe_screen_names_the_first_vertex_of_the_first_failing_class(params, 
 def test_asymmetry_counts_every_failing_case(params, monkeypatch):
     # each failing case counts once: two nonzero inclusion margins and a
     # separation report with three failures are five failures
-    clean = _check_asymmetry_certificates(params, DEFAULT_SEED)
+    clean = run_check(_check_asymmetry_certificates, params, DEFAULT_SEED)
     star, separation = verify_mod.star_witness, verify_mod.separation_evidence
 
     def two_margins_off(a, b, n_max):
@@ -659,7 +680,7 @@ def test_asymmetry_counts_every_failing_case(params, monkeypatch):
 
     monkeypatch.setattr(verify_mod, "star_witness", two_margins_off)
     monkeypatch.setattr(verify_mod, "separation_evidence", three_failures)
-    broken = _check_asymmetry_certificates(params, DEFAULT_SEED)
+    broken = run_check(_check_asymmetry_certificates, params, DEFAULT_SEED)
     assert clean.failures == 0
     assert broken.cases == clean.cases == 4680
     assert broken.failures == 5
@@ -671,7 +692,7 @@ def test_metric_axioms_report_a_broken_triangle(params, monkeypatch):
     # not a metric: the first triple it breaks is the first failure
     real = verify_mod.distance
     monkeypatch.setattr(verify_mod, "distance", lambda x, y: real(x, y) ** 2)
-    report = _check_metric_axioms(params, DEFAULT_SEED)
+    report = run_check(_check_metric_axioms, params, DEFAULT_SEED)
     pool = sorted(ball_distances(params, 4), key=vertex_sort_key)
     rng = random.Random(DEFAULT_SEED + 1)
     broken = []
@@ -698,10 +719,10 @@ def test_growth_table_reports_a_wrong_intercept(params, monkeypatch):
         total = row.total._replace(intercept=row.total.intercept + 1)
         return replace(table, rows={**table.rows, (1, 2, 3): row._replace(total=total)})
 
-    clean = _check_growth_table(params, DEFAULT_SEED)
+    clean = run_check(_check_growth_table, params, DEFAULT_SEED)
     samples.clear()
     monkeypatch.setattr(verify_mod, "betandist_table", one_too_high)
-    report = _check_growth_table(params, DEFAULT_SEED)
+    report = run_check(_check_growth_table, params, DEFAULT_SEED)
     assert report.cases == clean.cases and clean.failures == 0
     assert report.failures == len(samples) == 50
     z, total = samples[0]
@@ -722,7 +743,7 @@ def test_asymmetry_requires_a_zero_minimum_slack(params, monkeypatch):
         return replace(report, details=details)
 
     monkeypatch.setattr(verify_mod, "separation_evidence", raised)
-    report = _check_asymmetry_certificates(params, DEFAULT_SEED)
+    report = run_check(_check_asymmetry_certificates, params, DEFAULT_SEED)
     assert not report.passed and report.failures == 1
     assert report.details["min_slacks"] == [1, 1, 1, 1, 1]
     assert report.first_failure == "minimum separation slack 1, want exactly 0"
