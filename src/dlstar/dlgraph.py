@@ -147,7 +147,7 @@ def neighbors(v: DLVertex) -> list[DLVertex]:
     there are more than DEFAULT_MEMORY_CAP of them.
     """
     coords = v.coords
-    q = v.q
+    q = v.params.q  # DLParams refuses a hand-built vertex's q < 2
     _require_degree_within_cap(len(coords), q)
     moves = [_tree_moves(c, q) for c in coords]
     new = tuple.__new__  # DLVertex(...) less the namedtuple constructor's frame

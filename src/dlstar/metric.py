@@ -122,6 +122,8 @@ def f_value(profile: PairProfile, sigma: Sequence[int], i: int) -> int:
     """One row value f(sigma, i), 1-based sigma; the reference for f_rows."""
     m, l = profile.m, profile.l
     d = len(m)
+    if len(l) != d:
+        raise ValueError(f"malformed profile: {d} spine depths, {len(l)} climbs")
     _require_int(i, "row index", 2, d)
     for v in sigma:
         _require_int(v, "ordering entry")
@@ -235,6 +237,7 @@ def bfs_distance(x: DLVertex, y: DLVertex, cap: int | None = None) -> int | None
     and ValueError for a cap that is not an int or is negative.
     """
     _check_same_graph(x, y)
+    x.params  # DLParams refuses a hand-built vertex's q < 2
     if cap is None:
         cap = 2 * distance(x, y) + 2
     _require_int(cap, "cap", 0)

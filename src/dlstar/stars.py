@@ -157,11 +157,10 @@ def separation_evidence(
     """
     _require_int(k, "k", 1)
     _require_int(n_max, "n_max", 1)
-    _require_int(depth, "depth")  # nk_beta_truncation bounds it, after the profile check
+    witnesses = nk_beta_truncation(a.params, k, depth)  # refuses d != 3 first
     limit = "unbounded" if 2 in a.down else a.base.coords[2].m
     if limit != 0:
         raise ProfileMismatch(f"{a.name} has limiting tree-3 spine depth {limit}, need 0")
-    witnesses = nk_beta_truncation(a.params, k, depth)
     tally = Tally()
     slacks = []
     for n in range(1, n_max + 1):

@@ -14,17 +14,17 @@ the screens take every ordered pair of distinct profiles once, one
 case per pair and screen.  The row screen rejects a pair by one
 certified column of f, which rejects every pair of a correct table,
 and reads the full width only for the pairs it lets through; the
-coordinate screen filters the pairs one tree at a time.  Sampled calls
-bind the table and the screens to the checker functions they certify.
-The exhaustive pair checks call their checker once per class of pairs
-with the same inputs, each call weighted by how many pairs share
-them, the classes counted without a sort.  Both probe sweeps,
-balanced_compare against the balanced probes and probe_disagreement
-against the probe sets, build their own cross table of the vertices
-against (id,) + probes and read each vertex's distance to the identity
-from its first column.  The probe screen binds each class's measured
-shifts to its table row and takes both sets' verdicts from
-probe_disagreement itself.
+coordinate screen filters the pairs one tree at a time.  One pair of
+each profile binds its row to the library (screen_profiles), and seeded
+triples bind the screens to the checker functions they certify.  The
+exhaustive pair checks call their checker once per class of pairs with
+the same inputs, each call weighted by how many pairs share them, the
+classes counted without a sort.  Both probe sweeps, balanced_compare
+against the balanced probes and probe_disagreement against the probe
+sets, build their own cross table of the vertices against (id,) +
+probes and read each vertex's distance to the identity from its first
+column.  The probe screen binds each class's measured shifts to its
+table row and takes both sets' verdicts from probe_disagreement itself.
 """
 
 from __future__ import annotations
@@ -371,24 +371,37 @@ def _classes(key_rows: Iterable[np.ndarray], span: int) -> tuple[np.ndarray, np.
     return count, pairs
 
 
-def screen_lower_bounds(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) -> None:
-    """lower_bounds on every ordered pair of verts, one call per profile.
+def screen_profiles(tally: Tally, table: PairTable, verts: Sequence[DLVertex]) -> None:
+    """Every row u of the square table bound to the library, and
+    lower_bounds on every ordered pair of verts, one call per profile.
 
     lower_bounds(x, y) reads x and y only through pair_profile(x, y), so
-    the first pair of each table row stands for every pair of the row,
-    two reports each.  It also checks its own profile against the row.
+    the first pair (x, y) of row u stands for the row's pairs, two reports
+    each.  It binds the row too: pair_profile(x, y) must be (m[u], l[u]),
+    with profile_distance dist[u] and f_value f[u, s, r] at the column
+    (s, r) = divmod(u % (d! * (d - 1)), d - 1).  A row that disagrees fails.
     """
     count, first = _classes(table.inv, len(table.dist))
+    perms = all_permutations(table.m.shape[1])
     profiles = zip(map(tuple, table.m.tolist()), map(tuple, table.l.tolist()))
     pairs = [(verts[a], verts[b]) for a, b in first.tolist()]
-    same = [pair_profile(x, y) == p for (x, y), p in zip(pairs, profiles)]
+    wrong = []  # per row, the first library function it disagrees with
+    for u, ((x, y), row) in enumerate(zip(pairs, profiles)):
+        s, r = divmod(u % table.f[u].size, table.f.shape[2])
+        p = pair_profile(x, y)
+        checks = (
+            ("pair_profile", p == row),
+            ("distance", profile_distance(p) == table.dist[u]),
+            ("f_value", f_value(p, perms[s], r + 2) == table.f[u, s, r]),
+        )
+        wrong.append(next((name for name, ok in checks if not ok), ""))
     reports = [lower_bounds(x, y) for x, y in pairs]
-    bad = np.array([[not (ok and r.verified) for r in rs] for ok, rs in zip(same, reports)])
+    bad = np.array([[bool(w) or not r.verified for r in rs] for w, rs in zip(wrong, reports)])
 
     def message(u, j):
         x, y = pairs[u]
-        if not same[u]:
-            return f"profile table disagrees with pair_profile at {x}, {y}"
+        if wrong[u]:
+            return f"profile table disagrees with {wrong[u]} at {x}, {y}"
         return f"{reports[u][j].claim} exceeded distance at {x}, {y}"
 
     tally.screen(bad, message, np.broadcast_to(count[:, None], bad.shape))
@@ -438,34 +451,17 @@ def screen_balanced(
 def _check_comparison_lemmas(params: DLParams, seed: int, tally: Tally) -> dict:
     verts = _sorted_ball(params, 3)
     n = len(verts)
-    d = params.d
-    perms = all_permutations(d)
     table = pair_table(verts)
-    inv = table.inv
-
-    # bind the profile table to the library row values on a sample
-    rng = random.Random(seed + 2)
-    for _ in range(500):
-        a, b = rng.randrange(n), rng.randrange(n)
-        s, r = divmod(rng.randrange(len(perms) * (d - 1)), d - 1)
-        sigma, i = perms[s], r + 2
-        tally.check(
-            table.f[inv[a, b], s, r] == f_value(pair_profile(verts[a], verts[b]), sigma, i),
-            lambda: f"f table disagrees with f_value at {verts[a]}, {verts[b]}, {sigma}, {i}",
-        )
-        tally.check(
-            table.dist[inv[a, b]] == distance(verts[a], verts[b]),
-            lambda: f"distance table disagrees at {verts[a]}, {verts[b]}",
-        )
 
     full_width_pairs = screen_dominance(tally, table)
 
     # the checker functions themselves, on seeded triples at the strongest
     # applicable k and just past it
+    rng = random.Random(seed + 2)
     for _ in range(1500):
         a, b, c = (rng.randrange(n) for _ in range(3))
         x, y, z = verts[a], verts[b], verts[c]
-        pb, pc = inv[a, b], inv[a, c]
+        pb, pc = table.inv[a, b], table.inv[a, c]
         k = int((table.f[pc] - table.f[pb]).min())
         if k >= 0:
             report = check_f_dominance(x, y, z, k)
@@ -487,10 +483,11 @@ def _check_comparison_lemmas(params: DLParams, seed: int, tally: Tally) -> dict:
             )
 
     # balanced comparisons against a balanced probe pool, and certified
-    # lower bounds on every pair, one call per class of equal inputs
-    probes = balanced_vertices(params, [range(3)] * (d - 1) + [range(5)])
+    # lower bounds on every pair, one call per class of equal inputs, the
+    # second pass also binding the table
+    probes = balanced_vertices(params, [range(3)] * (params.d - 1) + [range(5)])
     balanced_classes = screen_balanced(tally, verts, probes)
-    screen_lower_bounds(tally, table, verts)
+    screen_profiles(tally, table, verts)
 
     return {
         "ball_radius": 3,

@@ -99,7 +99,7 @@ def test_comparison_lemma_screens(params, capsys):
     assert rep.details["distinct_profiles"] == 704
     # the certified column rejects every pair on its own
     assert rep.details["full_width_pairs"] == 0
-    assert rep.cases == 1_442_610  # 2 * 704**2 screened profile pairs + 451,378 checked calls
+    assert rep.cases == 1_441_603  # 2 * 704**2 screened profile pairs + 450,371 checked calls
 
 
 def test_comparison_lemma_screens_at_q3(capsys):
@@ -111,7 +111,7 @@ def test_comparison_lemma_screens_at_q3(capsys):
     assert rep.details["balanced_classes"] == 2448
     assert rep.details["distinct_profiles"] == 704
     assert rep.details["full_width_pairs"] == 0
-    assert rep.cases == 24_177_037  # 2 * 704**2 screened profile pairs + 23,185,805 checked calls
+    assert rep.cases == 24_176_003  # 2 * 704**2 screened profile pairs + 23,184,771 checked calls
 
 
 def test_comparison_lemma_screens_at_d4(capsys):
@@ -122,7 +122,7 @@ def test_comparison_lemma_screens_at_d4(capsys):
     assert rep.details["balanced_classes"] == 14_803
     assert rep.details["distinct_profiles"] == 6552
     assert rep.details["full_width_pairs"] == 0
-    assert rep.cases == 95_324_955  # 2 * 6552**2 screened profile pairs + 9,467,547 checked calls
+    assert rep.cases == 95_323_896  # 2 * 6552**2 screened profile pairs + 9,466,488 checked calls
 
 
 def test_probe_set_exclusion(params, capsys):

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, error mapping."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import dlstar
 import dlstar.dlgraph as dlgraph_mod
-from dlstar.cli import main
+from dlstar.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -306,6 +307,9 @@ def test_separation_exit_codes(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: balanced vertex enumeration too large")
+    # DL_2(2) has no tree 3: a usage error, not a traceback
+    code, out, err = run(capsys, "--d", "2", "separation", "--family", "alpha", "--k", "2")
+    assert code == 2 and out == "" and "defined for d = 3" in err
 
 
 def test_verify_suite(capsys):
@@ -387,6 +391,45 @@ def _child_env():
     src = str(Path(dlstar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+FAMILY_FORMS = ("alpha", "beta", "gamma:1,3", "zeta:1,2", "nu:1,1,2")
+
+
+def sweep(d):
+    """Small argument lists for every subcommand at DL_d(2), each family
+    form wherever a family is taken."""
+    origin = "|".join(["0:"] * d)
+    v = "|".join(["1:1"] + ["0:"] * (d - 2) + ["1:1"])
+    yield "distance", origin, v
+    yield "bfs", origin, v
+    yield "neighbors", v
+    yield "ball", "--radius", "2"
+    yield "beta", v
+    yield "table-betandist", v
+    yield "probes", v, "--set", "printed"
+    yield "probes", v, "--set", "symmetric"
+    for family in FAMILY_FORMS:
+        yield "horolimit", v, "--family", family
+        yield "star-witness", "--a", family, "--b", "alpha", "--nmax", "4"
+        yield "star-witness", "--a", "beta", "--b", family, "--nmax", "4"
+        yield "separation", "--family", family, "--k", "1", "--nmax", "2", "--depth", "1"
+    # the cheapest suites; the others have tests of their own
+    yield "verify", "--suite", "horofn"
+    yield "verify", "--suite", "stars"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_every_subcommand_exits_with_a_status(capsys, d):
+    # a refusal exits 2 and a failed verdict 1; nothing raises
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    argvs = list(sweep(d))
+    assert {argv[0] for argv in argvs} == set(subcommands.choices)
+    for argv in argvs:
+        code, _, _ = run(capsys, "--d", str(d), *argv)
+        assert code in (0, 1, 2), argv
 
 
 def test_console_entry_point():

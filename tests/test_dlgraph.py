@@ -54,6 +54,11 @@ def test_params_validation():
     for d, q in ((3, 2.5), (3, True), (3.0, 2), (False, 2)):
         with pytest.raises(ValueError, match="must be an int"):
             DLParams(d, q)
+    # a hand-built vertex builds no DLParams; neighbors and bfs_distance read it
+    v = DLVertex((TreeVertex(0, ()),) * 3, 1)
+    for call in (lambda: neighbors(v), lambda: bfs_distance(v, v)):
+        with pytest.raises(ValueError, match="^q must be at least 2, got 1$"):
+            call()
 
 
 @pytest.mark.parametrize("d,q", [(2, 2), (3, 2), (3, 3), (4, 2)])

@@ -150,6 +150,15 @@ def test_pair_profile_and_f_values(params, origin):
                 PairProfile((), ()), PairProfile((1, 2, 3), (1, 2))):
         with pytest.raises(ValueError):
             profile_distance(bad)
+    # f_value, the reference the lemma table is bound to, refuses m and l
+    # of unequal length in profile_distance's words
+    for bad in (PairProfile((1, 2), (1, 2, 3)), PairProfile((1, 2, 3), (1, 2))):
+        sigma = tuple(range(1, len(bad.m) + 1))
+        message = f"^malformed profile: {len(bad.m)} spine depths, {len(bad.l)} climbs$"
+        with pytest.raises(ValueError, match=message):
+            f_value(bad, sigma, 2)
+        with pytest.raises(ValueError, match=message):
+            f_row_max(bad, sigma)
 
 
 def test_distance_minimizes_over_orderings(params, ball3):

@@ -96,6 +96,9 @@ def test_separation_rejects_wrong_profile(params):
     with pytest.raises(ProfileMismatch, match="spine depth 2,"):
         separation_evidence(nu_family(params, 1, 1, 2), 1, 5, 2)
     assert separation_evidence(zeta_family(params, 1, 2), 1, 5, 2).cases > 0
+    # DL_2(2) has no tree 3 to read a limiting depth from
+    with pytest.raises(WrongDimension, match="defined for d = 3"):
+        separation_evidence(alpha_family(DLParams(2, 2)), 2, 2, 1)
     with pytest.raises(ValueError):
         separation_evidence(alpha_family(params), 0, 5, 2)
     # no index checked is no evidence, not a pass

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,7 @@ from dlstar.verify import (
     run_check,
     screen_balanced,
     screen_dominance,
-    screen_lower_bounds,
+    screen_profiles,
     screen_probes,
 )
 import dlstar.verify as verify_mod
@@ -444,7 +445,7 @@ def test_class_sweeps_match_per_pair_calls(d, q, radius, fault, monkeypatch):
     assert want_lower[0] == 2 * len(verts) ** 2
     assert want_balanced[0] == 3 * len(verts) * len(probes)
     for screen, args, want, broken in (
-        (screen_lower_bounds, (pair_table(verts), verts), want_lower, fault == "lower_bounds"),
+        (screen_profiles, (pair_table(verts), verts), want_lower, fault == "lower_bounds"),
         (screen_balanced, (verts, probes), want_balanced, fault == "balanced_compare"),
     ):
         tally = Tally()
@@ -493,7 +494,7 @@ def test_class_sweeps_fail_on_a_wrong_table(monkeypatch):
         return replace(cross, dist=dist)
 
     def lower_bounds_screen(tally, broken):
-        screen_lower_bounds(tally, replace(table, m=shifted) if broken else table, verts)
+        screen_profiles(tally, replace(table, m=shifted) if broken else table, verts)
 
     def balanced_screen(tally, broken):
         if broken:
@@ -510,6 +511,77 @@ def test_class_sweeps_fail_on_a_wrong_table(monkeypatch):
         assert clean.failures == 0
         assert broken.cases == clean.cases and broken.failures > 0
         assert broken.first_failure.startswith(claim)
+
+
+def _square_table_with(monkeypatch, change):
+    """Patch pair_table so that every square table passes through change;
+    the cross tables of the probe sweeps are left alone."""
+    real = verify_mod.pair_table
+
+    def patched(rows, cols=None):
+        table = real(rows, cols)
+        return table if cols is not None else change(table)
+
+    monkeypatch.setattr(verify_mod, "pair_table", patched)
+
+
+def test_lemma_check_fails_on_a_short_rare_distance(params, monkeypatch):
+    # a sample of pairs rarely meets the rarest profile; one too small a
+    # distance there must still fail the check
+    def shorter(table):
+        dist = table.dist.copy()
+        dist[np.bincount(table.inv.ravel()).argmin()] -= 1
+        return replace(table, dist=dist)
+
+    clean = run_check(_check_comparison_lemmas, params, DEFAULT_SEED)
+    _square_table_with(monkeypatch, shorter)
+    broken = run_check(_check_comparison_lemmas, params, DEFAULT_SEED)
+    assert clean.failures == 0
+    assert broken.cases == clean.cases
+    assert broken.failures > 0
+    assert broken.first_failure.startswith("profile table disagrees with distance")
+
+
+@pytest.mark.parametrize("u", [0, 5, 703])
+def test_profile_screen_binds_each_row_at_its_column(ball3, u):
+    # row u's f_value column is divmod(u % (3! * 2), 2); one wrong entry
+    # there fails both reports of every pair of the row
+    verts = sorted(ball3, key=vertex_sort_key)
+    table = pair_table(verts)
+    f = table.f.copy()
+    f[(u, *divmod(u % 12, 2))] += 1
+    tally = Tally()
+    screen_profiles(tally, replace(table, f=f), verts)
+    assert tally.cases == 2 * len(verts) ** 2
+    assert tally.failures == 2 * int((table.inv == u).sum())
+    assert tally.first_failure.startswith("profile table disagrees with f_value")
+
+
+def test_profile_screen_calls_once_per_profile(ball3, monkeypatch):
+    verts = sorted(ball3, key=vertex_sort_key)
+    table = pair_table(verts)
+    calls = {}
+
+    def counted(name):
+        real = getattr(verify_mod, name)
+
+        def call(*args):
+            calls.setdefault(name, []).append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify_mod, name, call)
+
+    for name in ("lower_bounds", "pair_profile", "profile_distance", "f_value"):
+        counted(name)
+    tally = Tally()
+    screen_profiles(tally, table, verts)
+    assert (tally.cases, tally.failures) == (2 * len(verts) ** 2, 0)
+    assert {name: len(args) for name, args in calls.items()} == {
+        "lower_bounds": 704, "pair_profile": 704, "profile_distance": 704, "f_value": 704,
+    }
+    # the bound column cycles: each of the 12 columns on 58 or 59 profiles
+    columns = Counter((sigma, i) for _, sigma, i in calls["f_value"])
+    assert len(columns) == 12 and min(columns.values()) == 58
 
 
 @pytest.mark.parametrize("q", [2, 3])
