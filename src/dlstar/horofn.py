@@ -251,10 +251,11 @@ def betandist_table(z: DLVertex) -> BetaDistTable:
     """The f rows of (beta_n, z) as affine functions of n >= from_n.
 
     The pair profile of (beta_n, z) over Z[n] is m = (m1, m2, n),
-    l = (l1, l2, n + h3) in z's own statistics, so f_rows and
-    profile_distance run on it.  Their comparisons by tuple order are
-    exact at every n >= from_n = weight(z) + 1, as no two compared terms
-    cross there.  For an ordering s = (a, b, c):
+    l = (l1, l2, n + h3) in z's own statistics, so the table reads z only
+    through its shape, (m_t, l_t) per tree, and never through its labels.
+    f_rows and profile_distance run on that profile, and their comparisons
+    by tuple order are exact at every n >= from_n = weight(z) + 1, as no
+    two compared terms cross there.  For an ordering s = (a, b, c):
 
     - f(s, 3) - f(s, 2) = m_a + m_c - l_b, which also decides
       max(M, m_b + l_b), is n (tree 3 at an end) or -n (tree 3 in the

@@ -202,7 +202,10 @@ def profile_distance(profile: PairProfile) -> int:
     d = len(m)
     if d == 3:
         m1, m2, m3 = m
-        l1, l2, l3 = l
+        try:
+            l1, l2, l3 = l
+        except ValueError:
+            raise ValueError(f"malformed profile: 3 spine depths, {len(l)} climbs") from None
         big = m1 + m2 + m3
         mid, a, c = m1 + l1, m2 + l3, m3 + l2
         best = (big if big > mid else mid) + (a if a < c else c)
@@ -213,7 +216,6 @@ def profile_distance(profile: PairProfile) -> int:
         mid, a, c = m3 + l3, m1 + l2, m2 + l1
         dist = (big if big > mid else mid) + (a if a < c else c)
         return dist if dist < best else best
-    # d = 3 is checked by the unpacking above
     if len(l) != d or d < 2:
         raise ValueError(f"malformed profile: {d} spine depths, {len(l)} climbs")
     return _end_pair_distance(m, l)

@@ -527,33 +527,28 @@ def _check_beta_closed_form(params: DLParams, seed: int, tally: Tally) -> dict:
     }
 
 
-def _sample_bounded_vertex(
-    params: DLParams, rng: random.Random, cap: int
-) -> DLVertex:
-    """Seeded vertex with every spine depth and climb at most cap."""
-    while True:
-        coords = []
-        for _ in range(params.d):
-            m = rng.randint(0, cap)
-            l = rng.randint(0, cap)
-            if m > 0 and l > 0:
-                path = (rng.randrange(1, params.q),) + tuple(
-                    rng.randrange(params.q) for _ in range(l - 1)
-                )
-            else:
-                path = tuple(rng.randrange(params.q) for _ in range(l))
-            coords.append(TreeVertex(m, path))
-        if sum(c.h for c in coords) == 0:
-            return DLVertex(tuple(coords), params.q)
-
-
 def _check_growth_table(params: DLParams, seed: int, tally: Tally) -> dict:
+    # betandist_table(z) reads z only through its shape, (m_t, l_t) per
+    # tree: trees 1 and 2 meet beta_n's trivial coordinates at (m, l) and
+    # tree 3 meets (n, 1^n) at (n, n + h3).  So every row is affine in
+    # (m1, l1, m2, l2), with h3 = m1 - l1 + m2 - l2, plus a slope in n
+    # fixed by the ordering, and each total is its ordering's slope-2 row.
+    # The 50 seeded shapes have (m_t, l_t) in [0, 4]**2, heights summing
+    # to 0, and tree t realised as (m_t, 1^l_t).  Once their points
+    # (m1, l1, m2, l2, 1) have rank 5, they prove the six intercepts at
+    # every vertex of every DL_3(q).  The distance is the least total, and
+    # beta_value(z) expands term by term into the least intercept, so they
+    # prove beta_value the beta horofunction there too; beta-closed-form's
+    # radius-5 sweep stays the independent oracle.
     rng = random.Random(seed + 3)
-    for _ in range(50):
-        z = _sample_bounded_vertex(params, rng, 4)
-        m1, m2, _ = (c.m for c in z.coords)
-        l1, l2, _ = (c.l for c in z.coords)
-        h3 = z.coords[2].h
+    points = []
+    while len(points) < 50:
+        shape = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3)]
+        if sum(l - m for m, l in shape) != 0:
+            continue
+        (m1, l1), (m2, l2), _ = shape
+        points.append((m1, l1, m2, l2, 1))
+        h3 = m1 - l1 + m2 - l2
         expected = {
             (1, 2, 3): 2 * m1 + m2 + h3,
             (2, 1, 3): m1 + 2 * m2 + h3,
@@ -562,6 +557,7 @@ def _check_growth_table(params: DLParams, seed: int, tally: Tally) -> dict:
             (2, 3, 1): l1 + m2 + h3,
             (3, 1, 2): m1 + m2 + l2,
         }
+        z = DLVertex(tuple(TreeVertex(m, (1,) * l) for m, l in shape), params.q)
         table = betandist_table(z)
         for sigma, row in table.rows.items():
             for i, fit in row.sub.items():
@@ -573,7 +569,12 @@ def _check_growth_table(params: DLParams, seed: int, tally: Tally) -> dict:
                 lambda: f"{z} {sigma}: total {row.total}, want slope 2 "
                 f"intercept {expected[sigma]}",
             )
-    return {"samples": 50}
+    rank = int(np.linalg.matrix_rank(np.array(points)))
+    if rank < 5:
+        tally.fail(
+            lambda: f"shape rank {rank}, want 5: the shapes leave an intercept unproved"
+        )
+    return {"samples": 50, "shape_rank": rank}
 
 
 # ── stars ───────────────────────────────────────────────────────────────────
@@ -705,31 +706,16 @@ SUITES: dict[str, tuple[Check, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Domain:
-    """The graphs DL_d(q) that a check runs on: those with d in d.  why
-    says what rules out the others."""
-
-    d: range
-    why: str
-
-    def skip_reason(self, params: DLParams) -> str | None:
-        """None on a graph of the domain, else the reason to skip it."""
-        if params.d in self.d:
-            return None
-        dims = f"d = {self.d.start}" if len(self.d) == 1 else f"d >= {self.d.start}"
-        return f"runs on {dims} only: {self.why}"
-
-
 _D3 = range(3, 4)
-# the checks of SUITES that run only on some graphs; the others run on
+# the checks of SUITES that run only on some graphs, each with the range
+# of d it runs on and what rules out the others; the other checks run on
 # every DL_d(q)
-DOMAINS: dict[Check, Domain] = {
-    _check_beta_ray_identities: Domain(range(3, MAX_DIMENSION + 1), "beta moves tree 3"),
-    _check_beta_closed_form: Domain(_D3, "beta_value is the closed form of DL_3(q)"),
-    _check_growth_table: Domain(_D3, "the table pins the six tree orderings of DL_3(q)"),
-    _check_probe_exclusion: Domain(_D3, "the probe sets are defined on DL_3(q)"),
-    _check_asymmetry_certificates: Domain(_D3, "the beta neighborhood is defined on DL_3(q)"),
+DOMAINS: dict[Check, tuple[range, str]] = {
+    _check_beta_ray_identities: (range(3, MAX_DIMENSION + 1), "beta moves tree 3"),
+    _check_beta_closed_form: (_D3, "beta_value is the closed form of DL_3(q)"),
+    _check_growth_table: (_D3, "the table pins the six tree orderings of DL_3(q)"),
+    _check_probe_exclusion: (_D3, "the probe sets are defined on DL_3(q)"),
+    _check_asymmetry_certificates: (_D3, "the beta neighborhood is defined on DL_3(q)"),
 }
 
 
@@ -750,10 +736,11 @@ def run_check(check: Check, params: DLParams, seed: int) -> VerificationReport:
     it.  A cap error puts the size asked for in the details as
     refused_size.
     """
-    domain = DOMAINS.get(check)
-    reason = domain and domain.skip_reason(params)
-    if reason:
-        return VerificationReport(_report_name(check), 0, 0, skipped=reason)
+    if check in DOMAINS and params.d not in DOMAINS[check][0]:
+        dims, why = DOMAINS[check]
+        runs_on = f"d = {dims.start}" if len(dims) == 1 else f"d >= {dims.start}"
+        skipped = f"runs on {runs_on} only: {why}"
+        return VerificationReport(_report_name(check), 0, 0, skipped=skipped)
     t0 = time.perf_counter()
     tally = Tally()
     try:

@@ -86,6 +86,9 @@ def test_beta_closed_form_at_q3(capsys):
 def test_growth_table_reproduction(params, capsys):
     rep = _run(capsys, _check_growth_table, params, budget=0.5)
     assert rep.details["samples"] == 50
+    # the shapes' points (m1, l1, m2, l2, 1) span, so they prove the six
+    # intercepts at every vertex of every DL_3(q)
+    assert rep.details["shape_rank"] == 5
     assert rep.cases == 900  # 50 samples * 6 orderings * 3 fits
 
 

@@ -37,7 +37,29 @@ from dlstar import (
 from dlstar import horofn
 from dlstar.cli import parse_family
 from dlstar.horofn import _param_weight
-from dlstar.verify import _sample_bounded_vertex
+
+
+def _sample_bounded_vertex(params, rng, cap):
+    """Seeded labelled vertex with every spine depth and climb at most cap."""
+    while True:
+        coords = []
+        for _ in range(params.d):
+            m = rng.randint(0, cap)
+            l = rng.randint(0, cap)
+            if m > 0 and l > 0:
+                path = (rng.randrange(1, params.q),) + tuple(
+                    rng.randrange(params.q) for _ in range(l - 1)
+                )
+            else:
+                path = tuple(rng.randrange(params.q) for _ in range(l))
+            coords.append((m, path))
+        if sum(len(path) - m for m, path in coords) == 0:
+            return make_vertex(params, coords)
+
+
+def _realise(params, shape):
+    """The vertex of DL_3(q) whose tree t is (m_t, 1^l_t), shape = ((m_t, l_t), ...)."""
+    return make_vertex(params, [(m, (1,) * l) for m, l in shape])
 
 
 def test_beta_value_frozen(params, origin):
@@ -336,6 +358,42 @@ def test_growth_table_matches_distance(params, ball3):
             best = min(r.total.at(n) for r in table.rows.values())
             assert best == distance(fam.at(n), z) == 2 * n + table.shift, (z, n)
     assert betandist_table(parse_vertex("0:0|2:1,0|2:1", params)).from_n == 9
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_growth_table_reads_only_the_shape(q):
+    # the growth check draws shapes and realises each with labels 1: a
+    # labelled vertex and its label-1 realisation have the same table and
+    # the same closed form
+    params = DLParams(3, q)
+    rng = random.Random(35 + q)
+    for _ in range(300):
+        z = _sample_bounded_vertex(params, rng, 4)
+        ones = _realise(params, [(c.m, c.l) for c in z.coords])
+        got, want = betandist_table(ones), betandist_table(z)
+        assert (got.rows, got.shift, got.from_n) == (want.rows, want.shift, want.from_n)
+        assert beta_value(ones) == beta_value(z), format_vertex(z)
+
+
+def test_beta_value_is_the_least_intercept():
+    # beta_value expands term by term into the six totals' intercepts, one
+    # per tree ordering, that the growth check proves
+    rng = random.Random(36)
+    for q in (2, 3):
+        params = DLParams(3, q)
+        checked = 0
+        while checked < 200:
+            shape = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3)]
+            if sum(l - m for m, l in shape) != 0:
+                continue
+            checked += 1
+            (m1, l1), (m2, l2), _ = shape
+            h3 = m1 - l1 + m2 - l2
+            intercepts = (
+                2 * m1 + m2 + h3, m1 + 2 * m2 + h3, m1 + l1 + m2,
+                m1 + l2 + h3, l1 + m2 + h3, m1 + m2 + l2,
+            )
+            assert beta_value(_realise(params, shape)) == min(intercepts), shape
 
 
 def test_growth_table_preconditions(params):

@@ -147,9 +147,15 @@ def test_pair_profile_and_f_values(params, origin):
             f_value(prof, sigma, i)
     # one tree, mismatched lengths or no trees at all: not a pair profile
     for bad in (PairProfile((3,), (1,)), PairProfile((1, 2), (1, 2, 3)),
-                PairProfile((), ()), PairProfile((1, 2, 3), (1, 2))):
+                PairProfile((), ()), PairProfile((1, 2, 3), (1, 2)),
+                PairProfile((1, 2, 3), (1, 2, 3, 4))):
         with pytest.raises(ValueError):
             profile_distance(bad)
+    # the unrolled d = 3 branch refuses in the words of every other d
+    for climbs in ((1, 2), (1, 2, 3, 4)):
+        message = f"^malformed profile: 3 spine depths, {len(climbs)} climbs$"
+        with pytest.raises(ValueError, match=message):
+            profile_distance(PairProfile((1, 2, 3), climbs))
     # f_value, the reference the lemma table is bound to, refuses m and l
     # of unequal length in profile_distance's words
     for bad in (PairProfile((1, 2), (1, 2, 3)), PairProfile((1, 2, 3), (1, 2))):

@@ -11,7 +11,8 @@ import pytest
 
 import dlstar
 from dlstar.cli import main
-from dlstar.verify import SUITES
+from dlstar.dlgraph import MAX_DIMENSION
+from dlstar.verify import DOMAINS, SUITES, _report_name
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dlstar"
@@ -253,3 +254,25 @@ def test_readme_quick_start_runs():
         assert repr(got).removeprefix(type(got).__name__) == want, lines[node.lineno - 1]
         results.append(want)
     assert results == ["5", "5", "1", "(value=1, from_n=9)", "[1, 0]"]
+
+
+def test_readme_domain_table_matches_domains():
+    # README's table lists exactly the checks of DOMAINS, each with its
+    # range of d and its reason, backticks aside
+    header = "| check | runs on | skipped elsewhere because |\n| --- | --- | --- |\n"
+    text = (ROOT / "README.md").read_text().replace("`", "")
+    table = text.split(header, 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        check, runs_on, why = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[check] = (runs_on, why)
+    assert rows.pop("every other check") == ("every (d, q)", "")
+    want = {}
+    for check, (dims, why) in DOMAINS.items():
+        if len(dims) == 1:
+            runs_on = f"d = {dims.start}"
+        else:
+            assert dims.stop == MAX_DIMENSION + 1
+            runs_on = f"d ≥ {dims.start}"
+        want[_report_name(check)] = (runs_on, why)
+    assert rows == want

@@ -5,6 +5,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,9 +95,7 @@ def test_checks_run_only_on_their_domain(monkeypatch):
         raise ValueError("broken check")
 
     monkeypatch.setattr(verify_mod, "SUITES", {"horofn": (broken,)})
-    monkeypatch.setattr(
-        verify_mod, "DOMAINS", {broken: verify_mod.Domain(range(3, 4), "why")}
-    )
+    monkeypatch.setattr(verify_mod, "DOMAINS", {broken: (range(3, 4), "why")})
     for p in (DLParams(4, 2), DLParams(2, 3)):
         (report,) = run_suites(["horofn"], p)
         assert report.name == "broken" and report.passed and report.cases == 0
@@ -380,23 +379,54 @@ def test_a_refused_check_is_a_failed_report(monkeypatch):
     assert all(r.passed and r.cases > 0 for r in horofn)
 
 
-def test_a_table_mismatch_is_a_failed_row(wrong_beta_value):
+def test_a_table_mismatch_is_a_failed_row(wrong_beta_value, monkeypatch):
     # betandist_table refuses the wrong closed form part way through the
     # growth table: the mismatch is that row's first failure, after the
-    # cases already counted, and every row of both suites comes back
-    params = DLParams(3, 2)
-    reports = run_suites(["horofn", "stars"], params)
+    # cases already counted, and every row of both suites comes back.  The
+    # default seed's first shape has m1 = 1, so this seed's draw is used,
+    # whose first shapes do not
+    params, seed = DLParams(3, 2), DEFAULT_SEED + 2
+    real, tables = verify_mod.betandist_table, []
+
+    def counted(z):
+        tables.append(z)
+        return real(z)
+
+    monkeypatch.setattr(verify_mod, "betandist_table", counted)
+    reports = run_suites(["horofn", "stars"], params, seed=seed)
     assert [r.name for r in reports] == [
         "beta-closed-form", "growth-table", "probe-exclusion", "asymmetry-certificates"
     ]
     closed_form, growth = reports[:2]
     assert closed_form.failures > 0
+    *passed, refused = tables
+    assert refused.coords[0].m == 1 and all(z.coords[0].m != 1 for z in passed)
     with pytest.raises(TableMismatch) as e:
-        _check_growth_table(params, DEFAULT_SEED, Tally())
+        _check_growth_table(params, seed, Tally())
     assert growth.failures == 1 and growth.first_failure == str(e.value)
-    # the five samples before the first with m1 = 1, 18 cases each
-    assert growth.cases == 90 and growth.details == {}
+    # the samples before the first with m1 = 1 (four), 18 cases each
+    assert len(passed) > 0 and growth.cases == 18 * len(passed)
+    assert growth.details == {}
     assert all(r.elapsed is not None for r in reports)
+
+
+def test_a_flat_draw_of_shapes_fails(params, monkeypatch):
+    # every shape drawn as the identity's: each table is right, but the
+    # points (0, 0, 0, 0, 1) have rank 1 and prove no intercept beyond one
+    class Zeros:
+        def __init__(self, seed):
+            pass
+
+        def randint(self, a, b):
+            return 0
+
+    monkeypatch.setattr(verify_mod, "random", SimpleNamespace(Random=Zeros))
+    report = run_check(_check_growth_table, params, DEFAULT_SEED)
+    assert (report.cases, report.failures) == (900, 1)
+    assert report.details == {"samples": 50, "shape_rank": 1}
+    assert report.first_failure == (
+        "shape rank 1, want 5: the shapes leave an intercept unproved"
+    )
 
 
 def _per_pair_sweeps(verts, probes):
