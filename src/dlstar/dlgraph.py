@@ -5,8 +5,9 @@ to zero.  An edge moves up by one label in one coordinate and down by
 one in another, so the graph is d(d-1)q regular.  Vertex literals join
 the per-tree literals with '|', e.g. "0:0|2:1,0|2:1" for d = 3.
 
-Both breadth-first searches live here: ball_distances and _bfs_search,
-which metric.bfs_distance runs.  No other module reads the vertex coder.
+Both breadth-first searches live here: Ball, the layers around the
+identity that ball_distances reads, and _bfs_search, which
+metric.bfs_distance runs.  No other module reads the vertex coder.
 
 A point family x_n is given by its shape: a base vertex, the trees that
 walk n down the spine and the trees that climb n label-1 edges.
@@ -176,9 +177,9 @@ class _VertexCoder:
     neighbors reads, are interned and kept for tree t as the change they
     make to a key, so neighbor (i, j, a) of a key is the key plus tree
     j's down change plus tree i's label-a up change.
-    Searches (ball_distances, _bfs_search) take their coder from
-    _kept_coder, so codes and changes carry over to the next search of
-    the same graph and memory cap.
+    Searches (Ball, _bfs_search) take their coder from _kept_coder, so
+    codes and changes carry over to the next search of the same graph
+    and memory cap.
 
     bits fits every code as long as a search expands a vertex only
     while it holds at most max_vertices vertices, or just its start
@@ -215,10 +216,14 @@ class _VertexCoder:
         return sum(self.code(c) << s for c, s in zip(v.coords, self.shifts))
 
     def decode(self, key: int) -> DLVertex:
-        coords, mask = self.coords, self.mask
-        vertex = tuple([coords[key >> s & mask] for s in self.shifts]), self.q
-        # DLVertex(...) less the namedtuple constructor's frame, as in neighbors
-        return tuple.__new__(DLVertex, vertex)
+        return self.decode_all((key,))[0]
+
+    def decode_all(self, keys: Sequence[int]) -> list[DLVertex]:
+        """The vertices of keys, in order, built a tree at a time."""
+        coords, mask, q = self.coords, self.mask, self.q
+        trees = [[coords[k >> s & mask] for k in keys] for s in self.shifts]
+        new = tuple.__new__  # DLVertex(...) less the namedtuple constructor's frame
+        return [new(DLVertex, (c, q)) for c in zip(*trees)]
 
     def _key_changes(self, t: int, c: int) -> tuple[list[int], int]:
         """Up and down changes to a key whose tree t holds code c."""
@@ -258,9 +263,11 @@ _kept_coders: dict[tuple[int, int, int], _VertexCoder] = {}
 def _kept_coder(d: int, q: int, max_vertices: int):
     """The coder the last search of this graph and cap left, or a new one.
 
-    The search owns it until it ends, by a result or an exception; then
-    the coder is left for the next search if it holds at most
-    _KEPT_CODES codes, and dropped otherwise.
+    The search owns it until it ends, by a result or an exception, and a
+    Ball owns it from its entry to its exit; then the coder is left for
+    the next search if it holds at most _KEPT_CODES codes, and dropped
+    otherwise.  A search that starts while a Ball holds the coder takes
+    a new one.
     """
     key = (d, q, max_vertices)
     coder = _kept_coders.pop(key, None) or _VertexCoder(d, q, max_vertices)
@@ -271,36 +278,79 @@ def _kept_coder(d: int, q: int, max_vertices: int):
             _kept_coders[key] = coder
 
 
-def ball_distances(params: DLParams, radius: int) -> dict[DLVertex, int]:
-    """Breadth-first distances from the identity out to the given radius.
+class Ball:
+    """The breadth-first layers around the identity, grown on demand.
 
-    Returns vertices in discovery order mapped to their graph distance.
-    The search runs on the packed int keys of the _VertexCoder kept for
-    this graph and DEFAULT_MEMORY_CAP (_kept_coder), and decodes them
-    once at the end.  The coder's intern table holds one object per
-    distinct tree coordinate, shared by every vertex that has it, which
-    about halves the ball's memory.  Raises MemoryCapExceeded once more
-    than DEFAULT_MEMORY_CAP are visited, or at radius >= 1 before the
-    first expansion when one vertex has more neighbors than that.
+    A context manager: from entry to exit it holds the coder _kept_coder
+    keeps for its graph and DEFAULT_MEMORY_CAP, and searches on its
+    packed keys.  layers(radius) grows the layers the ball lacks, one at
+    a time, decodes each once as it is grown, and returns the vertex
+    tuples at distances 0..radius, each in discovery order; a tuple, so
+    that no reader can change what the next one reads.  Vertices
+    share one object per distinct tree coordinate, the coder's intern
+    table, which about halves the ball's memory.  Before the first
+    expansion the degree is checked (_require_degree_within_cap), and a
+    growth raises MemoryCapExceeded once more than DEFAULT_MEMORY_CAP
+    vertices are visited.  Such a growth refuses the ball: every later
+    request past its last complete layer raises the same error, with the
+    same size, so no caller reads a partial layer.
     """
-    _require_int(radius, "radius", 0)
-    if radius:
-        _require_degree_within_cap(params.d, params.q)
-    limit = DEFAULT_MEMORY_CAP
-    with _kept_coder(params.d, params.q, limit) as coder:
-        dist = {coder.encode(identity(params)): 0}
-        frontier = list(dist)
-        for layer in range(1, radius + 1):
-            nxt: list[int] = []
-            for v in frontier:
-                for w in coder.neighbor_keys(v):
-                    if w not in dist:
-                        dist[w] = layer
-                        nxt.append(w)
-                if len(dist) > limit:
-                    raise MemoryCapExceeded("ball enumeration too large", len(dist))
-            frontier = nxt
-        return {coder.decode(k): r for k, r in dist.items()}
+
+    def __init__(self, params: DLParams):
+        self.params = params
+
+    def __enter__(self) -> Ball:
+        d, q = self.params.d, self.params.q
+        self._limit = DEFAULT_MEMORY_CAP
+        self._lease = _kept_coder(d, q, self._limit)
+        self._coder = self._lease.__enter__()
+        start = self._coder.encode(identity(self.params))
+        self._seen = {start}
+        self._frontier = [start]
+        self._layers = [tuple(self._coder.decode_all(self._frontier))]
+        self._refused: int | None = None  # the size a growth was refused at
+        return self
+
+    def __exit__(self, *exc_info) -> bool | None:
+        return self._lease.__exit__(*exc_info)
+
+    @property
+    def radius(self) -> int:
+        """The distance of the last complete layer."""
+        return len(self._layers) - 1
+
+    def layers(self, radius: int) -> list[tuple[DLVertex, ...]]:
+        _require_int(radius, "radius", 0)
+        while self.radius < radius:
+            self._grow()
+        return self._layers[: radius + 1]
+
+    def _grow(self) -> None:
+        if self._refused is not None:
+            raise MemoryCapExceeded("ball enumeration too large", self._refused)
+        if not self.radius:
+            _require_degree_within_cap(self.params.d, self.params.q)
+        seen, limit, neighbor_keys = self._seen, self._limit, self._coder.neighbor_keys
+        nxt: list[int] = []
+        for v in self._frontier:
+            # the d(d-1)q neighbors of one vertex are distinct
+            fresh = [w for w in neighbor_keys(v) if w not in seen]
+            seen.update(fresh)
+            nxt += fresh
+            if len(seen) > limit:
+                self._refused = len(seen)
+                raise MemoryCapExceeded("ball enumeration too large", len(seen))
+        self._frontier = nxt
+        self._layers.append(tuple(self._coder.decode_all(nxt)))
+
+
+def ball_distances(params: DLParams, radius: int) -> dict[DLVertex, int]:
+    """Breadth-first distances from the identity out to the given radius:
+    the vertices of one Ball's layers 0..radius, in discovery order,
+    mapped to their graph distance, and Ball's refusals."""
+    with Ball(params) as ball:
+        layers = ball.layers(radius)
+    return {v: r for r, layer in enumerate(layers) for v in layer}
 
 
 def _bfs_search(x: DLVertex, y: DLVertex, cap: int) -> tuple[int | None, int]:

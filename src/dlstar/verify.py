@@ -1,11 +1,15 @@
 """Property suites behind `dlstar verify` and the acceptance tests.
 
 Each suite is a tuple of checks, one per headline property; a check
-takes (params, seed, tally), counts its cases and failures on the
-tally and returns its details.  run_check names, times and reports
-each check; a check stopped by a memory cap or a table mismatch comes
-back as a failed report (one more failure on its tally).  The domination
-screens run on a table of the distinct pair profiles, built by
+takes (params, seed, tally, ball), counts its cases and failures on the
+tally and returns its details.  ball is the run's dlgraph.Ball, the
+breadth-first layers around the identity: run_suites opens one for all
+its checks, so each layer is grown and decoded once a run, and a check
+that reads it reports the layers it grew as ball_layers_grown.
+run_check names, times and reports each check; a check stopped by a
+memory cap or a table mismatch comes back as a failed report (one more
+failure on its tally).  The domination screens run on a table of the
+distinct pair profiles, built by
 pair_table from the library's own pair_stats, profile_distance and
 f_rows.  pair_table is the one constructor of a table, and it refuses
 any table whose arrays, or whose U**2 profile pairs, would pass
@@ -29,6 +33,7 @@ table row and takes both sets' verdicts from probe_disagreement itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -39,11 +44,11 @@ import numpy as np
 
 from .dlgraph import (
     MAX_DIMENSION,
+    Ball,
     DLParams,
     DLVertex,
     _bfs_search,
     alpha_family,
-    ball_distances,
     balanced_vertices,
     beta_family,
     identity,
@@ -87,23 +92,36 @@ DEFAULT_SEED = 20260814
 # profile_distance runs.
 PROFILE_PAIR_CAP = 2**26
 
-# a check counts cases and failures on the tally and returns its details
-Check = Callable[[DLParams, int, Tally], dict]
+# a check counts cases and failures on the tally and returns its details;
+# the ball is the run's, shared by its checks
+Check = Callable[[DLParams, int, Tally, Ball], dict]
 
 
-def _sorted_ball(params: DLParams, radius: int) -> list[DLVertex]:
-    return sorted(ball_distances(params, radius), key=vertex_sort_key)
+def _read_ball(ball: Ball, radius: int) -> tuple[list[tuple[DLVertex, ...]], int]:
+    """ball's layers 0..radius, and how many of them this read grew."""
+    grown = max(0, radius - ball.radius)
+    return ball.layers(radius), grown
+
+
+def _sorted_ball(ball: Ball, radius: int) -> tuple[list[DLVertex], int]:
+    """The vertices of ball's layers 0..radius in vertex_sort_key order,
+    and how many layers this read grew."""
+    layers, grown = _read_ball(ball, radius)
+    return sorted(itertools.chain.from_iterable(layers), key=vertex_sort_key), grown
 
 
 # ── conformance ─────────────────────────────────────────────────────────────
 
-def _check_word_metric_conformance(params: DLParams, seed: int, tally: Tally) -> dict:
-    reached = ball_distances(params, 5)
+def _check_word_metric_conformance(
+    params: DLParams, seed: int, tally: Tally, ball: Ball
+) -> dict:
+    layers, grown = _read_ball(ball, 5)
     base = identity(params)
-    for v, want in reached.items():
-        got = distance(base, v)
-        tally.check(got == want, lambda: f"{v}: formula {got}, bfs {want}")
-    pool = sorted((v for v, r in reached.items() if r <= 4), key=vertex_sort_key)
+    for want, layer in enumerate(layers):
+        for v in layer:
+            got = distance(base, v)
+            tally.check(got == want, lambda: f"{v}: formula {got}, bfs {want}")
+    pool, _ = _sorted_ball(ball, 4)
     rng = random.Random(seed)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
     expanded = 0
@@ -114,13 +132,14 @@ def _check_word_metric_conformance(params: DLParams, seed: int, tally: Tally) ->
         tally.check(got == want, lambda: f"{x} vs {y}: formula {want}, bfs {got}")
     return {
         "ball_radius": 5,
-        "ball_size": len(reached),
+        "ball_size": sum(map(len, layers)),
         "random_pairs": len(pairs),
         "bfs_expanded": expanded,
+        "ball_layers_grown": grown,
     }
 
 
-def _check_beta_ray_identities(params: DLParams, seed: int, tally: Tally) -> dict:
+def _check_beta_ray_identities(params: DLParams, seed: int, tally: Tally, ball: Ball) -> dict:
     beta = beta_family(params)
     alpha = alpha_family(params)
     base = identity(params)
@@ -134,9 +153,8 @@ def _check_beta_ray_identities(params: DLParams, seed: int, tally: Tally) -> dic
     return {"n_max": 30}
 
 
-def _check_metric_axioms(params: DLParams, seed: int, tally: Tally) -> dict:
-    reached = ball_distances(params, 4)
-    pool = sorted(reached, key=vertex_sort_key)
+def _check_metric_axioms(params: DLParams, seed: int, tally: Tally, ball: Ball) -> dict:
+    pool, grown = _sorted_ball(ball, 4)
     rng = random.Random(seed + 1)
     for _ in range(1000):
         x, y, z = (rng.choice(pool) for _ in range(3))
@@ -147,14 +165,14 @@ def _check_metric_axioms(params: DLParams, seed: int, tally: Tally) -> dict:
         )
         if dxz > dxy + dyz or dxy > dxz + dyz or dyz > dxy + dxz:
             tally.fail(lambda: f"triangle broken on {x}, {y}, {z}")
-    small = [v for v in pool if reached[v] <= 3]
+    small, _ = _sorted_ball(ball, 3)
     for i, x in enumerate(small):
         tally.check(distance(x, x) == 0, lambda: f"nonzero self-distance at {x}")
         for y in small[i + 1 :]:
             tally.check(
                 distance(x, y) != 0, lambda: f"zero distance between distinct {x}, {y}"
             )
-    return {"triples": 1000, "identity_ball_radius": 3}
+    return {"triples": 1000, "identity_ball_radius": 3, "ball_layers_grown": grown}
 
 
 # ── comparison lemmas ───────────────────────────────────────────────────────
@@ -448,8 +466,8 @@ def screen_balanced(
     return len(seen)
 
 
-def _check_comparison_lemmas(params: DLParams, seed: int, tally: Tally) -> dict:
-    verts = _sorted_ball(params, 3)
+def _check_comparison_lemmas(params: DLParams, seed: int, tally: Tally, ball: Ball) -> dict:
+    verts, grown = _sorted_ball(ball, 3)
     n = len(verts)
     table = pair_table(verts)
 
@@ -498,14 +516,15 @@ def _check_comparison_lemmas(params: DLParams, seed: int, tally: Tally) -> dict:
         # pairs the certified column let through to the full-width row
         # check, 0 on a correct table
         "full_width_pairs": full_width_pairs,
+        "ball_layers_grown": grown,
     }
 
 
 # ── horofunctions ───────────────────────────────────────────────────────────
 
-def _check_beta_closed_form(params: DLParams, seed: int, tally: Tally) -> dict:
+def _check_beta_closed_form(params: DLParams, seed: int, tally: Tally, ball: Ball) -> dict:
     beta = beta_family(params)
-    probes = _sorted_ball(params, 5)
+    probes, grown = _sorted_ball(ball, 5)
     limits, classes = _limit_sweep(beta, probes)
     for z, (got, _) in zip(probes, limits):
         want = beta_value(z)
@@ -524,10 +543,11 @@ def _check_beta_closed_form(params: DLParams, seed: int, tally: Tally) -> dict:
         # one pair of profile_distance calls per distinct (from_n, Z[n]
         # profile), shared by its probes
         "limit_classes": classes,
+        "ball_layers_grown": grown,
     }
 
 
-def _check_growth_table(params: DLParams, seed: int, tally: Tally) -> dict:
+def _check_growth_table(params: DLParams, seed: int, tally: Tally, ball: Ball) -> dict:
     # betandist_table(z) reads z only through its shape, (m_t, l_t) per
     # tree: trees 1 and 2 meet beta_n's trivial coordinates at (m, l) and
     # tree 3 meets (n, 1^n) at (n, n + h3).  So every row is affine in
@@ -659,12 +679,11 @@ def screen_probes(
     return int(count[missed[:, 1]].sum()), profiles, len(first)
 
 
-def _check_probe_exclusion(params: DLParams, seed: int, tally: Tally) -> dict:
+def _check_probe_exclusion(params: DLParams, seed: int, tally: Tally, ball: Ball) -> dict:
     symmetric = symmetric_probe_set(params)
     printed = printed_probe_set(params)
-    reached = ball_distances(params, 6)
-    nontrivial = [z for z in reached if z.coords[:2] != (ORIGIN, ORIGIN)]
-    del reached
+    layers, grown = _read_ball(ball, 6)
+    nontrivial = [z for layer in layers for z in layer if z.coords[:2] != (ORIGIN, ORIGIN)]
     misses, profiles, classes = screen_probes(tally, nontrivial, symmetric, printed)
     tally.check(
         not probe_disagreement(beta_family(params).at(5), symmetric).disagrees,
@@ -676,10 +695,13 @@ def _check_probe_exclusion(params: DLParams, seed: int, tally: Tally) -> dict:
         "printed_set_misses": misses,
         "distinct_profiles": profiles,
         "probe_classes": classes,
+        "ball_layers_grown": grown,
     }
 
 
-def _check_asymmetry_certificates(params: DLParams, seed: int, tally: Tally) -> dict:
+def _check_asymmetry_certificates(
+    params: DLParams, seed: int, tally: Tally, ball: Ball
+) -> dict:
     alpha = alpha_family(params)
     witness = star_witness(beta_family(params), alpha, 30)
     for n, margin in enumerate(witness.margins, 1):
@@ -725,10 +747,13 @@ def _report_name(check: Check) -> str:
     return check.__name__.removeprefix("_check_").replace("_", "-")
 
 
-def run_check(check: Check, params: DLParams, seed: int) -> VerificationReport:
-    """The report of check(params, seed, tally) on a new Tally, named by
-    _report_name and with its wall time, or a skipped report when params
-    lie outside the check's DOMAINS entry.
+def run_check(
+    check: Check, params: DLParams, seed: int, ball: Ball | None = None
+) -> VerificationReport:
+    """The report of check(params, seed, tally, ball) on a new Tally,
+    named by _report_name and with its wall time, or a skipped report
+    when params lie outside the check's DOMAINS entry.  ball is the
+    run's Ball of params; without one the check gets a Ball of its own.
 
     A check that raises MemoryCapExceeded or TableMismatch fails: the
     error is one more failure on its tally, the first failure unless a
@@ -741,10 +766,13 @@ def run_check(check: Check, params: DLParams, seed: int) -> VerificationReport:
         runs_on = f"d = {dims.start}" if len(dims) == 1 else f"d >= {dims.start}"
         skipped = f"runs on {runs_on} only: {why}"
         return VerificationReport(_report_name(check), 0, 0, skipped=skipped)
+    if ball is None:
+        with Ball(params) as ball:
+            return run_check(check, params, seed, ball)
     t0 = time.perf_counter()
     tally = Tally()
     try:
-        details = check(params, seed, tally)
+        details = check(params, seed, tally, ball)
     except (MemoryCapExceeded, TableMismatch) as e:
         tally.fail(lambda: str(e))
         details = {"refused_size": e.size} if isinstance(e, MemoryCapExceeded) else {}
@@ -763,13 +791,14 @@ def run_suites(
 
     "all" among names runs every suite of SUITES.  params defaults to
     DLParams(), DL_3(2); seed, an int, seeds every sampled check (the
-    same seed gives the same samples).  Checks outside their DOMAINS
-    entry come back as skipped reports, and checks stopped by a cap or
-    a table mismatch as failed ones (run_check).  Raises ValueError on
-    an unknown suite name, a seed that is not an int, or workers other
-    than 1: suites run in one process, and workers stays only because
-    the benchmark harness passes workers=1, until a change to the
-    harness drops it.
+    same seed gives the same samples).  The checks share one Ball, opened
+    for this call and closed when it returns, so no ball outlives the
+    run.  Checks outside their DOMAINS entry come back as skipped
+    reports, and checks stopped by a cap or a table mismatch as failed
+    ones (run_check).  Raises ValueError on an unknown suite name, a
+    seed that is not an int, or workers other than 1: suites run in one
+    process, and workers stays only because the benchmark harness passes
+    workers=1, until a change to the harness drops it.
     """
     if workers != 1:
         raise ValueError(f"suites run in one process; workers must be 1, got {workers!r}")
@@ -781,4 +810,7 @@ def run_suites(
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return [run_check(check, params, seed) for name in chosen for check in SUITES[name]]
+    with Ball(params) as ball:
+        return [
+            run_check(check, params, seed, ball) for name in chosen for check in SUITES[name]
+        ]

@@ -30,11 +30,12 @@ from dlstar import (
     nu_family,
     nu_point,
     parse_vertex,
+    run_suites,
     vertex_sort_key,
     zeta_family,
     zeta_point,
 )
-from dlstar.dlgraph import DEFAULT_MEMORY_CAP, _VertexCoder, balanced_vertices
+from dlstar.dlgraph import DEFAULT_MEMORY_CAP, Ball, _VertexCoder, balanced_vertices
 import dlstar.dlgraph as dlgraph_mod
 
 
@@ -189,6 +190,86 @@ def test_ball_matches_queue_search(d, q, radius):
     assert list(ball_distances(params, radius).items()) == list(
         _queue_ball(params, radius).items()
     )
+
+
+@pytest.mark.parametrize("d,q,radius", [(3, 2, 6), (4, 2, 3), (2, 3, 4)])
+def test_ball_grown_layer_by_layer(d, q, radius):
+    # one request a layer gives the layers of one request for them all,
+    # and the queue search's distances in its discovery order
+    params = DLParams(d, q)
+    with Ball(params) as ball:
+        stepped = [ball.layers(r) for r in range(radius + 1)]
+        assert ball.radius == radius
+    with Ball(params) as ball:
+        whole = ball.layers(radius)
+    assert len(whole) == radius + 1
+    assert all(layers == whole[: r + 1] for r, layers in enumerate(stepped))
+    assert [(v, r) for r, layer in enumerate(whole) for v in layer] == list(
+        _queue_ball(params, radius).items()
+    )
+
+
+# the layer sizes of DL_3(2) out to radius 6
+DL32_LAYERS = [1, 12, 63, 243, 810, 2461, 7002]
+# (memory cap, last layer complete under it, size the growth past it is
+# refused with), the sizes as the one-shot search before Ball gave them
+REFUSALS = [(100, 2, 103), (2000, 4, 2001), (5000, 5, 5003)]
+
+
+def test_ball_layer_sizes(params):
+    with Ball(params) as ball:
+        sizes = [len(layer) for layer in ball.layers(6)]
+    assert sizes == DL32_LAYERS
+    # the benchmark's pins: beta-closed-form's 3,590 probes, and
+    # probe-exclusion's 10,584 nontrivial vertices and the 8 others
+    assert sum(sizes[:6]) == 3590 and sum(sizes) == 10592
+
+
+@pytest.mark.parametrize("cap,complete,size", REFUSALS)
+def test_refused_ball_stays_refused(params, monkeypatch, cap, complete, size):
+    # a growth stopped by the cap refuses every later request past the
+    # last complete layer, with the same error and size as a search of
+    # its own, and still answers every radius up to that layer
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", cap)
+    with pytest.raises(MemoryCapExceeded) as alone:
+        ball_distances(params, complete + 1)
+    assert alone.value.size == size
+    with Ball(params) as ball:
+        with pytest.raises(MemoryCapExceeded) as first:
+            ball.layers(6)
+        for radius in (complete + 1, 6, 9, complete + 1):
+            with pytest.raises(MemoryCapExceeded) as again:
+                ball.layers(radius)
+            assert again.value.size == size
+            assert str(again.value) == str(first.value) == str(alone.value)
+        assert ball.radius == complete
+        whole = ball.layers(complete)
+        assert [len(layer) for layer in whole] == DL32_LAYERS[: complete + 1]
+        for radius in range(complete + 1):
+            assert ball.layers(radius) == whole[: radius + 1]
+
+
+@pytest.mark.parametrize("cap,complete,size", REFUSALS)
+def test_refused_suite_rows_keep_their_size(params, monkeypatch, cap, complete, size):
+    # every row whose ball read passes the cap fails with the size that
+    # the one-shot search gave it; the rows that read less still pass
+    monkeypatch.setattr(dlgraph_mod, "DEFAULT_MEMORY_CAP", cap)
+    radii = {
+        "word-metric-conformance": 5,
+        "metric-axioms": 4,
+        "comparison-lemmas": 3,
+        "beta-closed-form": 5,
+        "probe-exclusion": 6,
+    }
+    reports = {r.name: r for r in run_suites(["all"], params)}
+    for name, radius in radii.items():
+        report = reports[name]
+        if radius <= complete:
+            assert report.passed and "refused_size" not in report.details
+        else:
+            assert (report.cases, report.failures) == (0, 1)
+            assert report.details == {"refused_size": size}
+            assert report.first_failure == f"ball enumeration too large (at least {size})"
 
 
 @pytest.mark.parametrize("d,q,radius", [(3, 2, 4), (4, 2, 3), (2, 3, 4)])

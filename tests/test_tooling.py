@@ -121,6 +121,12 @@ def test_only_dlgraph_reads_the_coder():
     }
 
 
+def test_verify_grows_no_ball_of_its_own():
+    # the checks read the run's Ball; a second search from the identity
+    # through ball_distances would grow and decode its layers again
+    assert names_read((PACKAGE / "verify.py").read_text(), {"ball_distances"}) == []
+
+
 def q_compared_with_numbers(source: str) -> list[int]:
     """The lines that compare a name or attribute called q with a number."""
     lines = []
@@ -181,7 +187,9 @@ def test_run_check_makes_every_report():
     # each check fills the tally run_check hands it and returns its
     # details; run_check alone builds and names the report
     for check in (check for suite in SUITES.values() for check in suite):
-        assert list(inspect.signature(check).parameters) == ["params", "seed", "tally"]
+        assert list(inspect.signature(check).parameters) == [
+            "params", "seed", "tally", "ball"
+        ]
     assert checks_that_report((PACKAGE / "verify.py").read_text()) == []
 
 

@@ -30,7 +30,7 @@ from dlstar import (
     symmetric_probe_set,
     vertex_sort_key,
 )
-from dlstar.dlgraph import balanced_vertices
+from dlstar.dlgraph import Ball, balanced_vertices
 from dlstar.stars import Tally
 from dlstar.treecoord import ORIGIN, pair_stats
 from dlstar.verify import (
@@ -38,10 +38,12 @@ from dlstar.verify import (
     PROFILE_PAIR_CAP,
     SUITES,
     _check_asymmetry_certificates,
+    _check_beta_ray_identities,
     _check_comparison_lemmas,
     _check_growth_table,
     _check_metric_axioms,
     _check_probe_exclusion,
+    _check_word_metric_conformance,
     _shift_classes,
     pair_table,
     run_check,
@@ -63,7 +65,7 @@ def test_all_expands_to_every_suite(params, monkeypatch):
     ran = []
 
     def stub(name):
-        def check(p, seed, tally):
+        def check(p, seed, tally, ball):
             ran.append((name, seed))
             return {}
         check.__name__ = f"_check_{name}"  # reports as the suite's name
@@ -90,7 +92,7 @@ def test_checks_run_only_on_their_domain(monkeypatch):
     # it, its exceptions surface and are not turned into skips
     calls = []
 
-    def broken(p, seed, tally):
+    def broken(p, seed, tally, ball):
         calls.append(p)
         raise ValueError("broken check")
 
@@ -117,13 +119,90 @@ def test_run_suites_rejects_workers(params):
 
 def test_run_suites_rejects_a_non_int_seed(monkeypatch):
     # checked before any check runs, so no check sees the seed
-    def never(p, seed, tally):
+    def never(p, seed, tally, ball):
         pytest.fail(f"a check ran with seed {seed!r}")
 
     monkeypatch.setattr(verify_mod, "SUITES", {"conformance": (never,)})
     for seed in (1.5, True):
         with pytest.raises(ValueError, match=f"^seed must be an int, got {seed!r}$"):
             run_suites(["conformance"], DLParams(2, 2), seed=seed)
+
+
+# the layers each check that reads the ball grows: in run_suites(["all"])
+# at DL_3(2), where they share the run's ball, and each on a ball of its own
+GROWN_IN_ALL = {
+    "word-metric-conformance": 5,
+    "metric-axioms": 0,
+    "comparison-lemmas": 0,
+    "beta-closed-form": 0,
+    "probe-exclusion": 1,
+}
+GROWN_ALONE = {
+    "word-metric-conformance": 5,
+    "metric-axioms": 4,
+    "comparison-lemmas": 3,
+    "beta-closed-form": 5,
+    "probe-exclusion": 6,
+}
+
+
+def _grown(reports):
+    return {
+        r.name: r.details["ball_layers_grown"]
+        for r in reports
+        if "ball_layers_grown" in r.details
+    }
+
+
+def _without_grown(report):
+    """What a report says, apart from its elapsed and ball_layers_grown."""
+    details = {k: v for k, v in report.details.items() if k != "ball_layers_grown"}
+    return (
+        report.name, report.cases, report.failures, report.first_failure, details,
+        report.skipped,
+    )
+
+
+def test_one_ball_per_run(params, monkeypatch):
+    built = []
+
+    class Counted(Ball):
+        def __init__(self, params):
+            built.append(params)
+            super().__init__(params)
+
+    monkeypatch.setattr(verify_mod, "Ball", Counted)
+    shared = run_suites(["all"], params)
+    assert built == [params]
+    assert _grown(shared) == GROWN_IN_ALL
+    # the next run builds a ball of its own: no ball outlives its run
+    boundary = run_suites(["horofn", "stars"], params)
+    assert built == [params] * 2
+    assert _grown(boundary) == {"beta-closed-form": 5, "probe-exclusion": 1}
+    # each check alone, on a ball of its own, reports what it reports on
+    # the shared one
+    checks = [check for suite in SUITES.values() for check in suite]
+    alone = [run_check(check, params, DEFAULT_SEED) for check in checks]
+    assert len(built) == 2 + len(checks)
+    assert list(map(_without_grown, shared)) == list(map(_without_grown, alone))
+    assert _grown(alone) == GROWN_ALONE
+
+
+def test_one_ball_per_run_at_d4():
+    params = DLParams(4, 2)
+    conformance, ray, axioms = run_suites(["conformance"], params)
+    for report, check in (
+        (conformance, _check_word_metric_conformance),
+        (ray, _check_beta_ray_identities),
+    ):
+        assert _without_grown(report) == _without_grown(run_check(check, params, DEFAULT_SEED))
+    # metric-axioms alone, about 9 s here, gives these figures: 1,000
+    # triples, and 1,539 self and 1,539 * 1,538 / 2 pair cases on the
+    # radius-3 ball
+    assert _without_grown(axioms) == (
+        "metric-axioms", 1_186_030, 0, None, {"triples": 1000, "identity_ball_radius": 3}, None
+    )
+    assert _grown([conformance, axioms]) == {"word-metric-conformance": 5, "metric-axioms": 0}
 
 
 def test_pair_table_matches_pair_profile(ball3):
@@ -361,8 +440,8 @@ def test_pair_table_profile_pair_cap(monkeypatch, ball3, params):
 
     monkeypatch.setattr(verify_mod, "profile_distance", unreachable)
     monkeypatch.setattr(verify_mod, "PROFILE_PAIR_CAP", 704**2 - 1)
-    with pytest.raises(MemoryCapExceeded) as e:
-        _check_comparison_lemmas(params, DEFAULT_SEED, Tally())
+    with pytest.raises(MemoryCapExceeded) as e, Ball(params) as ball:
+        _check_comparison_lemmas(params, DEFAULT_SEED, Tally(), ball)
     assert e.value.size == 704**2
 
 
@@ -401,8 +480,8 @@ def test_a_table_mismatch_is_a_failed_row(wrong_beta_value, monkeypatch):
     assert closed_form.failures > 0
     *passed, refused = tables
     assert refused.coords[0].m == 1 and all(z.coords[0].m != 1 for z in passed)
-    with pytest.raises(TableMismatch) as e:
-        _check_growth_table(params, seed, Tally())
+    with pytest.raises(TableMismatch) as e, Ball(params) as ball:
+        _check_growth_table(params, seed, Tally(), ball)
     assert growth.failures == 1 and growth.first_failure == str(e.value)
     # the samples before the first with m1 = 1 (four), 18 cases each
     assert len(passed) > 0 and growth.cases == 18 * len(passed)
